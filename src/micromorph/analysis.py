@@ -219,15 +219,13 @@ def check_hypotheses(params: MaterialParams, tol: float = 1e-10) -> WellPosednes
 def discrete_coercivity(w1: SparseSymOperator, gram: SparseSymOperator) -> float:
     """m1: smallest eigenvalue of the pencil (W1, Gram); positive certifies
     coercivity of the rate-energy form in the product norm."""
-    lo, _ = extreme_generalized_eigenvalues(w1, gram)
-    return lo
+    return extreme_generalized_eigenvalues(w1, gram, which="smallest")
 
 
 def discrete_boundedness(w2: SparseSymOperator, gram: SparseSymOperator) -> float:
     """M2: largest magnitude eigenvalue of (W2, Gram); the potential tensors
-    may be indefinite, so both ends of the spectrum matter."""
-    lo, hi = extreme_generalized_eigenvalues(w2, gram)
-    return max(abs(lo), abs(hi))
+    may be indefinite, so either end of the spectrum can hold it."""
+    return abs(extreme_generalized_eigenvalues(w2, gram, which="magnitude"))
 
 
 def contraction_constant(m1: float, m2: float) -> tuple[float, float]:
@@ -247,13 +245,23 @@ def contraction_constant(m1: float, m2: float) -> tuple[float, float]:
 
 
 def well_posedness_report(
-    params: MaterialParams, sys: FESystem, tol: float = 1e-10
+    params: MaterialParams,
+    sys: FESystem,
+    tol: float = 1e-10,
+    *,
+    w1: SparseSymOperator | None = None,
+    w2: SparseSymOperator | None = None,
+    gram: SparseSymOperator | None = None,
 ) -> WellPosednessReport:
-    """Checklist plus discrete constants m1, M2, c, delta on a mesh."""
+    """Checklist plus discrete constants m1, M2, c, delta on a mesh.
+
+    Operators the caller has already assembled for ``params`` on ``sys`` may
+    be passed in; the missing ones are assembled here.
+    """
     base = check_hypotheses(params, tol)
-    w1 = assemble_w1(params, sys)
-    w2 = assemble_w2(params, sys)
-    gram = assemble_gram(sys)
+    w1 = assemble_w1(params, sys) if w1 is None else w1
+    w2 = assemble_w2(params, sys) if w2 is None else w2
+    gram = assemble_gram(sys) if gram is None else gram
     m1 = discrete_coercivity(w1, gram)
     m2 = discrete_boundedness(w2, gram)
     if m1 > 0:
@@ -296,13 +304,12 @@ def korn_curl_constant(sys: FESystem) -> float:
         ),
     ).p_block()
     try:
-        _, hi = extreme_generalized_eigenvalues(left, right)
+        return extreme_generalized_eigenvalues(left, right, which="largest")
     except (DefinitenessError, NonConvergenceError) as exc:
         raise DefinitenessError(
             "sym-mass + curl-curl form is singular on the tangential-zero "
             f"space; the discrete Korn-type inequality fails: {exc}"
         )
-    return hi
 
 
 # ---------------------------------------------------------------------------

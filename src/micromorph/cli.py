@@ -160,7 +160,7 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_):
     if sim.integrator == "newmark":
         n_steps = max(1, round(sim.t_final / sim.dt))
         return newmark_integrate(state0, w1, w2, load_fn, sim.dt, n_steps), None
-    report = well_posedness_report(params, sys_)
+    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
     if not report.well_posed:
         raise HypothesisError(
             "cannot integrate: failed items " + ", ".join(report.failed_items())
@@ -241,12 +241,12 @@ def _cmd_korn(cfg: RunConfig, out: Path) -> int:
 def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     params = material_from_config(cfg)
     sys_ = build_fe_system(mesh_from_config(cfg))
-    report = well_posedness_report(params, sys_)
-    if not report.well_posed or report.contraction is None:
-        raise HypothesisError("contraction demo needs a well-posed material")
     w1 = assemble_w1(params, sys_)
     w2 = assemble_w2(params, sys_)
     gram = assemble_gram(sys_)
+    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
+    if not report.well_posed or report.contraction is None:
+        raise HypothesisError("contraction demo needs a well-posed material")
     load = load_from_config(cfg)
     state0 = _initial_state(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):

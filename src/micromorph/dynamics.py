@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import BlockLayout, SparseSymOperator, combine_operators
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, SolverError
 from .linalg import cg_solve
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DELTA_FLOOR_FRACTION = 1e-6  # shortest allowed subinterval, as a fraction of T
+MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,9 @@ def picard_integrate(
     The subinterval count is rounded up so the global grid stays uniform;
     each subinterval is seeded with the terminal state of the previous one,
     so glued states match bitwise at the seams.  c_est = 0 flags a constant
-    map (unbounded contraction radius): a single subinterval is used.
+    map (unbounded contraction radius): a single subinterval is used.  A run
+    that needs more than ``MAX_INTERVALS`` subintervals raises
+    :class:`SolverError`; delta is never stretched past 1/(2 sqrt(c_est)).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -272,11 +274,12 @@ def picard_integrate(
         if delta > t_final:
             log.info("contraction interval %.3g capped at t_final", delta)
             delta = t_final
-        floor = t_final * DELTA_FLOOR_FRACTION
-        if delta < floor:
-            log.info("contraction interval %.3g floored at %.3g", delta, floor)
-            delta = floor
     n_int = max(1, math.ceil(t_final / delta - 1e-12))
+    if n_int > MAX_INTERVALS:
+        raise SolverError(
+            f"contraction interval {delta!r} needs {n_int} subintervals over "
+            f"t_final={t_final!r}, more than MAX_INTERVALS={MAX_INTERVALS}"
+        )
     delta_eff = t_final / n_int
 
     all_times = [np.array([state0.t])]

@@ -1,25 +1,28 @@
 """Sparse symmetric solves and eigenvalue estimation.
 
-Three entry points:
-
 * :func:`cg_solve` - Jacobi-preconditioned conjugate gradients with
   breakdown detection (non-positive curvature reports a definiteness
   failure rather than silently diverging).
-* :func:`extreme_generalized_eigenvalues` - both ends of the spectrum of a
-  symmetric pencil (A, B) with B positive definite, via B-orthogonal
-  Lanczos with full reorthogonalization; inner applications of B^{-1} use
-  CG, so no sparse factorization is ever formed.  When the Krylov space
-  exhausts the full dimension the result is exact up to round-off, so the
-  method cannot stagnate at desk scale.
-* :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
-  through the real symmetric 2n x 2n embedding [[Re, -Im], [Im, Re]], whose
-  spectrum doubles each eigenvalue; the doubles are deduplicated.
+* :func:`extreme_generalized_eigenvalues` - one or both ends of the spectrum
+  of a symmetric pencil (A, B), B positive definite.  Small pencils use
+  dense ``eigh``.  Larger ones are factored by SuperLU with diagonal pivots
+  in a symmetric ordering, P M P^T = L D L^T, so the signs of D count the
+  negative eigenvalues of M (Sylvester's law of inertia).  This certifies
+  B > 0 before ARPACK runs: regular mode with the factor of B for the top
+  end, and for the bottom end shift-invert at 0 when the count also
+  certifies A > 0, regular mode otherwise.  Every returned eigenpair must
+  pass a residual check.
+* :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NonConvergenceError
 
@@ -28,6 +31,11 @@ __all__ = [
     "extreme_generalized_eigenvalues",
     "hermitian_dense_eig",
 ]
+
+
+DENSE_CUTOFF = 64  # pencils with at most this many rows use dense eigh
+_ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
+_ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 
 
 def _as_matrix(a):
@@ -96,118 +104,114 @@ def cg_solve(
     )
 
 
-def _b_normalize(v: np.ndarray, b_mat) -> tuple[np.ndarray, float]:
-    bv = b_mat @ v
-    nrm = float(np.sqrt(max(v @ bv, 0.0)))
-    if nrm == 0.0:
-        return v, 0.0
-    return v / nrm, nrm
+def _symmetric_lu(mat):
+    """Solve operator of symmetric ``mat`` and its count of negative
+    eigenvalues.  SuperLU factors with diagonal pivots in a symmetric
+    ordering, P M P^T = L D L^T, and D has as many negative entries as M
+    has negative eigenvalues.  Both are None when M is exactly singular or
+    a zero pivot forced an off-diagonal one (``perm_r != perm_c``)."""
+    try:
+        lu = spla.splu(
+            scipy.sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False),
+        )
+    except RuntimeError:
+        return None, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, None
+    solve = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+    return solve, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _definite_inverse(b_mat) -> spla.LinearOperator:
+    """B^{-1} once the inertia of B certifies B > 0; a positive definite
+    matrix never meets a zero pivot, so that fails too."""
+    solve, negatives = _symmetric_lu(b_mat)
+    if negatives != 0:
+        found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
+        raise DefinitenessError(f"B is not positive definite: its LU met {found}")
+    return solve
+
+
+def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
+    v0 = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
+
+    def arpack(**kwargs):
+        try:
+            w, v = spla.eigsh(a_mat, k=1, M=b_mat, v0=v0, **kwargs)
+        except spla.ArpackError as exc:
+            raise NonConvergenceError(f"ARPACK ({kwargs['which']}) failed: {exc}")
+        return float(w[0]), v[:, 0]
+
+    b_inv = _definite_inverse(b_mat)
+    if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
+        return dict.fromkeys(ends, (0.0, v0))
+    pairs = {
+        end: arpack(which=_ARPACK_WHICH[end], Minv=b_inv)
+        for end in ends if end != "smallest"
+    }
+    if "smallest" in ends:
+        b_inv = None  # one factorization alive at a time
+        a_inv, negatives = _symmetric_lu(a_mat)
+        if negatives == 0:  # A > 0: the eigenvalue nearest 0 is the smallest
+            pairs["smallest"] = arpack(sigma=0.0, which="LM", OPinv=a_inv)
+        else:
+            a_inv = None  # release A's factor before B is factored again
+            pairs["smallest"] = arpack(which="SA", Minv=_definite_inverse(b_mat))
+    return pairs
+
+
+def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray, tol: float) -> None:
+    ax, bx = a_mat @ x, b_mat @ x
+    res = float(np.linalg.norm(ax - lam * bx))
+    scale = max(float(np.linalg.norm(ax)), abs(lam) * float(np.linalg.norm(bx)))
+    roundoff = _ROUNDOFF * (spla.norm(a_mat, 1) + abs(lam) * spla.norm(b_mat, 1))
+    if res > max(tol * scale, roundoff * float(np.linalg.norm(x))):
+        rel = res / scale if scale else math.inf
+        raise NonConvergenceError(
+            f"eigenpair lambda={lam!r} fails its residual check ({rel:.3g} > {tol!r})",
+            residual=rel,
+        )
 
 
 def extreme_generalized_eigenvalues(
-    a,
-    b,
-    tol: float = 1e-8,
-    seed: int = 7,
-    inner_tol: float = 1e-13,
-) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of A x = lambda B x, B positive definite.
+    a, b, tol: float = 1e-8, seed: int = 7, which: str = "both"
+) -> tuple[float, float] | float:
+    """Extreme eigenvalues of A x = lambda B x, A symmetric, B positive definite.
 
-    B-orthogonal Lanczos on B^{-1} A with full reorthogonalization; extreme
-    Ritz values are accepted once they settle to relative ``tol`` between
-    checkpoints, and the run is exact when the basis spans the whole space.
+    ``which="both"`` returns ``(smallest, largest)``; ``"smallest"``,
+    ``"largest"`` and ``"magnitude"`` (largest |lambda|, signed) return one
+    float and compute only that end.  Raises :class:`DefinitenessError`
+    when B is not positive definite and :class:`NonConvergenceError` when a
+    pair has ||Ax - lambda Bx|| > tol max(||Ax||, |lambda| ||Bx||) above
+    round-off.  ``seed`` fixes ARPACK's start vector, so results repeat.
     """
-    a_mat = _as_matrix(a)
-    b_mat = _as_matrix(b)
+    ends = ("smallest", "largest") if which == "both" else (which,)
+    if not set(ends) <= {"smallest", *_ARPACK_WHICH}:
+        raise ValueError(f"unknown which={which!r}")
+    a_mat = scipy.sparse.csr_matrix(_as_matrix(a))
+    b_mat = scipy.sparse.csr_matrix(_as_matrix(b))
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")
-    if n == 1:
-        denom = float(b_mat @ np.ones(1) @ np.ones(1))
-        lam = float(a_mat @ np.ones(1) @ np.ones(1)) / denom
-        return lam, lam
-
-    def solve_b(rhs):
-        return cg_solve(b_mat, rhs, tol=inner_tol)
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q, nrm = _b_normalize(q, b_mat)
-    if nrm == 0.0:
-        raise DefinitenessError("B-norm of the start vector vanished")
-
-    basis: list[np.ndarray] = [q]
-    b_basis: list[np.ndarray] = [b_mat @ q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    checkpoints = {min(n, 2 ** k) for k in range(4, 14)} | {n}
-    scale = 0.0
-
-    def extremes_with_residual():
-        w, s = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[: len(alphas) - 1])
-        )
-        q_arr = np.stack(basis[: len(alphas)], axis=1)
-        ext = (float(w[0]), float(w[-1]))
-        worst = 0.0
-        for idx, lam in ((0, ext[0]), (-1, ext[1])):
-            y = q_arr @ s[:, idx]
-            ay = a_mat @ y
-            by = b_mat @ y
-            denom = max(np.linalg.norm(ay), abs(lam) * np.linalg.norm(by), 1e-300)
-            worst = max(worst, float(np.linalg.norm(ay - lam * by) / denom))
-        return ext, worst
-
-    for j in range(n):
-        z = solve_b(a_mat @ basis[j])
-        alpha = float(z @ b_basis[j])
-        alphas.append(alpha)
-        z = z - alpha * basis[j]
-        if j > 0:
-            z = z - betas[-1] * basis[j - 1]
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            coeffs = np.array([z @ bq for bq in b_basis])
-            for c, qi in zip(coeffs, basis):
-                z = z - c * qi
-        z, beta = _b_normalize(z, b_mat)
-        scale = max(scale, abs(alpha), beta)
-        m = j + 1
-        breakdown = beta <= 1e-14 * max(scale, 1.0)
-        if m >= n:
-            ext, _ = extremes_with_residual()   # full space: exact
-            return ext
-        if m in checkpoints:
-            ext, res = extremes_with_residual()
-            if res <= tol:
-                return ext
-        if breakdown:
-            # invariant subspace found: continue with a fresh direction
-            z = rng.standard_normal(n)
-            for _ in range(2):
-                coeffs = np.array([z @ bq for bq in b_basis])
-                for c, qi in zip(coeffs, basis):
-                    z = z - c * qi
-            z, beta2 = _b_normalize(z, b_mat)
-            if beta2 == 0.0:
-                ext, _ = extremes_with_residual()
-                return ext
-            beta = 0.0
-        betas.append(beta)
-        basis.append(z)
-        b_basis.append(b_mat @ z)
-
-    ext, _ = extremes_with_residual()
-    return ext
+    if n > DENSE_CUTOFF:
+        pairs = _sparse_pairs(a_mat, b_mat, ends, seed)
+    else:
+        try:
+            w, v = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray())
+        except scipy.linalg.LinAlgError as exc:
+            raise DefinitenessError(f"B is not positive definite: {exc}")
+        at = {"smallest": 0, "largest": -1, "magnitude": int(np.argmax(np.abs(w)))}
+        pairs = {end: (float(w[at[end]]), v[:, at[end]]) for end in ends}
+    for lam, x in pairs.values():
+        _check_pair(a_mat, b_mat, lam, x, tol)
+    values = tuple(pairs[end][0] for end in ends)
+    return values if which == "both" else values[0]
 
 
 def hermitian_dense_eig(h, g=None, herm_tol: float = 1e-10) -> np.ndarray:
-    """All eigenvalues of H z = lambda G z for dense Hermitian H, G ~ SPD.
-
-    Solved through the real symmetric embedding, which represents each
-    complex eigenvalue twice; every second value of the ascending result is
-    returned.
-    """
+    """All eigenvalues (ascending) of H z = lambda G z for dense Hermitian
+    H and Hermitian positive definite G."""
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     if h.shape != (n, n):
@@ -215,19 +219,12 @@ def hermitian_dense_eig(h, g=None, herm_tol: float = 1e-10) -> np.ndarray:
     scale = max(float(np.abs(h).max()), 1e-300)
     if float(np.abs(h - h.conj().T).max()) > herm_tol * scale:
         raise ValueError("H is not Hermitian within tolerance")
-    if g is None:
-        g = np.eye(n, dtype=complex)
-    else:
+    if g is not None:
         g = np.asarray(g, dtype=complex)
         gscale = max(float(np.abs(g).max()), 1e-300)
         if float(np.abs(g - g.conj().T).max()) > herm_tol * gscale:
             raise ValueError("G is not Hermitian within tolerance")
-
-    def embed(m):
-        return np.block([[m.real, -m.imag], [m.imag, m.real]])
-
     try:
-        w = scipy.linalg.eigh(embed(h), embed(g), eigvals_only=True)
+        return scipy.linalg.eigh(h, g, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise DefinitenessError(f"pencil metric is not positive definite: {exc}")
-    return np.asarray(w[::2])

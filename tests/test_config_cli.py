@@ -140,6 +140,16 @@ class TestCommands:
         b2 = (out2 / "trajectory.csv").read_bytes()
         assert b1 == b2
 
+    def test_check_twice_in_one_process_byte_identical(self, tmp_path):
+        # res 3 (375 dofs) certifies through the sparse ARPACK path
+        p = tmp_path / "res3.ini"
+        p.write_text(DEMO.replace("resolution = 2 2 2", "resolution = 3 3 3"))
+        outs = [tmp_path / "c1", tmp_path / "c2"]
+        for out in outs:
+            assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+        first, second = ((out / "moduli.csv").read_bytes() for out in outs)
+        assert first == second
+
     def test_dispersion_artifacts(self, demo_path, tmp_path):
         out = tmp_path / "disp"
         assert main(["dispersion", "--config", str(demo_path), "--out", str(out)]) == 0

@@ -11,6 +11,7 @@ from micromorph.assembly import (
     LoadFunctional,
 )
 from micromorph.dynamics import (
+    MAX_INTERVALS,
     DynamicState,
     energy,
     newmark_integrate,
@@ -18,7 +19,7 @@ from micromorph.dynamics import (
     picard_interval,
     stationary_solve,
 )
-from micromorph.errors import NonConvergenceError
+from micromorph.errors import NonConvergenceError, SolverError
 
 
 def scalar_op(value):
@@ -157,6 +158,13 @@ class TestPicardIntegrate:
         np.testing.assert_allclose(
             traj.positions[:, 0], 1.0 + 0.0 * traj.times, rtol=1e-14
         )
+
+    def test_interval_budget_raises(self, oscillator):
+        w1, w2, s0, _ = oscillator
+        c_est = 1e12   # delta = 5e-7: 2e6 subintervals over T = 1
+        assert 1.0 / (0.5 / np.sqrt(c_est)) > MAX_INTERVALS
+        with pytest.raises(SolverError, match="MAX_INTERVALS"):
+            picard_integrate(s0, w1, w2, None, 1.0, c_est, n_t=5)
 
     def test_linearity_in_data(self, oscillator):
         w1, w2, s0, omega = oscillator

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from micromorph import linalg
 from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
+    DENSE_CUTOFF,
     cg_solve,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
@@ -132,6 +137,127 @@ class TestExtremeGeneralized:
             sp.csr_matrix(np.array([[3.0]])), sp.csr_matrix(np.array([[2.0]]))
         )
         assert lo == pytest.approx(1.5) == hi
+
+
+N_SPARSE = DENSE_CUTOFF + 36  # large enough for the factorization path
+
+
+def sparse_symmetric(rng, n, density=0.05):
+    """Dense array of a random sparse symmetric matrix with a zero diagonal."""
+    m = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+def diagonally_dominant(rng, n, shift=1.0):
+    m = sparse_symmetric(rng, n)
+    return m + np.diag(np.abs(m).sum(axis=1) + shift)
+
+
+def dense_spectrum(a_d, b_d):
+    return scipy.linalg.eigh(a_d, b_d, eigvals_only=True)
+
+
+class TestSparsePath:
+    def test_inertia_count_matches_dense(self, rng):
+        m = sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-3, 3, N_SPARSE))
+        _, negatives = linalg._symmetric_lu(sp.csr_matrix(m))
+        assert negatives == int(np.sum(np.linalg.eigvalsh(m) < 0))
+
+    def test_smallest_is_true_minimum_of_indefinite_pencil(self, rng):
+        n = N_SPARSE
+        a_d = np.diag(np.r_[-4.0, -2.0, np.linspace(0.1, 5.0, n - 2)])
+        b_d = np.diag(rng.uniform(1.0, 2.0, n))
+        w = dense_spectrum(a_d, b_d)
+        assert w[0] < 0 < w[np.argmin(np.abs(w))]   # nearest 0 is positive
+        lo, hi = extreme_generalized_eigenvalues(sp.csr_matrix(a_d), sp.csr_matrix(b_d))
+        assert lo == pytest.approx(w[0], rel=1e-10)
+        assert hi == pytest.approx(w[-1], rel=1e-10)
+
+    def test_saddle_point_takes_fallback(self, rng):
+        m = N_SPARSE // 2
+        eye = sp.eye(m)
+        a = sp.bmat([[None, eye], [eye, None]], format="csr")
+        _, negatives = linalg._symmetric_lu(a)
+        assert negatives is None   # zero diagonal forces off-diagonal pivots
+        b_d = np.diag(rng.uniform(1.0, 2.0, 2 * m))
+        w = dense_spectrum(a.toarray(), b_d)
+        lo, hi = extreme_generalized_eigenvalues(a, sp.csr_matrix(b_d))
+        assert lo == pytest.approx(w[0], rel=1e-10)
+        assert hi == pytest.approx(w[-1], rel=1e-10)
+
+    def test_singular_left_operator(self):
+        # path-graph Laplacian: positive semi-definite, constants in the kernel
+        n = N_SPARSE
+        lap = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                        -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        lo, hi = extreme_generalized_eigenvalues(lap, sp.eye(n, format="csr"))
+        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert hi == pytest.approx(2.0 + 2.0 * np.cos(np.pi / n), rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_indefinite_or_singular_metric_raises(self, rng, bad):
+        b_d = np.diag(np.r_[bad, np.ones(N_SPARSE - 1)])
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        for which in ("smallest", "largest", "magnitude"):
+            with pytest.raises(DefinitenessError):
+                extreme_generalized_eigenvalues(a, sp.csr_matrix(b_d), which=which)
+
+    def test_wrong_pair_fails_residual_check(self, rng, monkeypatch):
+        real = scipy.sparse.linalg.eigsh
+
+        def off_by_1e6(*args, **kwargs):
+            w, v = real(*args, **kwargs)
+            return w * (1.0 + 1e-6), v
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", off_by_1e6)
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        b = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        for which in ("smallest", "largest", "magnitude"):
+            with pytest.raises(NonConvergenceError) as err:
+                extreme_generalized_eigenvalues(a, b, which=which)
+            assert err.value.residual > 1e-8
+
+    def test_single_ends_match_both(self, rng):
+        a_d = sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-1, 3, N_SPARSE))
+        a = sp.csr_matrix(a_d)
+        b = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        lo, hi = extreme_generalized_eigenvalues(a, b)
+        assert extreme_generalized_eigenvalues(a, b, which="smallest") == lo
+        assert extreme_generalized_eigenvalues(a, b, which="largest") == hi
+        mag = extreme_generalized_eigenvalues(a, b, which="magnitude")
+        assert abs(mag) == pytest.approx(max(-lo, hi), rel=1e-10)
+
+    def test_repeat_calls_bitwise_identical(self, rng):
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        b = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        first = extreme_generalized_eigenvalues(a, b)
+        assert all(extreme_generalized_eigenvalues(a, b) == first for _ in range(3))
+
+    def test_unknown_end_rejected(self):
+        with pytest.raises(ValueError, match="which"):
+            extreme_generalized_eigenvalues(sp.eye(3), sp.eye(3), which="middle")
+
+    @given(
+        n=st.integers(DENSE_CUTOFF + 1, DENSE_CUTOFF + 60),
+        seed=st.integers(0, 2**32 - 1),
+        definite=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_pencils_match_dense(self, n, seed, definite):
+        rng = np.random.default_rng(seed)
+        a_d = diagonally_dominant(rng, n) if definite else (
+            sparse_symmetric(rng, n) + np.diag(rng.uniform(-2, 2, n))
+        )
+        b_d = diagonally_dominant(rng, n, shift=rng.uniform(0.1, 2.0))
+        a, b = sp.csr_matrix(a_d), sp.csr_matrix(b_d)
+        w = dense_spectrum(a_d, b_d)
+        atol = 1e-10 * np.abs(w).max()
+        lo, hi = extreme_generalized_eigenvalues(a, b)
+        assert lo == pytest.approx(w[0], rel=1e-8, abs=atol)
+        assert hi == pytest.approx(w[-1], rel=1e-8, abs=atol)
+        mag = extreme_generalized_eigenvalues(a, b, which="magnitude")
+        assert abs(mag) == pytest.approx(np.abs(w).max(), rel=1e-8)
 
 
 class TestHermitianDense:
