@@ -46,8 +46,14 @@ from .assembly import (
     assemble_w1,
     assemble_w2,
     combine_operators,
+    load_assembler,
 )
-from .linalg import cg_solve, extreme_generalized_eigenvalues, hermitian_dense_eig
+from .linalg import (
+    cg_solve,
+    definite_solver,
+    extreme_generalized_eigenvalues,
+    hermitian_dense_eig,
+)
 from .dynamics import (
     DynamicState,
     Trajectory,

@@ -47,6 +47,7 @@ __all__ = [
     "TimeField",
     "LoadFunctional",
     "assemble_load",
+    "load_assembler",
     "combine_operators",
 ]
 
@@ -459,17 +460,26 @@ def _edge_integrals(sys: FESystem) -> np.ndarray:
     return out
 
 
+def load_assembler(load: LoadFunctional, sys: FESystem):
+    """``t -> assemble_load(load, sys, t)`` with the hat and edge integrals
+    computed once, for loads evaluated at many times."""
+    hats = _hat_integrals(sys) if sys.n_u_dofs else None
+    w_int = _edge_integrals(sys) if sys.n_p_dofs else None    # (n_int, 3)
+
+    def at(t: float) -> np.ndarray:
+        f = load.body_force(t)
+        m = load.double_force(t)
+        out = np.zeros(sys.n_dofs)
+        if hats is not None:
+            out[: sys.n_u_dofs] = (hats[:, None] * f[None, :]).ravel()
+        if w_int is not None:
+            p = np.einsum("rj,ej->re", m, w_int)   # (row, edge)
+            out[sys.n_u_dofs:] = p.reshape(sys.n_p_dofs)
+        return out
+
+    return at
+
+
 def assemble_load(load: LoadFunctional, sys: FESystem, t: float) -> np.ndarray:
     """Dual vector of the load at time t over the product space."""
-    f = load.body_force(t)
-    m = load.double_force(t)
-    out = np.zeros(sys.n_dofs)
-    if sys.n_u_dofs:
-        hats = _hat_integrals(sys)
-        out[: sys.n_u_dofs] = (hats[:, None] * f[None, :]).ravel()
-    if sys.n_p_dofs:
-        w_int = _edge_integrals(sys)               # (n_int, 3)
-        n_int = sys.n_p_dofs // 3
-        p = np.einsum("rj,ej->re", m, w_int)       # (row, edge)
-        out[sys.n_u_dofs:] = p.reshape(3 * n_int)
-    return out
+    return load_assembler(load, sys)(t)

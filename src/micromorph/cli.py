@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import dispersion_curves, korn_curl_constant, well_posedness_report
-from .assembly import assemble_gram, assemble_load, assemble_w1, assemble_w2
+from .assembly import assemble_gram, assemble_w1, assemble_w2, load_assembler
 from .config import (
     RunConfig,
     config_digest,
@@ -153,9 +153,8 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_):
     w1 = assemble_w1(params, sys_)
     w2 = assemble_w2(params, sys_)
     gram = assemble_gram(sys_)
-    load = load_from_config(cfg)
+    load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)
-    load_fn = lambda t: assemble_load(load, sys_, t)
 
     if sim.integrator == "newmark":
         n_steps = max(1, round(sim.t_final / sim.dt))
@@ -180,12 +179,10 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     columns = ["t", "kinetic", "potential"] + [f"dof{d}" for d in samples]
     columns += ["picard_iterations"]
     iters = traj.diagnostics.get("picard_iterations", [])
-    n_int = max(len(iters), 1)
+    node_interval = traj.diagnostics.get("node_interval")
     rows = []
     for i in range(traj.n_nodes):
-        # nodes map to subintervals; node 0 belongs to the first
-        interval = min((i - 1) // max((traj.n_nodes - 1) // n_int, 1), n_int - 1)
-        it = iters[max(interval, 0)] if iters else 0
+        it = iters[node_interval[i]] if iters else 0
         rows.append(
             (traj.times[i], traj.kinetic[i], traj.potential[i])
             + tuple(traj.positions[i, d] for d in samples)
@@ -247,7 +244,7 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
     if not report.well_posed or report.contraction is None:
         raise HypothesisError("contraction demo needs a well-posed material")
-    load = load_from_config(cfg)
+    load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):
         # a visible fixed point even for an all-zero config
@@ -259,7 +256,7 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     delta = report.interval
     bound = delta**2 * report.contraction
     _, ratios = picard_interval(
-        state0, w1, w2, lambda t: assemble_load(load, sys_, t), delta,
+        state0, w1, w2, load_fn, delta,
         n_t=cfg.simulation.nodes_per_interval, fixed_tol=cfg.simulation.fixed_tol,
         gram=gram,
     )

@@ -8,13 +8,19 @@ Two integrators over the same operator pair:
   integration (composite trapezoid) from the initial data; the subinterval
   length delta = 1/(2 sqrt(c)) makes the map a contraction with measured
   per-sweep ratios bounded by delta^2 * c.  Consecutive subintervals are
-  glued by reseeding with the terminal state.
+  glued by reseeding with the terminal state.  W1 is factored once per run
+  and each sweep solves the stationary problems of all its nodes as one
+  block of right-hand sides.
 * :func:`newmark_integrate` - average-acceleration stepping (beta = 1/4,
   gamma = 1/2), unconditionally stable and energy conserving on the same
-  linear system; used for cross-validation.
+  linear system; used for cross-validation.  The effective operator
+  W1 + beta dt^2 W2 is factored once and every step is one solve.
 
-Loads are callables t -> dual vector (or None); the rate-energy operator
-must be positive definite for either integrator.
+Loads are callables t -> dual vector (or None).  The operators solved with
+must be positive definite: :func:`linalg.definite_solver` certifies that by
+the inertia of their LU factor, else :class:`DefinitenessError`, and checks
+the residual of every solve.  Each trajectory's diagnostics carry the
+solver counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .assembly import BlockLayout, SparseSymOperator, combine_operators
 from .errors import NonConvergenceError, SolverError
-from .linalg import cg_solve
+from .linalg import DefiniteSolver, definite_solver
 
 __all__ = [
     "DynamicState",
@@ -126,12 +132,29 @@ def stationary_solve(
     w_prev: np.ndarray,
     load_vec: np.ndarray | None,
     tol: float = 1e-12,
+    solve: DefiniteSolver | None = None,
 ) -> np.ndarray:
-    """One Lax-Milgram step: solve W1(a, .) = -W2(w_prev, .) + l(.)."""
+    """One Lax-Milgram step: solve W1(a, .) = -W2(w_prev, .) + l(.).
+
+    ``w_prev`` and ``load_vec`` are single vectors or (n, k) blocks whose k
+    columns are solved together.  ``solve`` is a factor of W1 from
+    :func:`definite_solver` kept across calls; without one, W1 is factored
+    here and every residual must meet ``tol``.
+    """
     rhs = -w2.matvec(w_prev)
     if load_vec is not None:
         rhs = rhs + load_vec
-    return cg_solve(w1, rhs, tol=tol)
+    if solve is None:
+        solve = definite_solver(w1, tol)
+    return solve(rhs)
+
+
+def _solver_counters(*solvers: DefiniteSolver) -> dict:
+    return {
+        "factor_nnz": max(s.factor_nnz for s in solvers),
+        "solves": sum(s.solves for s in solvers),
+        "max_solve_residual": max(s.max_residual for s in solvers),
+    }
 
 
 def _gram_norm(gram: SparseSymOperator | None, w: np.ndarray) -> float:
@@ -162,47 +185,38 @@ def _load_at(load, times: np.ndarray) -> list[np.ndarray | None]:
     return [np.asarray(load(float(t)), dtype=float) for t in times]
 
 
-def picard_interval(
+def _fixed_point(
     state0: DynamicState,
     w1: SparseSymOperator,
     w2: SparseSymOperator,
     load,
     delta: float,
-    n_t: int = 17,
-    fixed_tol: float = 1e-10,
-    max_iterations: int = 60,
-    gram: SparseSymOperator | None = None,
-    cg_tol: float = 1e-13,
+    n_t: int,
+    fixed_tol: float,
+    max_iterations: int,
+    gram: SparseSymOperator | None,
+    solve: DefiniteSolver,
 ) -> tuple[Trajectory, list[float]]:
-    """Fixed-point iteration on one subinterval [t0, t0 + delta].
-
-    Returns the converged trajectory on n_t uniform nodes and the measured
-    per-sweep contraction ratios (successive-difference quotients in the
-    max-over-nodes Gram norm).  Non-convergence raises
-    :class:`NonConvergenceError` carrying the ratio history, which signals
-    that delta exceeds the contraction radius.
-    """
+    """Fixed-point sweeps on [t0, t0 + delta] with ``solve``, a factor of W1."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n_t < 3:
         raise ValueError("need at least three time nodes")
     times = state0.t + np.linspace(0.0, delta, n_t)
-    loads = _load_at(load, times)
+    loads = None if load is None else np.column_stack(_load_at(load, times))
     w0 = state0.position
     wt0 = state0.velocity
 
     seed_scale = 1.0 + _gram_norm(gram, w0)
     positions = np.tile(w0, (n_t, 1))
     velocities = np.tile(wt0, (n_t, 1))
-    acc = np.empty_like(positions)
     ratios: list[float] = []
     prev_diff = None
     iterations = 0
 
     for sweep in range(max_iterations):
         iterations = sweep + 1
-        for j in range(n_t):
-            acc[j] = stationary_solve(w1, w2, positions[j], loads[j], tol=cg_tol)
+        acc = stationary_solve(w1, w2, positions.T, loads, solve=solve).T
         new_pos, new_vel = _double_trapezoid(times, acc, w0, wt0)
         diff = max(
             _gram_norm(gram, new_pos[j] - positions[j]) for j in range(n_t)
@@ -240,6 +254,36 @@ def picard_interval(
     return traj, ratios
 
 
+def picard_interval(
+    state0: DynamicState,
+    w1: SparseSymOperator,
+    w2: SparseSymOperator,
+    load,
+    delta: float,
+    n_t: int = 17,
+    fixed_tol: float = 1e-10,
+    max_iterations: int = 60,
+    gram: SparseSymOperator | None = None,
+    solve_tol: float = 1e-13,
+) -> tuple[Trajectory, list[float]]:
+    """Fixed-point iteration on one subinterval [t0, t0 + delta].
+
+    Returns the converged trajectory on n_t uniform nodes and the measured
+    per-sweep contraction ratios (successive-difference quotients in the
+    max-over-nodes Gram norm).  Non-convergence raises
+    :class:`NonConvergenceError` carrying the ratio history, which signals
+    that delta exceeds the contraction radius.  W1 is factored here; each
+    sweep solves all n_t stationary problems as one block, every residual
+    within ``solve_tol``.
+    """
+    solve = definite_solver(w1, solve_tol)
+    traj, ratios = _fixed_point(
+        state0, w1, w2, load, delta, n_t, fixed_tol, max_iterations, gram, solve
+    )
+    traj.diagnostics.update(_solver_counters(solve))
+    return traj, ratios
+
+
 def picard_integrate(
     state0: DynamicState,
     w1: SparseSymOperator,
@@ -251,7 +295,7 @@ def picard_integrate(
     fixed_tol: float = 1e-10,
     max_iterations: int = 60,
     gram: SparseSymOperator | None = None,
-    cg_tol: float = 1e-13,
+    solve_tol: float = 1e-13,
 ) -> Trajectory:
     """Glue fixed-point subintervals of length 1/(2 sqrt(c_est)) over [0, T].
 
@@ -261,6 +305,8 @@ def picard_integrate(
     map (unbounded contraction radius): a single subinterval is used.  A run
     that needs more than ``MAX_INTERVALS`` subintervals raises
     :class:`SolverError`; delta is never stretched past 1/(2 sqrt(c_est)).
+    W1 is factored once for all subintervals.  ``diagnostics["node_interval"]``
+    gives the subinterval of each node (node 0 belongs to the first).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -282,28 +328,28 @@ def picard_integrate(
         )
     delta_eff = t_final / n_int
 
-    all_times = [np.array([state0.t])]
+    solve = definite_solver(w1, solve_tol)
     all_pos = [state0.position[None, :]]
     all_vel = [state0.velocity[None, :]]
     iterations: list[int] = []
     all_ratios: list[list[float]] = []
     residuals: list[float] = []
+    node_interval = [0]
     current = state0
-    for _ in range(n_int):
-        traj, ratios = picard_interval(
-            current, w1, w2, load, delta_eff, n_t=n_t, fixed_tol=fixed_tol,
-            max_iterations=max_iterations, gram=gram, cg_tol=cg_tol,
+    for interval in range(n_int):
+        traj, _ = _fixed_point(
+            current, w1, w2, load, delta_eff, n_t, fixed_tol, max_iterations,
+            gram, solve,
         )
-        all_times.append(traj.times[1:])
         all_pos.append(traj.positions[1:])
         all_vel.append(traj.velocities[1:])
         iterations.extend(traj.diagnostics["picard_iterations"])
         all_ratios.extend(traj.diagnostics["contraction_ratios"])
         residuals.extend(traj.diagnostics["residuals"])
+        node_interval.extend([interval] * (n_t - 1))
         current = traj.state(traj.n_nodes - 1)
 
-    times = np.concatenate(all_times)
-    # rebuild exactly uniform node times (concatenated linspaces drift in ulps)
+    # exactly uniform node times (concatenated linspaces drift in ulps)
     times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
     positions = np.concatenate(all_pos, axis=0)
     velocities = np.concatenate(all_vel, axis=0)
@@ -323,6 +369,8 @@ def picard_integrate(
             "delta": delta_eff,
             "intervals": n_int,
             "c_est": c_est,
+            "node_interval": node_interval,
+            **_solver_counters(solve),
         },
     )
 
@@ -336,12 +384,13 @@ def newmark_integrate(
     n_steps: int,
     beta: float = 0.25,
     gamma: float = 0.5,
-    cg_tol: float = 1e-13,
+    solve_tol: float = 1e-13,
 ) -> Trajectory:
     """Newmark stepping of W1(w_tt, .) + W2(w, .) = l(.).
 
-    The effective operator W1 + beta dt^2 W2 is solved with conjugate
-    gradients each step, warm-started from the previous acceleration.
+    W1 is factored for the initial acceleration and released; then the
+    effective operator W1 + beta dt^2 W2 is factored once and every step is
+    one solve with it, every residual within ``solve_tol``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -357,17 +406,17 @@ def newmark_integrate(
     positions[0] = state0.position
     velocities[0] = state0.velocity
 
-    rhs0 = -w2.matvec(positions[0])
-    if loads[0] is not None:
-        rhs0 = rhs0 + loads[0]
-    a = cg_solve(w1, rhs0, tol=cg_tol)
+    initial = definite_solver(w1, solve_tol)
+    a = stationary_solve(w1, w2, positions[0], loads[0], solve=initial)
+    initial.close()  # one factor alive at a time
+    step = definite_solver(eff, solve_tol)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - beta) * a
         v_pred = velocities[k] + dt * (1.0 - gamma) * a
         rhs = -w2.matvec(u_pred)
         if loads[k + 1] is not None:
             rhs = rhs + loads[k + 1]
-        a = cg_solve(eff, rhs, tol=cg_tol, x0=a)
+        a = step(rhs)
         positions[k + 1] = u_pred + beta * dt * dt * a
         velocities[k + 1] = v_pred + gamma * dt * a
 
@@ -380,5 +429,8 @@ def newmark_integrate(
         kinetic=kinetic,
         potential=potential,
         layout=w1.layout,
-        diagnostics={"integrator": "newmark", "beta": beta, "gamma": gamma},
+        diagnostics={
+            "integrator": "newmark", "beta": beta, "gamma": gamma,
+            **_solver_counters(initial, step),
+        },
     )

@@ -1,17 +1,24 @@
 """Sparse symmetric solves and eigenvalue estimation.
 
+Every factorization is SuperLU with diagonal pivots in a symmetric
+ordering, P M P^T = L D L^T, so the signs of D count the negative
+eigenvalues of M (Sylvester's law of inertia).  One factor is alive at a
+time.
+
+* :func:`definite_solver` - certify A > 0 by that count, factor once and
+  solve vectors or (n, k) blocks; every column checks its own residual.
+  Both integrators and the stationary solve run on it.
+* :func:`extreme_generalized_eigenvalues` - one or both ends of the spectrum
+  of a symmetric pencil (A, B), B positive definite.  Small pencils use
+  dense ``eigh``.  For larger ones the count certifies B > 0 before ARPACK
+  runs: regular mode with the factor of B for the top end, and for the
+  bottom end shift-invert at 0 when the count also certifies A > 0,
+  regular mode otherwise.  Every returned eigenpair must pass a residual
+  check, and a count of A - sigma B just below the bottom end proves that
+  no eigenvalue lies under it.
 * :func:`cg_solve` - Jacobi-preconditioned conjugate gradients with
   breakdown detection (non-positive curvature reports a definiteness
   failure rather than silently diverging).
-* :func:`extreme_generalized_eigenvalues` - one or both ends of the spectrum
-  of a symmetric pencil (A, B), B positive definite.  Small pencils use
-  dense ``eigh``.  Larger ones are factored by SuperLU with diagonal pivots
-  in a symmetric ordering, P M P^T = L D L^T, so the signs of D count the
-  negative eigenvalues of M (Sylvester's law of inertia).  This certifies
-  B > 0 before ARPACK runs: regular mode with the factor of B for the top
-  end, and for the bottom end shift-invert at 0 when the count also
-  certifies A > 0, regular mode otherwise.  Every returned eigenpair must
-  pass a residual check.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil.
 """
 
@@ -27,7 +34,9 @@ import scipy.sparse.linalg as spla
 from .errors import DefinitenessError, NonConvergenceError
 
 __all__ = [
+    "DefiniteSolver",
     "cg_solve",
+    "definite_solver",
     "extreme_generalized_eigenvalues",
     "hermitian_dense_eig",
 ]
@@ -36,6 +45,7 @@ __all__ = [
 DENSE_CUTOFF = 64  # pencils with at most this many rows use dense eigh
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
+_MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
 
 
 def _as_matrix(a):
@@ -105,7 +115,7 @@ def cg_solve(
 
 
 def _symmetric_lu(mat):
-    """Solve operator of symmetric ``mat`` and its count of negative
+    """SuperLU factor of symmetric ``mat`` and its count of negative
     eigenvalues.  SuperLU factors with diagonal pivots in a symmetric
     ordering, P M P^T = L D L^T, and D has as many negative entries as M
     has negative eigenvalues.  Both are None when M is exactly singular or
@@ -119,18 +129,94 @@ def _symmetric_lu(mat):
         return None, None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, None
-    solve = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
-    return solve, int(np.count_nonzero(lu.U.diagonal() < 0))
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _definite_inverse(b_mat) -> spla.LinearOperator:
-    """B^{-1} once the inertia of B certifies B > 0; a positive definite
-    matrix never meets a zero pivot, so that fails too."""
-    solve, negatives = _symmetric_lu(b_mat)
+def _definite_lu(mat, name: str):
+    """SuperLU factor of ``mat`` once its inertia certifies ``mat`` > 0; a
+    positive definite matrix never meets a zero pivot, so that fails too."""
+    lu, negatives = _symmetric_lu(mat)
     if negatives != 0:
         found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
-        raise DefinitenessError(f"B is not positive definite: its LU met {found}")
-    return solve
+        raise DefinitenessError(f"{name} is not positive definite: its LU met {found}")
+    return lu
+
+
+def _inverse(lu) -> spla.LinearOperator:
+    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+
+
+class DefiniteSolver:
+    """Solves A x = b with one certified SuperLU factor of A > 0.
+
+    Call it on a vector or on an (n, k) block; the block goes to SuperLU in
+    one call.  Every column must meet ||A x - b|| <= tol ||b||.  A column
+    that misses gets one step of iterative refinement, and one that still
+    misses raises :class:`NonConvergenceError`.  ``factor_nnz`` is the fill
+    of L + U, ``solves`` counts the right-hand sides solved and
+    ``max_residual`` is the worst relative residual returned; they outlive
+    :meth:`close`, which releases the factor.
+    """
+
+    def __init__(self, mat, lu, tol: float):
+        self._mat = mat
+        self._lu = lu
+        self.tol = tol
+        self.factor_nnz = int(lu.L.nnz + lu.U.nnz)
+        self.solves = 0
+        self.max_residual = 0.0
+
+    def _relative_residuals(self, x: np.ndarray, b: np.ndarray):
+        r = b - self._mat @ x
+        norm_b = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
+        return r, np.linalg.norm(r, axis=0) / norm_b
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        block = b.reshape(b.shape[0], -1)
+        x = self._lu.solve(block)
+        r, rel = self._relative_residuals(x, block)
+        missed = ~(rel <= self.tol)  # NaN misses too
+        if missed.any():
+            x[:, missed] += self._lu.solve(r[:, missed])
+            _, rel[missed] = self._relative_residuals(x[:, missed], block[:, missed])
+            if not np.all(rel <= self.tol):
+                worst = float(rel.max())
+                raise NonConvergenceError(
+                    f"factored solve misses tol={self.tol!r} after one step of "
+                    f"iterative refinement (relative residual {worst:.3g})",
+                    residual=worst,
+                )
+        self.solves += block.shape[1]
+        self.max_residual = max(self.max_residual, float(rel.max()))
+        return x.reshape(b.shape)
+
+    def close(self) -> None:
+        self._lu = None
+
+
+def definite_solver(a, tol: float = 1e-12) -> DefiniteSolver:
+    """Factor symmetric A once and return its :class:`DefiniteSolver`.
+
+    The inertia of the LU certifies A > 0; a negative or zero pivot raises
+    :class:`DefinitenessError`.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    mat = scipy.sparse.csr_matrix(_as_matrix(a))
+    return DefiniteSolver(mat, _definite_lu(mat, "the operator"), tol)
+
+
+def _certify_minimum(a_mat, b_mat, lam: float) -> None:
+    """No eigenvalue of (A, B) lies below ``lam``: A - sigma B has no negative
+    pivot for sigma just under it (Sylvester).  A Krylov run can converge to
+    lambda_2 first, a true eigenpair that no residual check rejects."""
+    sigma = lam - _MINIMUM_GAP * max(abs(lam), 1.0)
+    _, below = _symmetric_lu(a_mat - sigma * b_mat)
+    if below:  # None: an off-diagonal pivot leaves the count unavailable
+        raise NonConvergenceError(
+            f"{below} eigenvalue(s) lie below the returned smallest {lam!r}"
+        )
 
 
 def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
@@ -143,7 +229,7 @@ def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
             raise NonConvergenceError(f"ARPACK ({kwargs['which']}) failed: {exc}")
         return float(w[0]), v[:, 0]
 
-    b_inv = _definite_inverse(b_mat)
+    b_inv = _inverse(_definite_lu(b_mat, "B"))
     if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
         return dict.fromkeys(ends, (0.0, v0))
     pairs = {
@@ -152,12 +238,16 @@ def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
     }
     if "smallest" in ends:
         b_inv = None  # one factorization alive at a time
-        a_inv, negatives = _symmetric_lu(a_mat)
+        a_lu, negatives = _symmetric_lu(a_mat)
         if negatives == 0:  # A > 0: the eigenvalue nearest 0 is the smallest
-            pairs["smallest"] = arpack(sigma=0.0, which="LM", OPinv=a_inv)
+            pairs["smallest"] = arpack(sigma=0.0, which="LM", OPinv=_inverse(a_lu))
+            a_lu = None  # release A's factor before the inertia count
         else:
-            a_inv = None  # release A's factor before B is factored again
-            pairs["smallest"] = arpack(which="SA", Minv=_definite_inverse(b_mat))
+            a_lu = None  # release A's factor before B is factored again
+            pairs["smallest"] = arpack(
+                which="SA", Minv=_inverse(_definite_lu(b_mat, "B"))
+            )
+        _certify_minimum(a_mat, b_mat, pairs["smallest"][0])
     return pairs
 
 

@@ -14,6 +14,7 @@ from micromorph.assembly import (
     form_spec_gram,
     form_spec_w1,
     form_spec_w2,
+    load_assembler,
 )
 from micromorph.fespace import build_fe_system, interpolate_p, interpolate_u
 from micromorph.mesh import build_box_mesh
@@ -227,6 +228,26 @@ class TestLoads:
         assemble_load(load, sys_2, 0.5)
         with pytest.raises(ValueError, match="outside"):
             assemble_load(load, sys_2, 1.5)
+
+    def test_assembler_bitwise_equals_per_call_assembly(self, sys_2, rng):
+        from micromorph.assembly import _edge_integrals, _hat_integrals
+
+        load = LoadFunctional(
+            TimeField.polynomial([rng.standard_normal(3), rng.standard_normal(3)]),
+            TimeField.table([0.0, 1.0], list(rng.standard_normal((2, 3, 3)))),
+        )
+        at = load_assembler(load, sys_2)
+        hats, w_int = _hat_integrals(sys_2), _edge_integrals(sys_2)
+        for t in (0.0, 0.37, 1.0):
+            # the per-call formula: integrals rebuilt, then scaled by f(t), m(t)
+            ref = np.concatenate([
+                (hats[:, None] * load.body_force(t)[None, :]).ravel(),
+                np.einsum("rj,ej->re", load.double_force(t), w_int).ravel(),
+            ])
+            assert np.array_equal(at(t), ref)
+            assert np.array_equal(at(t), assemble_load(load, sys_2, t))
+        with pytest.raises(ValueError, match="outside"):
+            at(1.5)
 
     def test_poly_evaluation(self):
         tf = TimeField.polynomial([np.zeros(3), np.array([0.0, 0.0, 2.0])])

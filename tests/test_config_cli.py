@@ -140,6 +140,39 @@ class TestCommands:
         b2 = (out2 / "trajectory.csv").read_bytes()
         assert b1 == b2
 
+    def test_picard_iterations_column_on_multi_interval_run(self, tmp_path):
+        from micromorph.cli import _simulate_trajectory
+        from micromorph.config import mesh_from_config
+        from micromorph.fespace import build_fe_system
+
+        text = DEMO.replace(
+            "t_final = 0.2",
+            "t_final = 1.2\nnodes_per_interval = 9\nload_f = poly 0 0 0 | 0 0 5",
+        )
+        p = tmp_path / "multi.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+        rows = [
+            l for l in (out / "trajectory.csv").read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("t,")
+        ]
+        column = [int(row.split(",")[-1]) for row in rows]
+
+        cfg = parse_config(text)
+        sys_ = build_fe_system(mesh_from_config(cfg))
+        traj, _ = _simulate_trajectory(cfg, material_from_config(cfg), sys_)
+        iters = traj.diagnostics["picard_iterations"]
+        assert len(iters) > 1 and len(set(iters)) > 1
+        # the column as derived from the node index before the integrator
+        # reported each node's subinterval
+        per_interval = (traj.n_nodes - 1) // len(iters)
+        expected = [
+            iters[max(min((i - 1) // per_interval, len(iters) - 1), 0)]
+            for i in range(traj.n_nodes)
+        ]
+        assert column == expected
+
     def test_check_twice_in_one_process_byte_identical(self, tmp_path):
         # res 3 (375 dofs) certifies through the sparse ARPACK path
         p = tmp_path / "res3.ini"

@@ -19,7 +19,7 @@ from micromorph.dynamics import (
     picard_interval,
     stationary_solve,
 )
-from micromorph.errors import NonConvergenceError, SolverError
+from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
 
 
 def scalar_op(value):
@@ -248,6 +248,71 @@ class TestNewmark:
         newmark = newmark_integrate(s0, w1, w2, None, h / 2, 2 * (picard.n_nodes - 1))
         err = np.abs(picard.positions - newmark.positions[::2]).max()
         assert err <= 5e-3 * np.abs(picard.positions).max()
+
+
+class TestFactoredPath:
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])   # indefinite, singular
+    def test_non_definite_w1_raises(self, bad):
+        layout = BlockLayout(3, 0)
+        w1 = dense_op(np.diag([1.0, bad, 2.0]), layout)
+        w2 = dense_op(np.eye(3), layout)
+        s0 = DynamicState.from_vectors(layout, 0.0, [1.0, 0.5, -1.0], np.zeros(3))
+        with pytest.raises(DefinitenessError):
+            picard_integrate(s0, w1, w2, None, 0.5, 4.0, n_t=5)
+        with pytest.raises(DefinitenessError):
+            newmark_integrate(s0, w1, w2, None, 0.1, 5)
+
+    def test_solver_counters(self, sys_1, demo_material, rng):
+        w1 = assemble_w1(demo_material, sys_1)
+        w2 = assemble_w2(demo_material, sys_1)
+        gram = assemble_gram(sys_1)
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0, rng.standard_normal(3), rng.standard_normal(3)
+        )
+        tol = 1e-12
+        picard = picard_integrate(s0, w1, w2, None, 0.5, 5.0, n_t=9, gram=gram,
+                                  solve_tol=tol)
+        interval, _ = picard_interval(s0, w1, w2, None, 0.1, n_t=9, solve_tol=tol)
+        newmark = newmark_integrate(s0, w1, w2, None, 0.05, 20, solve_tol=tol)
+        for traj, n_t in ((picard, 9), (interval, 9), (newmark, 1)):
+            d = traj.diagnostics
+            assert d["solves"] == n_t * sum(d.get("picard_iterations", [21]))
+            assert d["factor_nnz"] >= w1.matrix.nnz
+            assert 0.0 <= d["max_solve_residual"] <= tol
+
+    def test_node_interval(self, oscillator):
+        w1, w2, s0, omega = oscillator
+        traj = picard_integrate(s0, w1, w2, None, 1.0, omega**2 * np.sqrt(2), n_t=5)
+        n_int = traj.diagnostics["intervals"]
+        assert traj.diagnostics["node_interval"] == [0] + [
+            k for k in range(n_int) for _ in range(4)
+        ]
+
+    def test_newmark_matches_dense_stepping(self, sys_2, demo_material, rng):
+        w1 = assemble_w1(demo_material, sys_2)
+        w2 = assemble_w2(demo_material, sys_2)
+        load = LoadFunctional.constant(f=np.array([0.3, 0.0, 1.0]))
+        load_fn = lambda t: assemble_load(load, sys_2, t)
+        n = sys_2.n_dofs
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0, rng.standard_normal(n), rng.standard_normal(n)
+        )
+        dt, n_steps, beta, gamma = 0.05, 20, 0.25, 0.5
+        traj = newmark_integrate(s0, w1, w2, load_fn, dt, n_steps)
+
+        w1_d, w2_d = w1.to_dense(), w2.to_dense()
+        eff = w1_d + beta * dt * dt * w2_d
+        u, v = s0.position, s0.velocity
+        a = np.linalg.solve(w1_d, load_fn(0.0) - w2_d @ u)
+        ref = [u]
+        for k in range(1, n_steps + 1):
+            u_pred = u + dt * v + dt * dt * (0.5 - beta) * a
+            v_pred = v + dt * (1.0 - gamma) * a
+            a = np.linalg.solve(eff, load_fn(k * dt) - w2_d @ u_pred)
+            u, v = u_pred + beta * dt * dt * a, v_pred + gamma * dt * a
+            ref.append(u)
+        ref = np.array(ref)
+        assert np.abs(traj.positions - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestEnergy:

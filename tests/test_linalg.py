@@ -11,6 +11,7 @@ from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
     DENSE_CUTOFF,
     cg_solve,
+    definite_solver,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
 )
@@ -234,6 +235,19 @@ class TestSparsePath:
         first = extreme_generalized_eigenvalues(a, b)
         assert all(extreme_generalized_eigenvalues(a, b) == first for _ in range(3))
 
+    def test_second_smallest_pair_fails_minimum_certificate(self, monkeypatch):
+        # a true eigenpair, so only the inertia count below it can reject it
+        d = np.linspace(1.0, 10.0, N_SPARSE)
+        second = np.eye(N_SPARSE)[:, [1]]
+        monkeypatch.setattr(
+            scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: (d[[1]], second)
+        )
+        with pytest.raises(NonConvergenceError, match="below"):
+            extreme_generalized_eigenvalues(
+                sp.diags(d, format="csr"), sp.eye(N_SPARSE, format="csr"),
+                which="smallest",
+            )
+
     def test_unknown_end_rejected(self):
         with pytest.raises(ValueError, match="which"):
             extreme_generalized_eigenvalues(sp.eye(3), sp.eye(3), which="middle")
@@ -258,6 +272,93 @@ class TestSparsePath:
         assert hi == pytest.approx(w[-1], rel=1e-8, abs=atol)
         mag = extreme_generalized_eigenvalues(a, b, which="magnitude")
         assert abs(mag) == pytest.approx(np.abs(w).max(), rel=1e-8)
+
+
+class _PerturbedLU:
+    """SuperLU stand-in whose first ``bad_calls`` solves are off by ``eps``."""
+
+    def __init__(self, lu, eps, bad_calls):
+        self._lu, self.eps, self.bad_calls = lu, eps, bad_calls
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, b):
+        x = self._lu.solve(b)
+        if self.bad_calls > 0:
+            self.bad_calls -= 1
+            x = x * (1.0 + self.eps)
+        return x
+
+
+def perturb_factors(monkeypatch, eps, bad_calls):
+    real = linalg._symmetric_lu
+
+    def patched(mat):
+        lu, negatives = real(mat)
+        return _PerturbedLU(lu, eps, bad_calls), negatives
+
+    monkeypatch.setattr(linalg, "_symmetric_lu", patched)
+
+
+class TestDefiniteSolver:
+    def test_block_matches_columns(self, rng):
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        b = rng.standard_normal((N_SPARSE, 7))
+        solve = definite_solver(a, tol=1e-12)
+        block = solve(b)
+        columns = np.column_stack([solve(b[:, j]) for j in range(7)])
+        np.testing.assert_allclose(block, columns, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(block, np.linalg.solve(a.toarray(), b), rtol=1e-10)
+        assert solve(b[:, 0]).shape == (N_SPARSE,)
+
+    def test_counters(self, rng):
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        solve = definite_solver(a, tol=1e-12)
+        solve(rng.standard_normal((N_SPARSE, 3)))
+        solve(rng.standard_normal(N_SPARSE))
+        assert solve.solves == 4
+        assert solve.factor_nnz >= a.nnz
+        assert 0.0 < solve.max_residual <= 1e-12
+        solve.close()
+        assert solve.solves == 4
+
+    def test_zero_rhs(self, rng):
+        solve = definite_solver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
+        assert np.all(solve(np.zeros(N_SPARSE)) == 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    def test_indefinite_or_singular_raises(self, rng, bad):
+        a = diagonally_dominant(rng, N_SPARSE)
+        a[0, :] = a[:, 0] = 0.0
+        a[0, 0] = bad
+        with pytest.raises(DefinitenessError):
+            definite_solver(sp.csr_matrix(a))
+
+    def test_refinement_repairs_a_slightly_wrong_solve(self, rng, monkeypatch):
+        perturb_factors(monkeypatch, 1e-11, bad_calls=1)
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        b = rng.standard_normal(N_SPARSE)
+        x = definite_solver(a, tol=1e-13)(b)
+        assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_perturbed_factor_raises(self, rng, monkeypatch):
+        perturb_factors(monkeypatch, 1e-6, bad_calls=2)
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        with pytest.raises(NonConvergenceError) as err:
+            definite_solver(a, tol=1e-12)(rng.standard_normal(N_SPARSE))
+        assert err.value.residual > 1e-12
+
+    def test_nan_rhs_raises(self, rng):
+        solve = definite_solver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
+        b = rng.standard_normal(N_SPARSE)
+        b[3] = np.nan
+        with pytest.raises(NonConvergenceError):
+            solve(b)
+
+    def test_nonpositive_tol_rejected(self):
+        with pytest.raises(ValueError):
+            definite_solver(sp.eye(3, format="csr"), tol=0.0)
 
 
 class TestHermitianDense:
