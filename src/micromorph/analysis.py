@@ -14,7 +14,10 @@ P = P0 exp(i(k d.x - w t)) into the strong-form balance equations with zero
 loads: the gradient becomes i k (u0 x d^T) and the row-wise curl becomes the
 i k cross-product map, yielding a 12 x 12 Hermitian pencil
 w^2 A(k) z = B(k) z whose A collects the rate-energy (inertia) terms and B
-the potential terms.  Frequencies are the square roots of the pencil
+the potential terms.  Every field is f0 z + i k f1 z, so both are exactly
+quadratic in k: A(k) = A0 + k A1 + k^2 A2, likewise B.  The six coefficient
+matrices are built once per direction, and all wavenumber samples are solved
+in one batched eigensolve.  Frequencies are the square roots of the pencil
 eigenvalues; band gaps are read off sampled branches.
 """
 
@@ -33,11 +36,14 @@ from .assembly import (
     assemble_gram,
     assemble_w1,
     assemble_w2,
+    form_spec_w1,
+    form_spec_w2,
 )
 from .errors import DefinitenessError, HypothesisError, NonConvergenceError
 from .fespace import FESystem
 from .linalg import extreme_generalized_eigenvalues, hermitian_dense_eig
 from .tensors import (
+    FULL_BASIS,
     Definiteness,
     DefinitenessReport,
     MaterialParams,
@@ -45,8 +51,6 @@ from .tensors import (
     classify_definiteness,
     isotropic_curvature,
     isotropic_elastic,
-    skew,
-    sym,
 )
 
 __all__ = [
@@ -316,27 +320,41 @@ def korn_curl_constant(sys: FESystem) -> float:
 # plane-wave dispersion
 
 
-def _complex_apply(tensor, x: np.ndarray) -> np.ndarray:
-    return tensor.apply(x.real) + 1j * tensor.apply(x.imag)
+def _pencil_coefficients(
+    params: MaterialParams, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A0, A1, A2) and (B0, B1, B2), each stacked (3, 12, 12), of the
+    plane-wave pencil along ``d``: A(k) = A0 + k A1 + k^2 A2, likewise B.
+    A and B are the rate and potential forms of :mod:`assembly` evaluated on
+    plane waves; neither carries a ``grad_u`` term."""
+    # the fields (u, grad u - P, P, Curl P) of amplitude z are (f0 + i k f1) z:
+    # grad u = i k (u (x) d) and row i of Curl P is i k (d x P_i)
+    u, p = np.eye(12)[:3], np.eye(12)[3:]
+    grad = np.kron(np.eye(3), d[:, None]) @ u
+    curl = np.kron(np.eye(3), np.cross(d, np.eye(3)).T) @ p
+    f0 = np.vstack([u, -p, p, 0.0 * p])
+    f1 = np.vstack([0.0 * u, grad, 0.0 * p, curl])
 
+    def act(tensor) -> np.ndarray:
+        # 9 x 9 matrix of X -> T.X on row-major X; T.X sees only the class
+        # part (sym, skew or all) of X, so the sym/skew projections are implicit
+        return tensor.apply(FULL_BASIS).reshape(9, 9).T
 
-def _hermitian_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """<X, Y> with conjugation on the second argument."""
-    return complex(np.sum(x * y.conj()))
+    def coefficients(spec: FormSpec) -> np.ndarray:
+        # F^H M F, M the (symmetric, block-diagonal) energy of spec on the fields
+        blocks = (
+            spec.mass_u * np.eye(3),
+            act(spec.sym_relative) + act(spec.skew_relative),
+            spec.mass_p * np.eye(9) + act(spec.sym_micro),
+            spec.curl_coeff * act(spec.curl),
+        )
+        m = np.zeros((30, 30))
+        for lo, block in zip((0, 3, 12, 21), blocks):
+            m[lo:lo + len(block), lo:lo + len(block)] = block
+        cross = f0.T @ m @ f1
+        return np.stack([f0.T @ m @ f0, 1j * (cross - cross.T), f1.T @ m @ f1])
 
-
-def _amplitude_basis() -> list[tuple[np.ndarray, np.ndarray]]:
-    basis = []
-    for i in range(3):
-        u = np.zeros(3, dtype=complex)
-        u[i] = 1.0
-        basis.append((u, np.zeros((3, 3), dtype=complex)))
-    for r in range(3):
-        for c in range(3):
-            p = np.zeros((3, 3), dtype=complex)
-            p[r, c] = 1.0
-            basis.append((np.zeros(3, dtype=complex), p))
-    return basis
+    return coefficients(form_spec_w1(params)), coefficients(form_spec_w2(params))
 
 
 def plane_wave_pencil(
@@ -348,57 +366,8 @@ def plane_wave_pencil(
     micro-distortion amplitude (9).  A carries the rate-energy terms
     (respecting the model variant), B the potential terms.
     """
-    d = np.asarray(direction, dtype=float)
-    basis = _amplitude_basis()
-    ik = 1j * k
-
-    grads = [ik * np.outer(u, d) for u, _ in basis]           # i k u (x) d
-    rel = [g - p for g, (_, p) in zip(grads, basis)]          # grad u - P
-    # row i of the curl amplitude is i k (d x P_i)
-    curls = [ik * np.cross(np.broadcast_to(d, (3, 3)), p) for _, p in basis]
-
-    v = params.variant
-    rho = 0.0 if v is ModelVariant.QUASISTATIC else params.rho
-    j_mass = (
-        params.micro_inertia
-        if v in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
-        else 0.0
-    )
-    curl_coeff = params.mu * params.length_scale**2
-
-    n = len(basis)
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        u_c, p_c = basis[col]
-        sym_rel_c = sym(rel[col])
-        skew_rel_c = skew(rel[col])
-        sym_p_c = sym(p_c)
-        te_c = _complex_apply(params.inertia_elastic, sym_rel_c)
-        tc_c = _complex_apply(params.inertia_coupling, skew_rel_c)
-        tm_c = _complex_apply(params.inertia_micro, sym_p_c)
-        tl_c = _complex_apply(params.inertia_curvature, curls[col])
-        e_c = _complex_apply(params.elastic, sym_rel_c)
-        c_c = _complex_apply(params.coupling, skew_rel_c)
-        m_c = _complex_apply(params.micro, sym_p_c)
-        l_c = _complex_apply(params.curvature, curls[col])
-        for row in range(n):
-            u_r, p_r = basis[row]
-            a[row, col] = (
-                rho * _hermitian_inner(u_c, u_r)
-                + j_mass * _hermitian_inner(p_c, p_r)
-                + _hermitian_inner(te_c, sym(rel[row]))
-                + _hermitian_inner(tc_c, skew(rel[row]))
-                + _hermitian_inner(tm_c, sym(p_r))
-                + curl_coeff * _hermitian_inner(tl_c, curls[row])
-            )
-            b[row, col] = (
-                _hermitian_inner(e_c, sym(rel[row]))
-                + _hermitian_inner(c_c, skew(rel[row]))
-                + _hermitian_inner(m_c, sym(p_r))
-                + curl_coeff * _hermitian_inner(l_c, curls[row])
-            )
-    return a, b
+    coeffs = _pencil_coefficients(params, np.asarray(direction, dtype=float))
+    return tuple(c[0] + k * c[1] + k * k * c[2] for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -460,17 +429,17 @@ def dispersion_curves(
     if np.any(ks < 0):
         raise ValueError("wavenumber samples must be nonnegative")
 
-    n_k = ks.size
-    omega2 = np.empty((n_k, 12))
-    for s, k in enumerate(ks):
-        a, b = plane_wave_pencil(params, d, float(k))
-        a_eigs = np.linalg.eigvalsh(a)
-        if a_eigs[0] <= 0:
-            raise HypothesisError(
-                f"rate-energy pencil not positive definite at k={k!r} "
-                f"(min eigenvalue {a_eigs[0]!r}); inertia hypotheses violated"
-            )
-        omega2[s] = hermitian_dense_eig(b, a)
+    powers = ks[:, None] ** np.arange(3)
+    a, b = (np.tensordot(powers, c, 1) for c in _pencil_coefficients(params, d))
+    a_min = np.linalg.eigvalsh(a)[:, 0]
+    bad = np.flatnonzero(a_min <= 0)
+    if bad.size:
+        s = bad[0]
+        raise HypothesisError(
+            f"rate-energy pencil not positive definite at k={ks[s]!r} "
+            f"(min eigenvalue {a_min[s]!r}); inertia hypotheses violated"
+        )
+    omega2 = hermitian_dense_eig(b, a)
 
     scale = np.maximum(np.abs(omega2).max(axis=1, keepdims=True), 1.0)
     noise = (omega2 < 0) & (omega2 >= -clamp_tol * scale)

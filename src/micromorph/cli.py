@@ -152,13 +152,13 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_):
     sim = cfg.simulation
     w1 = assemble_w1(params, sys_)
     w2 = assemble_w2(params, sys_)
-    gram = assemble_gram(sys_)
     load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)
 
     if sim.integrator == "newmark":
         n_steps = max(1, round(sim.t_final / sim.dt))
         return newmark_integrate(state0, w1, w2, load_fn, sim.dt, n_steps), None
+    gram = assemble_gram(sys_)
     report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
     if not report.well_posed:
         raise HypothesisError(

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromorph.analysis import (
     check_hypotheses,
@@ -19,7 +22,7 @@ from micromorph.assembly import assemble_gram, assemble_w1, assemble_w2
 from micromorph.errors import DefinitenessError, HypothesisError
 from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh
-from micromorph.tensors import ModelVariant, isotropic_material
+from micromorph.tensors import ConstitutiveTensor4, ModelVariant, isotropic_material
 from oracles import strong_form_pencil
 
 
@@ -341,3 +344,69 @@ class TestBandGaps:
         result = dispersion_curves(demo_material, (1, 0, 0), [0.0])
         with pytest.raises(ValueError):
             detect_band_gaps(result)
+
+
+def random_material(rng, variant=ModelVariant.FULL_INERTIA):
+    """Anisotropic material: random positive definite rate tensors and
+    random, generally indefinite potential tensors of every class."""
+    zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+    base = isotropic_material(variant=variant, length_scale=0.0 if zero_length else 1.0)
+    tensors = {}
+    for name, t in base.tensors().items():
+        dim = t.symmetry_class.dim
+        q = rng.standard_normal((dim, dim))
+        m = q @ q.T + 0.5 * np.eye(dim) if name.startswith("inertia_") else q + q.T
+        tensors[name] = ConstitutiveTensor4(t.symmetry_class, m)
+    return dataclasses.replace(
+        base,
+        rho=rng.uniform(0.1, 3.0),
+        micro_inertia=rng.uniform(0.1, 3.0),
+        mu=rng.uniform(0.1, 3.0),
+        length_scale=0.0 if zero_length else rng.uniform(0.1, 2.0),
+        **tensors,
+    )
+
+
+class TestPencilCoefficients:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        k=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_anisotropic_pencil_matches_oracle(self, seed, variant, k):
+        rng = np.random.default_rng(seed)
+        params = random_material(rng, variant)
+        d = rng.standard_normal(3)
+        a, b = plane_wave_pencil(params, d, k)
+        a_ref, b_ref = strong_form_pencil(params, d, k)
+        for x, ref in ((a, a_ref), (b, b_ref)):
+            assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+
+class TestBatchedDispersion:
+    def test_matches_per_sample_eigh(self, rng):
+        params = random_material(rng)
+        d = np.array([0.3, -0.5, 0.8])
+        ks = np.linspace(0.0, 4.0, 401)
+        result = dispersion_curves(params, d, ks)
+        for s in range(ks.size):
+            a, b = plane_wave_pencil(params, result.direction, ks[s])
+            ref = scipy.linalg.eigh(b, a, eigvals_only=True)
+            scale = max(np.abs(ref).max(), 1.0)
+            assert np.abs(result.omega_squared[s] - ref).max() <= 1e-12 * scale
+
+    def test_hypothesis_error_names_first_failing_k(self):
+        # no coupling-rate or curvature-rate tensor: a skew P costs no rate
+        # energy at any k
+        params = isotropic_material(
+            variant=ModelVariant.QUASISTATIC,
+            inertia_coupling=0.0,
+            inertia_curvature=0.0,
+        )
+        with pytest.raises(HypothesisError, match=r"at k=\S*\b1\.0\b"):
+            dispersion_curves(params, (1, 0, 0), [1.0, 2.0])
+        # the plain quasistatic rate energy is definite except at k = 0
+        quasistatic = isotropic_material(variant=ModelVariant.QUASISTATIC)
+        with pytest.raises(HypothesisError, match=r"at k=\S*\b0\.0\b"):
+            dispersion_curves(quasistatic, (1, 0, 0), [1.0, 0.0, 2.0])

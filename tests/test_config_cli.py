@@ -183,6 +183,14 @@ class TestCommands:
         first, second = ((out / "moduli.csv").read_bytes() for out in outs)
         assert first == second
 
+    def test_dispersion_twice_in_one_process_byte_identical(self, demo_path, tmp_path):
+        outs = [tmp_path / "d1", tmp_path / "d2"]
+        for out in outs:
+            assert main(["dispersion", "--config", str(demo_path), "--out", str(out)]) == 0
+        for name in ("dispersion.csv", "gaps.txt"):
+            first, second = ((out / name).read_bytes() for out in outs)
+            assert first == second
+
     def test_dispersion_artifacts(self, demo_path, tmp_path):
         out = tmp_path / "disp"
         assert main(["dispersion", "--config", str(demo_path), "--out", str(out)]) == 0

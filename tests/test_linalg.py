@@ -392,3 +392,59 @@ class TestHermitianDense:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def hermitian(rng, shape):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return x + x.conj().swapaxes(-1, -2)
+
+
+def hpd(rng, shape):
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return y @ y.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
+
+
+class TestHermitianDenseStacked:
+    def test_stack_matches_per_slice_eigh(self, rng):
+        h, g = hermitian(rng, (7, 12, 12)), hpd(rng, (7, 12, 12))
+        w = hermitian_dense_eig(h, g)
+        assert w.shape == (7, 12)
+        for s in range(7):
+            ref = scipy.linalg.eigh(h[s], g[s], eigvals_only=True)
+            np.testing.assert_allclose(w[s], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_stack_without_metric(self, rng):
+        h = hermitian(rng, (2, 3, 5, 5))
+        w = hermitian_dense_eig(h)
+        assert w.shape == (2, 3, 5)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=1e-12, atol=1e-12)
+
+    def test_metric_not_definite_in_one_slice(self, rng):
+        h, g = hermitian(rng, (4, 6, 6)), hpd(rng, (4, 6, 6))
+        g[2] -= 2 * np.abs(np.linalg.eigvalsh(g[2])).max() * np.eye(6)
+        with pytest.raises(DefinitenessError):
+            hermitian_dense_eig(h, g)
+
+    def test_non_hermitian_slice_rejected(self, rng):
+        h = hermitian(rng, (3, 4, 4))
+        h[1, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="H is not Hermitian"):
+            hermitian_dense_eig(h)
+
+    def test_wrong_pair_fails_residual_check(self, rng, monkeypatch):
+        h, g = hermitian(rng, (5, 8, 8)), hpd(rng, (5, 8, 8))
+        real = np.linalg.eigh
+
+        def one_value_off(a):
+            lam, y = real(a)
+            lam[3, 4] *= 1.0 + 1e-6
+            return lam, y
+
+        monkeypatch.setattr(np.linalg, "eigh", one_value_off)
+        with pytest.raises(NonConvergenceError):
+            hermitian_dense_eig(h, g)
+
+    def test_nan_fails_residual_check(self):
+        h = np.diag([1.0, np.nan]).astype(complex)
+        with pytest.raises(NonConvergenceError):
+            hermitian_dense_eig(h)
