@@ -18,9 +18,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MicromorphError
 from .fespace import FESystem
@@ -32,6 +32,9 @@ from .tensors import (
     SymmetryClass,
     isotropic_curvature,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "BlockLayout",
@@ -51,7 +54,7 @@ __all__ = [
     "combine_operators",
 ]
 
-_CHUNK = 512  # cells per assembly batch; fixed so results do not depend on threads
+_CHUNK = 128  # cells per assembly batch; fixed so results do not depend on threads
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,15 @@ class SparseSymOperator:
 
     @classmethod
     def zeros(cls, layout: BlockLayout) -> "SparseSymOperator":
+        import scipy.sparse as sp
+
         n = layout.total
         return cls(sp.csr_matrix((n, n)), layout)
 
     @classmethod
     def from_dense(cls, m, layout: BlockLayout | None = None) -> "SparseSymOperator":
+        import scipy.sparse as sp
+
         m = np.atleast_2d(np.asarray(m, dtype=float))
         if layout is None:
             layout = BlockLayout(m.shape[0], 0)
@@ -312,6 +319,8 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
     pool (MICROMORPH_THREADS) but are reduced in batch order, so the result
     is identical for any thread count.
     """
+    import scipy.sparse as sp
+
     n = sys.n_dofs
     layout = BlockLayout(sys.n_u_dofs, sys.n_p_dofs)
     chunks = [

@@ -22,6 +22,10 @@ time.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
+
+scipy is imported inside the functions that call it (here and in
+``assembly``): importing it costs more than a ``dispersion`` run, which
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,9 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg as spla
 
 from .errors import DefinitenessError, NonConvergenceError
 
@@ -123,6 +124,9 @@ def _symmetric_lu(mat):
     ordering, P M P^T = L D L^T, and D has as many negative entries as M
     has negative eigenvalues.  Both are None when M is exactly singular or
     a zero pivot forced an off-diagonal one (``perm_r != perm_c``)."""
+    import scipy.sparse
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(
             scipy.sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
@@ -145,7 +149,9 @@ def _definite_lu(mat, name: str):
     return lu
 
 
-def _inverse(lu) -> spla.LinearOperator:
+def _inverse(lu):
+    import scipy.sparse.linalg as spla
+
     return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
 
 
@@ -204,6 +210,8 @@ def definite_solver(a, tol: float = 1e-12) -> DefiniteSolver:
     The inertia of the LU certifies A > 0; a negative or zero pivot raises
     :class:`DefinitenessError`.
     """
+    import scipy.sparse
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     mat = scipy.sparse.csr_matrix(_as_matrix(a))
@@ -223,6 +231,8 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
 
 
 def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
+    import scipy.sparse.linalg as spla
+
     v0 = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
 
     def arpack(**kwargs):
@@ -255,6 +265,8 @@ def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
 
 
 def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray, tol: float) -> None:
+    import scipy.sparse.linalg as spla
+
     ax, bx = a_mat @ x, b_mat @ x
     res = float(np.linalg.norm(ax - lam * bx))
     scale = max(float(np.linalg.norm(ax)), abs(lam) * float(np.linalg.norm(bx)))
@@ -279,6 +291,9 @@ def extreme_generalized_eigenvalues(
     pair has ||Ax - lambda Bx|| > tol max(||Ax||, |lambda| ||Bx||) above
     round-off.  ``seed`` fixes ARPACK's start vector, so results repeat.
     """
+    import scipy.linalg
+    import scipy.sparse
+
     ends = ("smallest", "largest") if which == "both" else (which,)
     if not set(ends) <= {"smallest", *_ARPACK_WHICH}:
         raise ValueError(f"unknown which={which!r}")

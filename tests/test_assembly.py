@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from micromorph import assembly
 from micromorph.assembly import (
     FormSpec,
     LoadFunctional,
@@ -278,3 +281,41 @@ class TestOperators:
         monkeypatch.setenv("MICROMORPH_THREADS", "4")
         threaded = assemble_w1(material, sys_2)
         assert (base.matrix != threaded.matrix).nnz == 0
+
+
+@pytest.fixture(scope="module")
+def sys_4():
+    return build_fe_system(build_box_mesh((1, 1, 1), (4, 4, 4)))
+
+
+class TestBatches:
+    def test_thread_pool_assembly_bitwise_equal(self, material, sys_4, monkeypatch):
+        # 384 cells make several batches, so the pool path runs
+        pools = []
+
+        class RecordingPool(assembly.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(assembly, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("MICROMORPH_THREADS", "1")
+        serial = assemble_w1(material, sys_4).matrix
+        assert not pools
+        monkeypatch.setenv("MICROMORPH_THREADS", "2")
+        threaded = assemble_w1(material, sys_4).matrix
+        assert len(pools) == 1
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(threaded, name), getattr(serial, name), strict=True
+            )
+
+    def test_assembly_peak_memory(self, material, sys_4):
+        assemble_w1(material, sys_4)  # imports and lazily built FE data come first
+        tracemalloc.start()
+        try:
+            assemble_w1(material, sys_4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
