@@ -7,14 +7,16 @@ acting on the symmetric/antisymmetric parts of the relative distortion
 (grad u - P), on sym P, and on Curl P.  Model variants only change the
 coefficient table, never the code path.
 
-Boundary-constrained dofs are eliminated, not penalized, so the assembled
-operators keep exact symmetry: the final matrix is symmetrized entrywise,
-which is bitwise exact because the (i, j) and (j, i) accumulants are equal
-sums in the same order.
+Boundary-constrained dofs are eliminated, not penalized.  Each element
+matrix is built from a few per-cell moments (see :func:`_element_blocks`);
+each batch of cells adds its upper-triangular entries into the pattern that
+the FE system caches (``FESystem.pair_keys``), and the operator is completed
+as U + U^T, so it is exactly symmetric.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +31,6 @@ from .tensors import (
     ConstitutiveTensor4,
     MaterialParams,
     ModelVariant,
-    SymmetryClass,
     isotropic_curvature,
 )
 
@@ -209,99 +210,122 @@ def form_spec_gram() -> FormSpec:
     )
 
 
-def _local_fields(sys: FESystem, cells: np.ndarray):
-    """Per-cell basis fields at quadrature points for a batch of cells.
+_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T   # local end vertices of each edge
+_INNER = np.outer(np.eye(3).ravel(), np.eye(3).ravel())   # <X, Y> in full index
 
-    Returns value arrays over the 30 local dofs: displacement values
-    (nc, nq, 30, 3), micro-distortion values (nc, nq, 30, 3, 3), relative
-    distortion grad u - P (same shape), the constant displacement gradients
-    (nc, 30, 3, 3), and constant curls (nc, 30, 3, 3).
+
+def _full_index(tensor: ConstitutiveTensor4 | None) -> np.ndarray:
+    """9x9 K with <T (e_i (x) v), e_j (x) v'> = sum_kl K[3k + l, 3i + j] v_k v'_l.
+
+    This is B^T M B of the tensor's class basis B, regrouped; the class
+    projection (sym, skew or none) is implicit in B.
     """
+    if tensor is None:
+        return np.zeros((9, 9))
+    basis = tensor.symmetry_class.basis.reshape(-1, 9)
+    k = (basis.T @ tensor.matrix @ basis).reshape(3, 3, 3, 3)   # [i, k, j, l]
+    return k.transpose(1, 3, 0, 2).reshape(9, 9)
+
+
+def _block_tensors(spec: FormSpec) -> tuple[np.ndarray, ...]:
+    """Full-index matrices acting on the uu, uP, PP and curl-curl moments.
+
+    The relative-distortion tensors act on all three blocks, the mass of P
+    and the gradient term are <., .> on their moments, sym P only on PP.
+    """
+    relative = _full_index(spec.sym_relative) + _full_index(spec.skew_relative)
+    return (
+        relative + spec.grad_u * _INNER,
+        relative,
+        relative + _full_index(spec.sym_micro) + spec.mass_p * _INNER,
+        spec.curl_coeff * _full_index(spec.curl),
+    )
+
+
+def _contract(moments: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Blocks (nc, x, 3, y, 3) from moments (nc, x, y, 3, 3) of v_x (x) v_y."""
+    nc, nx, ny = moments.shape[:3]
+    out = (moments.reshape(-1, 9) @ k).reshape(nc, nx, ny, 3, 3)
+    return out.transpose(0, 1, 3, 2, 4)
+
+
+def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
+    """uu (nc, 12, 12), uP (nc, 12, 18) and PP (nc, 18, 18) element blocks,
+    built from per-cell moments; an all-zero uu or uP block is None.
+
+    A u-dof (a, i) is lam_a e_i with grad u = e_i (x) g_a; a P-dof (e, i) is
+    e_i (x) w_e with Curl = e_i (x) curl w_e.  Every tensor term between two
+    dofs is therefore a full-index matrix applied to the integral of an
+    outer product of their vector parts: g_a (x) g_b, g_a (x) w_f (with the
+    minus sign of grad u - P), w_e (x) w_f and curl w_e (x) curl w_f.  The
+    quadrature rule integrates these exactly.  The uu and PP blocks are
+    symmetric up to round-off; the PU block is the transpose of uP.
+    """
+    k_uu, k_up, k_pp, k_curl = _block_tensors(spec)
     quad = sys.quadrature
-    nq = quad.points.shape[0]
+    lam = quad.points                                     # (nq, 4)
     nc = cells.size
-    g = sys.grad_hats[cells]                       # (nc, 4, 3)
-    signs = sys.mesh.cell_edge_signs[cells]        # (nc, 6)
+    g = sys.grad_hats[cells]                              # (nc, 4, 3)
+    vol = sys.mesh.cell_volumes[cells]
+    sign = sys.mesh.cell_edge_signs[cells][:, :, None]    # (nc, 6, 1)
+    ga, gb = g[:, _EDGE_A], g[:, _EDGE_B]                 # (nc, 6, 3)
+    weight = vol[:, None] * (6.0 * quad.weights)          # (nc, nq)
+    cell_vol = vol[:, None, None, None, None]
 
-    u_val = np.zeros((nc, nq, 30, 3))
-    p_val = np.zeros((nc, nq, 30, 3, 3))
-    grad_u = np.zeros((nc, 30, 3, 3))
-    curl_p = np.zeros((nc, 30, 3, 3))
+    # edge functions s_e (lam_a g_b - lam_b g_a) at the quadrature points
+    w = (
+        lam[:, _EDGE_A, None] * gb[:, None] - lam[:, _EDGE_B, None] * ga[:, None]
+    ) * sign[:, None]                                     # (nc, nq, 6, 3)
+    w_flat = w.reshape(nc, -1, 18)
+    ww = np.matmul(w_flat.transpose(0, 2, 1) * weight[:, None, :], w_flat)
+    ww = ww.reshape(nc, 6, 3, 6, 3).transpose(0, 1, 3, 2, 4)
+    curl = 2.0 * np.cross(ga, gb) * sign                  # (nc, 6, 3)
+    pp = _contract(ww, k_pp) + _contract(
+        cell_vol * curl[:, :, None, :, None] * curl[:, None, :, None, :], k_curl
+    )
 
-    lam = quad.points                              # (nq, 4)
-    for a in range(4):
-        for i in range(3):
-            k = 3 * a + i
-            u_val[:, :, k, i] = lam[:, a]
-            grad_u[:, k, i, :] = g[:, a, :]
-
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        # (nc, nq, 3) edge function, (nc, 3) its constant curl
-        w = (
-            lam[None, :, a, None] * g[:, None, b, :]
-            - lam[None, :, b, None] * g[:, None, a, :]
-        ) * signs[:, e, None, None]
-        c = 2.0 * np.cross(g[:, a, :], g[:, b, :]) * signs[:, e, None]
-        for i in range(3):
-            k = 12 + 3 * e + i
-            p_val[:, :, k, i, :] = w
-            curl_p[:, k, i, :] = c
-
-    rel = grad_u[:, None, :, :, :] - p_val
-    return u_val, p_val, rel, grad_u, curl_p
-
-
-def _class_coords(x: np.ndarray, symmetry_class: SymmetryClass) -> np.ndarray:
-    basis = symmetry_class.basis
-    return np.einsum("mij,...ij->...m", basis, x)
+    uu = up = None
+    if spec.mass_u or k_uu.any():
+        uu = _contract(cell_vol * g[:, :, None, :, None] * g[:, None, :, None, :], k_uu)
+        if spec.mass_u:
+            lam_lam = (lam.T * (6.0 * quad.weights)) @ lam   # reference 4x4 moment
+            delta = lam_lam[:, None, :, None] * np.eye(3)[:, None, :]   # (4, 3, 4, 3)
+            uu += spec.mass_u * cell_vol * delta
+        uu = uu.reshape(nc, 12, 12)
+    if k_up.any():
+        w_int = np.einsum("cq,cqek->cek", weight, w)      # (nc, 6, 3)
+        up = _contract(-g[:, :, None, :, None] * w_int[:, None, :, None, :], k_up)
+        up = up.reshape(nc, 12, 18)
+    return uu, up, pp.reshape(nc, 18, 18)
 
 
-def _assemble_chunk(sys: FESystem, spec: FormSpec, cells: np.ndarray):
-    quad = sys.quadrature
-    u_val, p_val, rel, grad_u, curl_p = _local_fields(sys, cells)
-    vols = sys.mesh.cell_volumes[cells]
-    w_phys = 6.0 * vols[:, None] * quad.weights[None, :]   # (nc, nq)
+def _batch_entries(sys: FESystem, spec: FormSpec, cells: np.ndarray):
+    """Pattern slots and values of one batch's upper-triangular entries.
 
-    local = np.zeros((cells.size, 30, 30))
-    if spec.mass_u:
-        local += spec.mass_u * np.einsum(
-            "cq,cqki,cqli->ckl", w_phys, u_val, u_val, optimize=True
-        )
-    if spec.mass_p:
-        local += spec.mass_p * np.einsum(
-            "cq,cqkij,cqlij->ckl", w_phys, p_val, p_val, optimize=True
-        )
-    if spec.grad_u:
-        local += (spec.grad_u * vols)[:, None, None] * np.einsum(
-            "ckij,clij->ckl", grad_u, grad_u, optimize=True
-        )
-
-    # the tensor's class projects out the relevant part of each field
-    for tensor, values in (
-        (spec.sym_relative, rel),
-        (spec.skew_relative, rel),
-        (spec.sym_micro, p_val),
+    The uu and PP blocks are symmetrised and their diagonals halved, because
+    the operator is completed as U + U^T; every uP entry lies above the
+    diagonal, since the displacement dofs come first.
+    """
+    uu, up, pp = _element_blocks(sys, spec, cells)
+    dofs = sys.cell_dofs[cells]
+    u_dofs, p_dofs = dofs[:, :12], dofs[:, 12:]
+    keys, values = [], []
+    for rows, cols, block, diagonal in (
+        (u_dofs, u_dofs, uu, True),
+        (u_dofs, p_dofs, up, False),
+        (p_dofs, p_dofs, pp, True),
     ):
-        if tensor is None:
+        if block is None:
             continue
-        coords = _class_coords(values, tensor.symmetry_class)
-        local += np.einsum(
-            "cq,cqka,ab,cqlb->ckl", w_phys, coords, tensor.matrix, coords,
-            optimize=True,
-        )
-
-    if spec.curl is not None and spec.curl_coeff:
-        coords = _class_coords(curl_p, spec.curl.symmetry_class)
-        local += (spec.curl_coeff * vols)[:, None, None] * np.einsum(
-            "cka,ab,clb->ckl", coords, spec.curl.matrix, coords, optimize=True
-        )
-
-    dofs = sys.cell_dofs[cells]                    # (nc, 30)
-    rows = np.broadcast_to(dofs[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], local.shape).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return rows[keep], cols[keep], vals[keep]
+        if diagonal:
+            block = 0.5 * (block + block.transpose(0, 2, 1))
+            diag = np.arange(block.shape[1])
+            block[:, diag, diag] *= 0.5
+        rows, cols = rows[:, :, None], cols[:, None, :]
+        upper = (rows >= 0) & (rows <= cols)
+        keys.append((rows * sys.n_dofs + cols)[upper])
+        values.append(block[upper])
+    return np.searchsorted(sys.pair_keys, np.concatenate(keys)), np.concatenate(values)
 
 
 def _n_threads() -> int:
@@ -316,30 +340,37 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
     """Assemble the symmetric operator of a generic integrand.
 
     Cells are processed in fixed-size batches; batches may run on a thread
-    pool (MICROMORPH_THREADS) but are reduced in batch order, so the result
-    is identical for any thread count.
+    pool (MICROMORPH_THREADS) but are added into the upper-triangular
+    pattern ``sys.pair_keys`` in batch order, so the result is identical for
+    any thread count.  Exact zeros are not stored.
     """
     import scipy.sparse as sp
 
     n = sys.n_dofs
-    layout = BlockLayout(sys.n_u_dofs, sys.n_p_dofs)
+    keys = sys.pair_keys
     chunks = [
         np.arange(start, min(start + _CHUNK, sys.mesh.n_cells))
         for start in range(0, sys.mesh.n_cells, _CHUNK)
     ]
+
+    batch = functools.partial(_batch_entries, sys, spec)
+    data = np.zeros(keys.size)
+
+    def add_in_batch_order(parts):
+        for slots, values in parts:
+            np.add.at(data, slots, values)
+
     workers = _n_threads()
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _assemble_chunk(sys, spec, c), chunks))
+            add_in_batch_order(pool.map(batch, chunks))
     else:
-        parts = [_assemble_chunk(sys, spec, c) for c in chunks]
+        add_in_batch_order(map(batch, chunks))
 
-    rows = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, int)
-    cols = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, int)
-    vals = np.concatenate([p[2] for p in parts]) if parts else np.empty(0)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    mat = ((mat + mat.T) * 0.5).tocsr()   # entrywise-exact symmetry
-    return SparseSymOperator(mat, layout)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    upper = sp.csr_matrix((data, keys % n, indptr), shape=(n, n))
+    # exactly symmetric; the sparse sum also drops exact zeros
+    return SparseSymOperator(upper + upper.T, BlockLayout(sys.n_u_dofs, sys.n_p_dofs))
 
 
 def assemble_w1(params: MaterialParams, sys: FESystem) -> SparseSymOperator:

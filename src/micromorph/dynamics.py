@@ -48,6 +48,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
+_QUADRATIC_BLOCK = 32    # columns per sparse-times-block product
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,32 @@ def _solver_counters(*solvers: DefiniteSolver) -> dict:
     }
 
 
-def _gram_norm(gram: SparseSymOperator | None, w: np.ndarray) -> float:
-    if gram is None:
-        return float(np.linalg.norm(w))
-    return math.sqrt(max(gram.quadratic(w), 0.0))
+def _quadratic_rows(op: SparseSymOperator | None, rows: np.ndarray) -> np.ndarray:
+    """w^T A w for every row w of ``rows`` (w^T w when ``op`` is None).
+
+    A is applied to blocks of ``_QUADRATIC_BLOCK`` rows at once, never to all
+    rows, so the product stays small.
+    """
+    if op is None:
+        return np.einsum("ij,ij->i", rows, rows)
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _QUADRATIC_BLOCK):
+        block = rows[start:start + _QUADRATIC_BLOCK]
+        out[start:start + block.shape[0]] = np.einsum(
+            "ij,ji->i", block, op.matrix @ block.T
+        )
+    return out
+
+
+def _gram_norms(gram: SparseSymOperator | None, rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(_quadratic_rows(gram, rows), 0.0))
+
+
+def _energies(
+    w1: SparseSymOperator, w2: SparseSymOperator, positions, velocities
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic and potential energy at every node."""
+    return 0.5 * _quadratic_rows(w1, velocities), 0.5 * _quadratic_rows(w2, positions)
 
 
 def _double_trapezoid(
@@ -196,8 +219,12 @@ def _fixed_point(
     max_iterations: int,
     gram: SparseSymOperator | None,
     solve: DefiniteSolver,
-) -> tuple[Trajectory, list[float]]:
-    """Fixed-point sweeps on [t0, t0 + delta] with ``solve``, a factor of W1."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Fixed-point sweeps on [t0, t0 + delta] with ``solve``, a factor of W1.
+
+    Returns the node times, positions, velocities and the subinterval's
+    diagnostics; energies are left to the callers that return them.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if n_t < 3:
@@ -207,7 +234,7 @@ def _fixed_point(
     w0 = state0.position
     wt0 = state0.velocity
 
-    seed_scale = 1.0 + _gram_norm(gram, w0)
+    seed_scale = 1.0 + _gram_norms(gram, w0[None, :])[0]
     positions = np.tile(w0, (n_t, 1))
     velocities = np.tile(wt0, (n_t, 1))
     ratios: list[float] = []
@@ -218,9 +245,7 @@ def _fixed_point(
         iterations = sweep + 1
         acc = stationary_solve(w1, w2, positions.T, loads, solve=solve).T
         new_pos, new_vel = _double_trapezoid(times, acc, w0, wt0)
-        diff = max(
-            _gram_norm(gram, new_pos[j] - positions[j]) for j in range(n_t)
-        )
+        diff = float(_gram_norms(gram, new_pos - positions).max())
         if prev_diff is not None and prev_diff > 0:
             ratios.append(diff / prev_diff)
         positions, velocities = new_pos, new_vel
@@ -235,23 +260,13 @@ def _fixed_point(
             history=ratios,
         )
 
-    kinetic = np.array([0.5 * w1.quadratic(v) for v in velocities])
-    potential = np.array([0.5 * w2.quadratic(w) for w in positions])
-    traj = Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        kinetic=kinetic,
-        potential=potential,
-        layout=w1.layout,
-        diagnostics={
-            "picard_iterations": [iterations],
-            "contraction_ratios": [list(ratios)],
-            "residuals": [diff],      # final successive-difference Gram norm
-            "delta": delta,
-        },
-    )
-    return traj, ratios
+    diagnostics = {
+        "picard_iterations": [iterations],
+        "contraction_ratios": [ratios],
+        "residuals": [diff],      # final successive-difference Gram norm
+        "delta": delta,
+    }
+    return times, positions, velocities, diagnostics
 
 
 def picard_interval(
@@ -277,11 +292,20 @@ def picard_interval(
     within ``solve_tol``.
     """
     solve = definite_solver(w1, solve_tol)
-    traj, ratios = _fixed_point(
+    times, positions, velocities, diagnostics = _fixed_point(
         state0, w1, w2, load, delta, n_t, fixed_tol, max_iterations, gram, solve
     )
-    traj.diagnostics.update(_solver_counters(solve))
-    return traj, ratios
+    kinetic, potential = _energies(w1, w2, positions, velocities)
+    traj = Trajectory(
+        times=times,
+        positions=positions,
+        velocities=velocities,
+        kinetic=kinetic,
+        potential=potential,
+        layout=w1.layout,
+        diagnostics={**diagnostics, **_solver_counters(solve)},
+    )
+    return traj, list(diagnostics["contraction_ratios"][0])
 
 
 def picard_integrate(
@@ -329,32 +353,30 @@ def picard_integrate(
     delta_eff = t_final / n_int
 
     solve = definite_solver(w1, solve_tol)
-    all_pos = [state0.position[None, :]]
-    all_vel = [state0.velocity[None, :]]
+    positions = np.empty((n_int * (n_t - 1) + 1, w1.dimension))
+    velocities = np.empty_like(positions)
+    positions[0], velocities[0] = state0.position, state0.velocity
     iterations: list[int] = []
     all_ratios: list[list[float]] = []
     residuals: list[float] = []
     node_interval = [0]
     current = state0
     for interval in range(n_int):
-        traj, _ = _fixed_point(
+        times, pos, vel, diagnostics = _fixed_point(
             current, w1, w2, load, delta_eff, n_t, fixed_tol, max_iterations,
             gram, solve,
         )
-        all_pos.append(traj.positions[1:])
-        all_vel.append(traj.velocities[1:])
-        iterations.extend(traj.diagnostics["picard_iterations"])
-        all_ratios.extend(traj.diagnostics["contraction_ratios"])
-        residuals.extend(traj.diagnostics["residuals"])
+        nodes = slice(1 + interval * (n_t - 1), 1 + (interval + 1) * (n_t - 1))
+        positions[nodes], velocities[nodes] = pos[1:], vel[1:]
+        iterations.extend(diagnostics["picard_iterations"])
+        all_ratios.extend(diagnostics["contraction_ratios"])
+        residuals.extend(diagnostics["residuals"])
         node_interval.extend([interval] * (n_t - 1))
-        current = traj.state(traj.n_nodes - 1)
+        current = DynamicState.from_vectors(w1.layout, times[-1], pos[-1], vel[-1])
 
     # exactly uniform node times (concatenated linspaces drift in ulps)
     times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
-    positions = np.concatenate(all_pos, axis=0)
-    velocities = np.concatenate(all_vel, axis=0)
-    kinetic = np.array([0.5 * w1.quadratic(v) for v in velocities])
-    potential = np.array([0.5 * w2.quadratic(w) for w in positions])
+    kinetic, potential = _energies(w1, w2, positions, velocities)
     return Trajectory(
         times=times,
         positions=positions,
@@ -420,8 +442,7 @@ def newmark_integrate(
         positions[k + 1] = u_pred + beta * dt * dt * a
         velocities[k + 1] = v_pred + gamma * dt * a
 
-    kinetic = np.array([0.5 * w1.quadratic(v) for v in velocities])
-    potential = np.array([0.5 * w2.quadratic(w) for w in positions])
+    kinetic, potential = _energies(w1, w2, positions, velocities)
     return Trajectory(
         times=times,
         positions=positions,

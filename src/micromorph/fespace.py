@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,28 @@ class FESystem:
 
     def split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return w[..., : self.n_u_dofs], w[..., self.n_u_dofs:]
+
+    @cached_property
+    def pair_keys(self) -> np.ndarray:
+        """Sorted keys ``row * n_dofs + col``, row <= col, of every pair of
+        free dofs that share a cell: the upper triangle of the sparsity
+        pattern of every assembled form.  Built on first use from the
+        dof-cell incidence matrix, then kept.
+        """
+        import scipy.sparse as sp
+
+        n = self.n_dofs
+        free = self.cell_dofs >= 0
+        cells = np.nonzero(free)[0]
+        incidence = sp.csr_matrix(
+            (np.ones(cells.size), (self.cell_dofs[free], cells)),
+            shape=(n, self.mesh.n_cells),
+        )
+        pairs = (incidence @ incidence.T).tocsr()
+        pairs.sort_indices()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pairs.indptr))
+        upper = pairs.indices >= rows
+        return rows[upper] * n + pairs.indices[upper]
 
 
 def _cell_grad_hats(mesh: BoxMesh) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's computational paths:
 dense quadruple-loop tensor contraction, per-cell dense assembly from
 first-principles basis formulas under a *different* quadrature rule
-(degree-3 with a negative centroid weight), and a strong-form plane-wave
-pencil builder via explicit index expansion.
+(degree-3 with a negative centroid weight), the per-quadrature-point
+element kernel that the moment kernel of ``micromorph.assembly`` replaced,
+and a strong-form plane-wave pencil builder via explicit index expansion.
 """
 
 from __future__ import annotations
@@ -169,6 +170,101 @@ def dense_form_matrix(sys, spec, n_dofs: int | None = None) -> np.ndarray:
                     continue
                 out[gdofs[k], gdofs[l]] += local[k, l]
     return out
+
+
+def _quadrature_point_fields(sys, cells):
+    """Per-cell basis fields at the quadrature points of ``sys``.
+
+    Displacement values (nc, nq, 30, 3), micro-distortion values
+    (nc, nq, 30, 3, 3), relative distortion grad u - P (same shape),
+    constant displacement gradients (nc, 30, 3, 3) and curls (nc, 30, 3, 3),
+    dense over the 30 local dofs.
+    """
+    quad = sys.quadrature
+    nq = quad.points.shape[0]
+    nc = cells.size
+    g = sys.grad_hats[cells]
+    signs = sys.mesh.cell_edge_signs[cells]
+
+    u_val = np.zeros((nc, nq, 30, 3))
+    p_val = np.zeros((nc, nq, 30, 3, 3))
+    grad_u = np.zeros((nc, 30, 3, 3))
+    curl_p = np.zeros((nc, 30, 3, 3))
+
+    lam = quad.points
+    for a in range(4):
+        for i in range(3):
+            k = 3 * a + i
+            u_val[:, :, k, i] = lam[:, a]
+            grad_u[:, k, i, :] = g[:, a, :]
+
+    for e, (a, b) in enumerate(LOCAL_EDGES):
+        w = (
+            lam[None, :, a, None] * g[:, None, b, :]
+            - lam[None, :, b, None] * g[:, None, a, :]
+        ) * signs[:, e, None, None]
+        c = 2.0 * np.cross(g[:, a, :], g[:, b, :]) * signs[:, e, None]
+        for i in range(3):
+            k = 12 + 3 * e + i
+            p_val[:, :, k, i, :] = w
+            curl_p[:, k, i, :] = c
+
+    rel = grad_u[:, None, :, :, :] - p_val
+    return u_val, p_val, rel, grad_u, curl_p
+
+
+def quadrature_point_form_matrix(sys, spec) -> np.ndarray:
+    """Dense operator of a FormSpec from per-quadrature-point fields.
+
+    Same quadrature rule as the package, but every field is tabulated at
+    every point over all 30 local dofs, projected onto each tensor's class
+    basis and contracted by one einsum per term; the sum is symmetrised.
+    """
+    quad = sys.quadrature
+    cells = np.arange(sys.mesh.n_cells)
+    u_val, p_val, rel, grad_u, curl_p = _quadrature_point_fields(sys, cells)
+    vols = sys.mesh.cell_volumes
+    w_phys = 6.0 * vols[:, None] * quad.weights[None, :]
+
+    def coords(x, tensor):
+        return np.einsum("mij,...ij->...m", tensor.symmetry_class.basis, x)
+
+    local = np.zeros((cells.size, 30, 30))
+    if spec.mass_u:
+        local += spec.mass_u * np.einsum("cq,cqki,cqli->ckl", w_phys, u_val, u_val)
+    if spec.mass_p:
+        local += spec.mass_p * np.einsum(
+            "cq,cqkij,cqlij->ckl", w_phys, p_val, p_val
+        )
+    if spec.grad_u:
+        local += (spec.grad_u * vols)[:, None, None] * np.einsum(
+            "ckij,clij->ckl", grad_u, grad_u
+        )
+    for tensor, values in (
+        (spec.sym_relative, rel),
+        (spec.skew_relative, rel),
+        (spec.sym_micro, p_val),
+    ):
+        if tensor is None:
+            continue
+        c = coords(values, tensor)
+        local += np.einsum(
+            "cq,cqka,ab,cqlb->ckl", w_phys, c, tensor.matrix, c, optimize=True
+        )
+    if spec.curl is not None and spec.curl_coeff:
+        c = coords(curl_p, spec.curl)
+        local += (spec.curl_coeff * vols)[:, None, None] * np.einsum(
+            "cka,ab,clb->ckl", c, spec.curl.matrix, c
+        )
+
+    n = sys.n_dofs
+    out = np.zeros((n, n))
+    dofs = sys.cell_dofs
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    np.add.at(out, (rows[keep], cols[keep]), local[keep])
+    return 0.5 * (out + out.T)
 
 
 def strong_form_pencil(params, direction, k: float):

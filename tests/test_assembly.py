@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromorph import assembly
 from micromorph.assembly import (
@@ -21,8 +23,14 @@ from micromorph.assembly import (
 )
 from micromorph.fespace import build_fe_system, interpolate_p, interpolate_u
 from micromorph.mesh import build_box_mesh
-from micromorph.tensors import ModelVariant, isotropic_material
-from oracles import dense_form_matrix
+from micromorph.tensors import (
+    ModelVariant,
+    isotropic_curvature,
+    isotropic_elastic,
+    isotropic_material,
+)
+from oracles import dense_form_matrix, quadrature_point_form_matrix
+from test_analysis import random_material
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +296,59 @@ def sys_4():
     return build_fe_system(build_box_mesh((1, 1, 1), (4, 4, 4)))
 
 
+@pytest.fixture(scope="module")
+def sys_6():
+    return build_fe_system(build_box_mesh((1, 1, 1), (6, 6, 6)))
+
+
+# the two forms of analysis.korn_curl_constant
+KORN_SPECS = (
+    FormSpec(mass_p=1.0, curl=isotropic_curvature(1.0), curl_coeff=1.0),
+    FormSpec(
+        sym_micro=isotropic_elastic(0.5, 0.0),
+        curl=isotropic_curvature(1.0),
+        curl_coeff=1.0,
+    ),
+)
+
+
+def _max_error(op, reference):
+    return np.abs(op.to_dense() - reference).max() / np.abs(reference).max()
+
+
+class TestMomentKernel:
+    """The per-cell moment kernel against the per-quadrature-point kernel it
+    replaced (same quadrature rule, every field tabulated at every point)."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        res=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_anisotropic_forms(self, sys_1, sys_2, seed, variant, res):
+        params = random_material(np.random.default_rng(seed), variant)
+        sys = sys_1 if res == 1 else sys_2
+        for spec in (form_spec_w1(params), form_spec_w2(params)):
+            assert _max_error(
+                assemble_form(sys, spec), quadrature_point_form_matrix(sys, spec)
+            ) <= 1e-13
+
+    @pytest.mark.parametrize("spec", [form_spec_gram(), *KORN_SPECS])
+    def test_gram_and_korn_forms(self, sys_1, sys_2, spec):
+        for sys in (sys_1, sys_2):
+            assert _max_error(
+                assemble_form(sys, spec), quadrature_point_form_matrix(sys, spec)
+            ) <= 1e-13
+
+    @pytest.mark.parametrize("res", [1, 2, 3])
+    def test_gram_stores_no_zeros(self, res):
+        # no u-P coupling in the Gram form: those entries are not stored
+        sys = build_fe_system(build_box_mesh((1, 1, 1), (res, res, res)))
+        reference = quadrature_point_form_matrix(sys, form_spec_gram())
+        assert assemble_gram(sys).matrix.nnz == np.count_nonzero(reference)
+
+
 class TestBatches:
     def test_thread_pool_assembly_bitwise_equal(self, material, sys_4, monkeypatch):
         # 384 cells make several batches, so the pool path runs
@@ -315,6 +376,17 @@ class TestBatches:
         tracemalloc.start()
         try:
             assemble_w1(material, sys_4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_assembly_peak_memory_res6(self, material, sys_6):
+        # 1,296 cells: the peak is bounded by one batch, not by the mesh
+        assemble_w1(material, sys_6)
+        tracemalloc.start()
+        try:
+            assemble_w1(material, sys_6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -344,6 +344,28 @@ class TestEnergy:
         total = traj.total_energy
         assert np.abs(total - total[0]).max() <= 1e-10 * abs(total[0])
 
+    def test_trajectory_energies_match_per_node_energy(
+        self, sys_2, demo_material, rng
+    ):
+        # 71 and 33 nodes: more than one block of rows, the last one partial
+        w1 = assemble_w1(demo_material, sys_2)
+        w2 = assemble_w2(demo_material, sys_2)
+        gram = assemble_gram(sys_2)
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0, rng.standard_normal(sys_2.n_dofs),
+            rng.standard_normal(sys_2.n_dofs),
+        )
+        for traj in (
+            newmark_integrate(s0, w1, w2, None, 0.01, 70),
+            picard_integrate(s0, w1, w2, None, 0.5, 10.0, n_t=9, gram=gram),
+        ):
+            assert traj.n_nodes > 32
+            per_node = np.array(
+                [energy(traj.state(i), w1, w2) for i in range(traj.n_nodes)]
+            )
+            for values, ref in zip((traj.kinetic, traj.potential), per_node.T):
+                assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 class TestLoadedFESystem:
     def test_constant_force_drives_its_component(self, sys_2, demo_material):
