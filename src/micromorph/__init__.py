@@ -49,7 +49,6 @@ from .assembly import (
     load_assembler,
 )
 from .linalg import (
-    cg_solve,
     definite_solver,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,

@@ -69,6 +69,8 @@ __all__ = [
     "plane_wave_pencil",
 ]
 
+_CLAMP_TOL = 1e-10  # relative size of a negative omega^2 read as round-off
+
 
 @dataclass(frozen=True)
 class HypothesisCheck:
@@ -409,11 +411,10 @@ def dispersion_curves(
     params: MaterialParams,
     direction,
     k_samples,
-    clamp_tol: float = 1e-10,
 ) -> DispersionResult:
     """Solve the plane-wave pencil for each wavenumber sample.
 
-    Negative squared frequencies within ``clamp_tol`` (relative) of zero are
+    Negative squared frequencies within 1e-10 (relative) of zero are
     round-off and clamped to zero; anything more negative is reported as an
     unstable branch.  A rate-energy pencil that is not positive definite
     violates the inertia hypotheses and raises :class:`HypothesisError`.
@@ -442,7 +443,7 @@ def dispersion_curves(
     omega2 = hermitian_dense_eig(b, a)
 
     scale = np.maximum(np.abs(omega2).max(axis=1, keepdims=True), 1.0)
-    noise = (omega2 < 0) & (omega2 >= -clamp_tol * scale)
+    noise = (omega2 < 0) & (omega2 >= -_CLAMP_TOL * scale)
     clamped = np.where(noise, 0.0, omega2)
     unstable = clamped < 0
     freqs = np.where(unstable, np.nan, np.sqrt(np.maximum(clamped, 0.0)))
@@ -458,7 +459,7 @@ def dispersion_curves(
     return result
 
 
-def detect_band_gaps(result: DispersionResult, k_range=None) -> list[BandGap]:
+def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
     """Maximal open frequency intervals between consecutive sampled branches.
 
     A gap spans (max over k of branch j, min over k of branch j+1) when that
@@ -468,11 +469,7 @@ def detect_band_gaps(result: DispersionResult, k_range=None) -> list[BandGap]:
     ks = result.k_samples
     if ks.size < 2:
         raise ValueError("need at least two wavenumber samples")
-    mask = np.ones(ks.size, dtype=bool)
-    if k_range is not None:
-        lo, hi = k_range
-        mask &= (ks >= lo) & (ks <= hi)
-    mask &= ~result.unstable.any(axis=1)
+    mask = ~result.unstable.any(axis=1)
     if mask.sum() < 2:
         return []
     freqs = result.frequencies[mask]

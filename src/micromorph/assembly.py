@@ -16,15 +16,11 @@ as U + U^T, so it is exactly symmetric.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MicromorphError
 from .fespace import FESystem
 from .mesh import LOCAL_EDGES
 from .tensors import (
@@ -55,7 +51,7 @@ __all__ = [
     "combine_operators",
 ]
 
-_CHUNK = 128  # cells per assembly batch; fixed so results do not depend on threads
+_CHUNK = 128  # cells per assembly batch; one batch alive at a time bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -101,27 +97,11 @@ class SparseSymOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-    def u_block(self) -> "SparseSymOperator":
-        n = self.layout.u_size
-        return SparseSymOperator(
-            self.matrix[:n, :n].tocsr(), BlockLayout(n, 0)
-        )
-
     def p_block(self) -> "SparseSymOperator":
         n = self.layout.p_offset
         return SparseSymOperator(
             self.matrix[n:, n:].tocsr(), BlockLayout(0, self.layout.p_size)
         )
-
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "SparseSymOperator":
-        import scipy.sparse as sp
-
-        n = layout.total
-        return cls(sp.csr_matrix((n, n)), layout)
 
     @classmethod
     def from_dense(cls, m, layout: BlockLayout | None = None) -> "SparseSymOperator":
@@ -328,44 +308,22 @@ def _batch_entries(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     return np.searchsorted(sys.pair_keys, np.concatenate(keys)), np.concatenate(values)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("MICROMORPH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise MicromorphError(f"MICROMORPH_THREADS must be an integer, got {raw!r}")
-
-
 def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
     """Assemble the symmetric operator of a generic integrand.
 
-    Cells are processed in fixed-size batches; batches may run on a thread
-    pool (MICROMORPH_THREADS) but are added into the upper-triangular
-    pattern ``sys.pair_keys`` in batch order, so the result is identical for
-    any thread count.  Exact zeros are not stored.
+    Cells are processed in fixed-size batches, each added into the
+    upper-triangular pattern ``sys.pair_keys`` before the next is built.
+    Exact zeros are not stored.
     """
     import scipy.sparse as sp
 
     n = sys.n_dofs
     keys = sys.pair_keys
-    chunks = [
-        np.arange(start, min(start + _CHUNK, sys.mesh.n_cells))
-        for start in range(0, sys.mesh.n_cells, _CHUNK)
-    ]
-
-    batch = functools.partial(_batch_entries, sys, spec)
     data = np.zeros(keys.size)
-
-    def add_in_batch_order(parts):
-        for slots, values in parts:
-            np.add.at(data, slots, values)
-
-    workers = _n_threads()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            add_in_batch_order(pool.map(batch, chunks))
-    else:
-        add_in_batch_order(map(batch, chunks))
+    for start in range(0, sys.mesh.n_cells, _CHUNK):
+        cells = np.arange(start, min(start + _CHUNK, sys.mesh.n_cells))
+        slots, values = _batch_entries(sys, spec, cells)
+        np.add.at(data, slots, values)
 
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     upper = sp.csr_matrix((data, keys % n, indptr), shape=(n, n))

@@ -26,6 +26,7 @@ from .assembly import LoadFunctional, TimeField
 from .errors import ConfigError
 from .mesh import BoxMesh, build_box_mesh
 from .tensors import (
+    _TENSOR_CLASSES,
     ConstitutiveTensor4,
     MaterialParams,
     ModelVariant,
@@ -47,15 +48,15 @@ __all__ = [
 
 _VARIANTS = {v.value: v for v in ModelVariant}
 
-_TENSOR_KEYS = {
-    "c_e": ("elastic", SymmetryClass.ELASTIC),
-    "c_c": ("coupling", SymmetryClass.COUPLING),
-    "c_micro": ("micro", SymmetryClass.ELASTIC),
-    "l_aniso": ("curvature", SymmetryClass.CURVATURE),
-    "ct_e": ("inertia_elastic", SymmetryClass.ELASTIC),
-    "ct_c": ("inertia_coupling", SymmetryClass.COUPLING),
-    "ct_micro": ("inertia_micro", SymmetryClass.ELASTIC),
-    "lt_aniso": ("inertia_curvature", SymmetryClass.CURVATURE),
+_TENSOR_KEYS = {  # ini key -> MaterialParams attribute, which fixes the class
+    "c_e": "elastic",
+    "c_c": "coupling",
+    "c_micro": "micro",
+    "l_aniso": "curvature",
+    "ct_e": "inertia_elastic",
+    "ct_c": "inertia_coupling",
+    "ct_micro": "inertia_micro",
+    "lt_aniso": "inertia_curvature",
 }
 
 _ISO_ARITY = {
@@ -173,7 +174,7 @@ def _parse_tensor(value: str, key: str, line: int, issues) -> TensorSpec | None:
         issues.append((line, key, "empty tensor specification"))
         return None
     kind, rest = toks[0], toks[1:]
-    _, cls = _TENSOR_KEYS[key]
+    cls = _TENSOR_CLASSES[_TENSOR_KEYS[key]]
     try:
         nums = tuple(float(t) for t in rest)
     except ValueError:
@@ -204,6 +205,9 @@ def _parse_tensor(value: str, key: str, line: int, issues) -> TensorSpec | None:
 def _parse_field(value: str, key: str, line: int, issues,
                  allow_sine: bool, allow_table: bool) -> FieldSpec | None:
     toks = value.split(None, 1)
+    if not toks:
+        issues.append((line, key, "empty field specification"))
+        return None
     kind = toks[0]
     rest = toks[1] if len(toks) > 1 else ""
     try:
@@ -280,19 +284,15 @@ def parse_config(text: str) -> RunConfig:
                     allow_table = key.startswith("load")
                     parsed = _parse_field(value, key, lineno, issues,
                                           allow_sine, allow_table)
-                elif isinstance(default, bool):
-                    parsed = value.lower() in ("1", "true", "yes")
                 elif isinstance(default, int):
                     parsed = int(value)
                 elif isinstance(default, float):
                     parsed = float(value)
                 elif isinstance(default, str):
                     parsed = value
-                elif isinstance(default, tuple):
+                else:  # tuple
                     elem = type(default[0]) if default else float
                     parsed = tuple(elem(tok) for tok in value.split())
-                else:
-                    parsed = value
             except (ValueError, TypeError) as exc:
                 issues.append((lineno, key, str(exc)))
                 continue
@@ -302,17 +302,24 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(**{name: build(name, cls) for name, cls in _SECTIONS.items()})
 
-    mat = cfg.material
-    if mat.variant not in _VARIANTS:
-        line = sections.get("material", {}).get("variant", (0, ""))[0]
+    def line_of(section: str, key: str) -> int:
+        return sections.get(section, {}).get(key, (0, ""))[0]
+
+    if cfg.material.variant not in _VARIANTS:
         issues.append(
-            (line, "variant",
-             f"unknown variant {mat.variant!r}; expected one of "
+            (line_of("material", "variant"), "variant",
+             f"unknown variant {cfg.material.variant!r}; expected one of "
              + ", ".join(sorted(_VARIANTS)))
         )
     if cfg.simulation.integrator not in ("picard", "newmark"):
-        line = sections.get("simulation", {}).get("integrator", (0, ""))[0]
-        issues.append((line, "integrator", "expected 'picard' or 'newmark'"))
+        issues.append((line_of("simulation", "integrator"), "integrator",
+                       "expected 'picard' or 'newmark'"))
+    if any(d < 0 for d in cfg.simulation.sample_dofs):
+        issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
+                       "dof indices must be non-negative"))
+    if cfg.analysis.korn_levels < 1:
+        issues.append((line_of("analysis", "korn_levels"), "korn_levels",
+                       "needs at least one level"))
 
     if issues:
         raise ConfigError(issues)
@@ -355,8 +362,8 @@ def material_from_config(cfg: RunConfig) -> MaterialParams:
         "length_scale": mat.lc,
         "variant": _VARIANTS[mat.variant],
     }
-    for key, (attr, cls) in _TENSOR_KEYS.items():
-        kwargs[attr] = getattr(mat, key).build(cls)
+    for key, attr in _TENSOR_KEYS.items():
+        kwargs[attr] = getattr(mat, key).build(_TENSOR_CLASSES[attr])
     return MaterialParams(**kwargs)
 
 

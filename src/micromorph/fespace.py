@@ -15,7 +15,6 @@ Layouts:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,7 +23,6 @@ import numpy as np
 from .mesh import LOCAL_EDGES, BoxMesh
 
 __all__ = [
-    "DofKind",
     "DofMap",
     "QuadratureRule",
     "quadrature_rule",
@@ -39,20 +37,13 @@ __all__ = [
     "evaluate_u",
     "evaluate_p",
     "evaluate_curl_p",
-    "evaluate_grad_u",
 ]
 
 N_LOCAL = 30  # 4 vertices x 3 components + 6 edges x 3 rows
 
 
-class DofKind(enum.Enum):
-    NODAL_VECTOR = "nodal-vector"
-    EDGE_ROWS = "edge-rows"
-
-
 @dataclass(frozen=True)
 class DofMap:
-    kind: DofKind
     n_dofs: int
     n_entities: int
     entity_rank: np.ndarray = field(repr=False)  # (n_entities,), -1 constrained
@@ -70,7 +61,6 @@ def build_u_space(mesh: BoxMesh) -> DofMap:
     interior = np.flatnonzero(~constrained)
     rank[interior] = np.arange(interior.size)
     return DofMap(
-        kind=DofKind.NODAL_VECTOR,
         n_dofs=3 * interior.size,
         n_entities=mesh.n_vertices,
         entity_rank=rank,
@@ -85,7 +75,6 @@ def build_p_space(mesh: BoxMesh) -> DofMap:
     interior = np.flatnonzero(~constrained)
     rank[interior] = np.arange(interior.size)
     return DofMap(
-        kind=DofKind.EDGE_ROWS,
         n_dofs=3 * interior.size,
         n_entities=mesh.n_edges,
         entity_rank=rank,
@@ -150,9 +139,6 @@ class FESystem:
     def n_dofs(self) -> int:
         return self.u_map.n_dofs + self.p_map.n_dofs
 
-    def split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return w[..., : self.n_u_dofs], w[..., self.n_u_dofs:]
-
     @cached_property
     def pair_keys(self) -> np.ndarray:
         """Sorted keys ``row * n_dofs + col``, row <= col, of every pair of
@@ -206,14 +192,14 @@ def _cell_dof_table(mesh: BoxMesh, u_map: DofMap, p_map: DofMap) -> np.ndarray:
     return table
 
 
-def build_fe_system(mesh: BoxMesh, quad_degree: int = 2) -> FESystem:
+def build_fe_system(mesh: BoxMesh) -> FESystem:
     u_map = build_u_space(mesh)
     p_map = build_p_space(mesh)
     return FESystem(
         mesh=mesh,
         u_map=u_map,
         p_map=p_map,
-        quadrature=quadrature_rule(quad_degree),
+        quadrature=quadrature_rule(2),  # exact for the moments of assembly
         grad_hats=_cell_grad_hats(mesh),
         cell_dofs=_cell_dof_table(mesh, u_map, p_map),
     )
@@ -305,12 +291,6 @@ def _local_p(sys: FESystem, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
 def evaluate_u(sys: FESystem, u_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:
     vals, _ = eval_u_basis(sys, cell, bary)
     return vals @ _local_u(sys, u_coeffs, cell)
-
-
-def evaluate_grad_u(sys: FESystem, u_coeffs: np.ndarray, cell: int) -> np.ndarray:
-    """Constant displacement gradient on a cell, rows are component gradients."""
-    local = _local_u(sys, u_coeffs, cell)       # (4, 3) values
-    return local.T @ sys.grad_hats[cell]
 
 
 def evaluate_p(sys: FESystem, p_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:

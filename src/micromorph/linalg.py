@@ -16,9 +16,6 @@ time.
   regular mode otherwise.  Every returned eigenpair must pass a residual
   check, and a count of A - sigma B just below the bottom end proves that
   no eigenvalue lies under it.
-* :func:`cg_solve` - Jacobi-preconditioned conjugate gradients with
-  breakdown detection (non-positive curvature reports a definiteness
-  failure rather than silently diverging).
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
@@ -38,7 +35,6 @@ from .errors import DefinitenessError, NonConvergenceError
 
 __all__ = [
     "DefiniteSolver",
-    "cg_solve",
     "definite_solver",
     "extreme_generalized_eigenvalues",
     "hermitian_dense_eig",
@@ -47,6 +43,7 @@ __all__ = [
 
 DENSE_CUTOFF = 64  # pencils with at most this many rows use dense eigh
 _DENSE_RESIDUAL = 1e-10  # backward error accepted from hermitian_dense_eig
+_HERMITIAN_TOL = 1e-10  # relative asymmetry accepted in its H and G
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
@@ -55,67 +52,6 @@ _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
 def _as_matrix(a):
     matrix = getattr(a, "matrix", None)
     return matrix if matrix is not None else a
-
-
-def _jacobi(mat) -> np.ndarray:
-    d = np.asarray(mat.diagonal()).ravel().copy()
-    d[d <= 0] = 1.0
-    return d
-
-
-def cg_solve(
-    a,
-    b: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
-
-    Stops when ||A x - b|| <= tol * ||b||.  Raises
-    :class:`DefinitenessError` on non-positive curvature and
-    :class:`NonConvergenceError` when the iteration budget runs out.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    mat = _as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    if max_iter is None:
-        max_iter = max(10 * n, 100)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n)
-
-    inv_diag = 1.0 / _jacobi(mat)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - mat @ x
-    if np.linalg.norm(r) <= tol * norm_b:
-        return x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        q = mat @ p
-        pq = float(p @ q)
-        if pq <= 0.0:
-            raise DefinitenessError(
-                f"conjugate gradients hit non-positive curvature ({pq!r}); "
-                "the operator is not positive definite"
-            )
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= tol * norm_b:
-            return x
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergenceError(
-        f"conjugate gradients did not reach tol={tol!r} in {max_iter} iterations",
-        residual=float(np.linalg.norm(r) / norm_b),
-    )
 
 
 def _symmetric_lu(mat):
@@ -321,7 +257,7 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def hermitian_dense_eig(h, g=None, herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_dense_eig(h, g=None) -> np.ndarray:
     """All eigenvalues (ascending) of H z = lambda G z for dense Hermitian
     H and Hermitian positive definite G (identity when omitted), or of each
     pencil of (..., n, n) stacks in one batched call.
@@ -338,7 +274,7 @@ def hermitian_dense_eig(h, g=None, herm_tol: float = 1e-10) -> np.ndarray:
     g = np.broadcast_to(np.asarray(np.eye(n) if g is None else g, complex), h.shape)
     for name, x in (("H", h), ("G", g)):
         scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1e-300)
-        if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > herm_tol * scale):
+        if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > _HERMITIAN_TOL * scale):
             raise ValueError(f"{name} is not Hermitian within tolerance")
     try:
         chol = np.linalg.cholesky(g)

@@ -18,6 +18,7 @@ __all__ = ["BoxMesh", "MeshDiagnostics", "build_box_mesh", "validate_mesh"]
 # Local edges of a tet, each directed first -> second local vertex.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+_VOLUME_TOL = 1e-12  # relative mismatch of the cell volumes' sum and the box
 _PERMS = tuple(itertools.permutations((0, 1, 2)))
 _PARITY = tuple(
     1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1 for p in _PERMS
@@ -157,12 +158,8 @@ class MeshDiagnostics:
     n_faces: int
     violations: tuple[str, ...]
 
-    @property
-    def valid(self) -> bool:
-        return not self.violations
 
-
-def validate_mesh(mesh: BoxMesh, rel_tol: float = 1e-12) -> MeshDiagnostics:
+def validate_mesh(mesh: BoxMesh) -> MeshDiagnostics:
     """Check volumes, orientation, and the Euler characteristic of a ball."""
     violations = []
 
@@ -175,7 +172,7 @@ def validate_mesh(mesh: BoxMesh, rel_tol: float = 1e-12) -> MeshDiagnostics:
 
     vol_sum = float(vols.sum())
     box_vol = float(np.prod(mesh.dims))
-    if abs(vol_sum - box_vol) > rel_tol * box_vol:
+    if abs(vol_sum - box_vol) > _VOLUME_TOL * box_vol:
         violations.append(
             f"cell volumes sum to {vol_sum!r}, box volume is {box_vol!r}"
         )

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "sym",
     "skew",
-    "frobenius",
     "SymmetryClass",
     "ConstitutiveTensor4",
     "make_isotropic",
@@ -49,11 +48,6 @@ def sym(x: np.ndarray) -> np.ndarray:
 def skew(x: np.ndarray) -> np.ndarray:
     """Antisymmetric part (x - x^T)/2."""
     return 0.5 * (x - x.swapaxes(-1, -2))
-
-
-def frobenius(x: np.ndarray, y: np.ndarray) -> float:
-    """Frobenius inner product <x, y> = tr(x y^T)."""
-    return float(np.sum(x * y))
 
 
 def _build_bases() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,10 +174,6 @@ class ConstitutiveTensor4:
 
     def scaled(self, s: float) -> "ConstitutiveTensor4":
         return ConstitutiveTensor4(self.symmetry_class, s * self.matrix)
-
-
-def apply_tensor(t: ConstitutiveTensor4, x: np.ndarray) -> np.ndarray:
-    return t.apply(x)
 
 
 def matrix_representation(t: ConstitutiveTensor4) -> np.ndarray:

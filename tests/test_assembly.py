@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromorph import assembly
 from micromorph.assembly import (
     FormSpec,
     LoadFunctional,
@@ -284,12 +283,6 @@ class TestOperators:
             w1.p_block().to_dense(), w1.to_dense()[nu:, nu:]
         )
 
-    def test_threaded_assembly_identical(self, material, sys_2, monkeypatch):
-        base = assemble_w1(material, sys_2)
-        monkeypatch.setenv("MICROMORPH_THREADS", "4")
-        threaded = assemble_w1(material, sys_2)
-        assert (base.matrix != threaded.matrix).nnz == 0
-
 
 @pytest.fixture(scope="module")
 def sys_4():
@@ -350,27 +343,6 @@ class TestMomentKernel:
 
 
 class TestBatches:
-    def test_thread_pool_assembly_bitwise_equal(self, material, sys_4, monkeypatch):
-        # 384 cells make several batches, so the pool path runs
-        pools = []
-
-        class RecordingPool(assembly.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        monkeypatch.setattr(assembly, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("MICROMORPH_THREADS", "1")
-        serial = assemble_w1(material, sys_4).matrix
-        assert not pools
-        monkeypatch.setenv("MICROMORPH_THREADS", "2")
-        threaded = assemble_w1(material, sys_4).matrix
-        assert len(pools) == 1
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(
-                getattr(threaded, name), getattr(serial, name), strict=True
-            )
-
     def test_assembly_peak_memory(self, material, sys_4):
         assemble_w1(material, sys_4)  # imports and lazily built FE data come first
         tracemalloc.start()

@@ -235,3 +235,43 @@ class TestCommands:
     def test_run_api_unknown_command(self):
         with pytest.raises(ValueError):
             run("frobnicate", RunConfig())
+
+
+class TestRejectedValues:
+    """Values that used to crash a command or pass silently exit 2 instead."""
+
+    @pytest.mark.parametrize(
+        "key", ["load_f", "load_m", "initial_u", "initial_ut", "initial_p", "initial_pt"]
+    )
+    def test_empty_field_value_names_its_line(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[simulation]\nt_final = 0.1\n{key} =\n")
+        assert err.value.issues == [(3, key, "empty field specification")]
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [("[simulation]\nsample_dofs = -1 0\n", "sample_dofs", 2),
+         ("[analysis]\nkorn_levels = 0\n", "korn_levels", 2),
+         ("[mesh]\nresolution = 1 1 1\n[analysis]\nkorn_levels = -1\n",
+          "korn_levels", 4)],
+    )
+    def test_out_of_range_integer_names_its_line(self, text, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [(line, key)]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("check", "[simulation]\nload_f =\n"),
+         ("dispersion", "[simulation]\ninitial_u =\n"),
+         ("korn", "[simulation]\nload_m =\n"),
+         ("simulate", "[simulation]\nsample_dofs = -1 0\n"),
+         ("korn", "[analysis]\nkorn_levels = -1\n")],
+    )
+    def test_cli_exits_two(self, command, text, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert "MICROMORPH-ERROR config" in capsys.readouterr().err
+        assert not out.exists()

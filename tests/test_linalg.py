@@ -10,7 +10,6 @@ from micromorph import linalg
 from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
     DENSE_CUTOFF,
-    cg_solve,
     definite_solver,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
@@ -20,67 +19,6 @@ from micromorph.linalg import (
 def spd(rng, n, shift=None):
     q = rng.standard_normal((n, n))
     return q @ q.T + (n if shift is None else shift) * np.eye(n)
-
-
-class TestCG:
-    def test_identity_one_iteration(self):
-        b = np.array([1.0, -2.0, 3.0])
-        x = cg_solve(sp.eye(3, format="csr"), b, max_iter=1)
-        np.testing.assert_allclose(x, b, rtol=1e-14)
-
-    def test_two_by_two_hand_solve(self):
-        a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        x = cg_solve(a, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(x, [1 / 3, 1 / 3], rtol=1e-12)
-
-    def test_indefinite_raises(self):
-        a = sp.csr_matrix(np.diag([1.0, -1.0]))
-        with pytest.raises(DefinitenessError):
-            cg_solve(a, np.array([1.0, 1.0]))
-
-    def test_zero_rhs(self):
-        a = sp.eye(4, format="csr")
-        assert np.all(cg_solve(a, np.zeros(4)) == 0.0)
-
-    def test_budget_exhaustion_raises(self, rng):
-        a = sp.csr_matrix(spd(rng, 30, shift=0.01))
-        with pytest.raises(NonConvergenceError) as err:
-            cg_solve(a, rng.standard_normal(30), tol=1e-14, max_iter=2)
-        assert err.value.residual is not None
-
-    def test_a_norm_monotone_decrease(self, rng):
-        # track the A-norm of the error against a dense reference solution
-        a_dense = spd(rng, 25)
-        a = sp.csr_matrix(a_dense)
-        b = rng.standard_normal(25)
-        x_star = np.linalg.solve(a_dense, b)
-
-        errs = []
-        x = np.zeros(25)
-        r = b.copy()
-        inv_d = 1.0 / a_dense.diagonal()
-        z = inv_d * r
-        p = z.copy()
-        rz = r @ z
-        for _ in range(25):
-            q = a @ p
-            alpha = rz / (p @ q)
-            x = x + alpha * p
-            r = r - alpha * q
-            e = x - x_star
-            errs.append(float(e @ a_dense @ e))
-            z = inv_d * r
-            rz_new = r @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        diffs = np.diff(errs)
-        assert np.all(diffs <= 1e-12 * max(errs))
-
-    def test_reaches_requested_tolerance(self, rng):
-        a = sp.csr_matrix(spd(rng, 40))
-        b = rng.standard_normal(40)
-        x = cg_solve(a, b, tol=1e-12)
-        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestExtremeGeneralized:
