@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import dispersion_curves, korn_curl_constant, well_posedness_report
 from .assembly import assemble_gram, assemble_w1, assemble_w2, load_assembler
 from .config import (
+    _FIELD_SHAPES,
     RunConfig,
     config_digest,
     initial_field_callable,
@@ -77,23 +78,17 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
 
 def _initial_state(cfg: RunConfig, sys_) -> DynamicState:
     sim = cfg.simulation
-    dims = cfg.mesh.dims
-    layout_t = (sys_.n_u_dofs, sys_.n_p_dofs)
 
-    def u_part(spec):
-        f = initial_field_callable(spec, dims, (3,))
-        return np.zeros(layout_t[0]) if f is None else interpolate_u(sys_, f)
-
-    def p_part(spec):
-        f = initial_field_callable(spec, dims, (3, 3))
-        return np.zeros(layout_t[1]) if f is None else interpolate_p(sys_, f)
+    def part(key, interpolate, size):
+        f = initial_field_callable(getattr(sim, key), cfg.mesh.dims, _FIELD_SHAPES[key])
+        return np.zeros(size) if f is None else interpolate(sys_, f)
 
     return DynamicState(
         t=0.0,
-        u=u_part(sim.initial_u),
-        p=p_part(sim.initial_p),
-        ut=u_part(sim.initial_ut),
-        pt=p_part(sim.initial_pt),
+        u=part("initial_u", interpolate_u, sys_.n_u_dofs),
+        p=part("initial_p", interpolate_p, sys_.n_p_dofs),
+        ut=part("initial_ut", interpolate_u, sys_.n_u_dofs),
+        pt=part("initial_pt", interpolate_p, sys_.n_p_dofs),
     )
 
 
@@ -174,8 +169,13 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_):
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = material_from_config(cfg)
     sys_ = build_fe_system(mesh_from_config(cfg))
+    samples = cfg.simulation.sample_dofs
+    beyond = [d for d in samples if d >= sys_.n_dofs]
+    if beyond:
+        raise ValueError(
+            f"sample_dofs {beyond} out of range: the system has n_dofs = {sys_.n_dofs}"
+        )
     traj, _ = _simulate_trajectory(cfg, params, sys_)
-    samples = [d for d in cfg.simulation.sample_dofs if d < sys_.n_dofs]
     columns = ["t", "kinetic", "potential"] + [f"dof{d}" for d in samples]
     columns += ["picard_iterations"]
     iters = traj.diagnostics.get("picard_iterations", [])

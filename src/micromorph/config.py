@@ -4,12 +4,19 @@ serialization, and builders for the objects a run needs.
 Format: ``[section]`` headers and flat ``key = value`` pairs, ``#`` or ``;``
 comments.  Unknown sections or keys are rejected with their line numbers.
 Tensor values are either ``isotropic <moduli...>`` or ``components <upper
-triangle of the canonical matrix representation, row-major>`` (21 / 6 / 45
-numbers for the elastic / coupling / curvature classes).  Field values for
-loads and initial data are ``zero``, ``constant <numbers>``,
-``poly <numbers> | <numbers> | ...`` (coefficients of powers of t) or, for
-loads, ``table t <numbers> | t <numbers> | ...``; ``sine <amplitude>`` is a
-product-of-sines bump for initial data (vanishes on the boundary).
+triangle of the canonical matrix representation, row-major>``.  Field values
+are a kind followed by numbers, or by ``|``-separated groups of numbers for
+``poly`` and ``table``.  Loads take ``zero``, ``constant <numbers>``,
+``poly <numbers> | <numbers> | ...`` (coefficients of powers of t) or
+``table t <numbers> | t <numbers> | ...``; initial data take ``zero``,
+``constant <numbers>`` or ``sine <amplitude>``, a product-of-sines bump that
+vanishes on the boundary.  Each field key fixes the shape of its value
+(``_FIELD_SHAPES``: 3 numbers or 9).
+
+The parser reads only this syntax.  Whether a value can be built (a tensor's
+arity, a field's kind and arity) is decided by the constructor the run uses
+later, called once at parse time; its ``ValueError`` becomes a
+:class:`ConfigError` entry carrying the value's line and key.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -59,10 +66,13 @@ _TENSOR_KEYS = {  # ini key -> MaterialParams attribute, which fixes the class
     "lt_aniso": "inertia_curvature",
 }
 
-_ISO_ARITY = {
-    SymmetryClass.ELASTIC: 2,
-    SymmetryClass.COUPLING: 1,
-    SymmetryClass.CURVATURE: 1,
+_FIELD_SHAPES = {  # field key -> shape of its value
+    "load_f": (3,),
+    "load_m": (3, 3),
+    "initial_u": (3,),
+    "initial_ut": (3,),
+    "initial_p": (3, 3),
+    "initial_pt": (3, 3),
 }
 
 
@@ -164,74 +174,33 @@ _SECTIONS = {
 }
 
 
+def _split_kind(value: str, what: str) -> tuple[str, str]:
+    toks = value.split(None, 1)
+    if not toks:
+        raise ValueError(f"empty {what} specification")
+    return toks[0], toks[1] if len(toks) > 1 else ""
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split())
 
 
-def _parse_tensor(value: str, key: str, line: int, issues) -> TensorSpec | None:
-    toks = value.split()
-    if not toks:
-        issues.append((line, key, "empty tensor specification"))
-        return None
-    kind, rest = toks[0], toks[1:]
-    cls = _TENSOR_CLASSES[_TENSOR_KEYS[key]]
-    try:
-        nums = tuple(float(t) for t in rest)
-    except ValueError:
-        issues.append((line, key, f"non-numeric tensor component in {value!r}"))
-        return None
-    if kind == "isotropic":
-        if len(nums) != _ISO_ARITY[cls]:
-            issues.append(
-                (line, key,
-                 f"{cls.value} class takes {_ISO_ARITY[cls]} isotropic "
-                 f"moduli, got {len(nums)}")
-            )
-            return None
-        return TensorSpec("isotropic", nums)
-    if kind == "components":
-        need = cls.n_components
-        if len(nums) != need:
-            issues.append(
-                (line, key,
-                 f"{cls.value} class needs {need} components, got {len(nums)}")
-            )
-            return None
-        return TensorSpec("components", nums)
-    issues.append((line, key, f"unknown tensor kind {kind!r}"))
-    return None
+def _parse_tensor(value: str, symmetry_class: SymmetryClass) -> TensorSpec:
+    kind, rest = _split_kind(value, "tensor")
+    if kind not in ("isotropic", "components"):
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    spec = TensorSpec(kind, _parse_floats(rest))
+    spec.build(symmetry_class)  # the constructor owns the arity
+    return spec
 
 
-def _parse_field(value: str, key: str, line: int, issues,
-                 allow_sine: bool, allow_table: bool) -> FieldSpec | None:
-    toks = value.split(None, 1)
-    if not toks:
-        issues.append((line, key, "empty field specification"))
-        return None
-    kind = toks[0]
-    rest = toks[1] if len(toks) > 1 else ""
-    try:
-        if kind == "zero":
-            return FieldSpec("zero")
-        if kind == "constant":
-            return FieldSpec("constant", _parse_floats(rest))
-        if kind == "sine" and allow_sine:
-            vals = _parse_floats(rest)
-            if len(vals) != 1:
-                issues.append((line, key, "sine takes one amplitude"))
-                return None
-            return FieldSpec("sine", vals)
-        if kind == "poly":
-            groups = tuple(_parse_floats(g) for g in rest.split("|"))
-            return FieldSpec("poly", groups)
-        if kind == "table" and allow_table:
-            groups = tuple(_parse_floats(g) for g in rest.split("|"))
-            return FieldSpec("table", groups)
-    except ValueError:
-        issues.append((line, key, f"non-numeric entry in {value!r}"))
-        return None
-    issues.append((line, key, f"unknown field kind {kind!r}"))
-    return None
+def _parse_field(value: str) -> FieldSpec:
+    kind, rest = _split_kind(value, "field")
+    if kind == "zero":
+        return FieldSpec("zero")
+    if kind in ("poly", "table"):
+        return FieldSpec(kind, tuple(_parse_floats(g) for g in rest.split("|")))
+    return FieldSpec(kind, _parse_floats(rest))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -278,12 +247,9 @@ def parse_config(text: str) -> RunConfig:
             default = getattr(out, key)
             try:
                 if key in _TENSOR_KEYS:
-                    parsed = _parse_tensor(value, key, lineno, issues)
+                    parsed = _parse_tensor(value, _TENSOR_CLASSES[_TENSOR_KEYS[key]])
                 elif isinstance(default, FieldSpec):
-                    allow_sine = key.startswith("initial")
-                    allow_table = key.startswith("load")
-                    parsed = _parse_field(value, key, lineno, issues,
-                                          allow_sine, allow_table)
+                    parsed = _parse_field(value)
                 elif isinstance(default, int):
                     parsed = int(value)
                 elif isinstance(default, float):
@@ -296,14 +262,23 @@ def parse_config(text: str) -> RunConfig:
             except (ValueError, TypeError) as exc:
                 issues.append((lineno, key, str(exc)))
                 continue
-            if parsed is not None:
-                out = replace(out, **{key: parsed})
+            out = replace(out, **{key: parsed})
         return out
 
     cfg = RunConfig(**{name: build(name, cls) for name, cls in _SECTIONS.items()})
 
     def line_of(section: str, key: str) -> int:
         return sections.get(section, {}).get(key, (0, ""))[0]
+
+    for key, shape in _FIELD_SHAPES.items():  # built once, as the run builds it
+        spec = getattr(cfg.simulation, key)
+        try:
+            if key.startswith("load"):
+                _time_field(spec, shape)
+            else:
+                initial_field_callable(spec, cfg.mesh.dims, shape)
+        except ValueError as exc:
+            issues.append((line_of("simulation", key), key, str(exc)))
 
     if cfg.material.variant not in _VARIANTS:
         issues.append(
@@ -371,43 +346,34 @@ def mesh_from_config(cfg: RunConfig) -> BoxMesh:
     return build_box_mesh(cfg.mesh.dims, cfg.mesh.resolution)
 
 
-def _time_field(spec: FieldSpec, shape: tuple[int, ...]) -> TimeField:
+def _shaped(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     size = int(np.prod(shape))
+    if len(values) != size:
+        raise ValueError(f"{what} needs {size} numbers, got {len(values)}")
+    return np.reshape(values, shape)
+
+
+def _time_field(spec: FieldSpec, shape: tuple[int, ...]) -> TimeField:
     if spec.kind == "zero":
         return TimeField.zero(shape)
     if spec.kind == "constant":
-        if len(spec.values) != size:
-            raise ConfigError(
-                [(0, "load", f"constant needs {size} numbers, got {len(spec.values)}")]
-            )
-        return TimeField.constant(np.reshape(spec.values, shape))
+        return TimeField.constant(_shaped(spec.values, shape, "constant"))
     if spec.kind == "poly":
-        coeffs = []
-        for group in spec.values:
-            if len(group) != size:
-                raise ConfigError(
-                    [(0, "load", f"each poly coefficient needs {size} numbers")]
-                )
-            coeffs.append(np.reshape(group, shape))
-        return TimeField.polynomial(coeffs)
+        return TimeField.polynomial(
+            [_shaped(g, shape, "each poly coefficient") for g in spec.values]
+        )
     if spec.kind == "table":
-        times, values = [], []
-        for group in spec.values:
-            if len(group) != size + 1:
-                raise ConfigError(
-                    [(0, "load", f"each table row needs a time plus {size} numbers")]
-                )
-            times.append(group[0])
-            values.append(np.reshape(group[1:], shape))
-        return TimeField.table(times, values)
-    raise ConfigError([(0, "load", f"unsupported load kind {spec.kind!r}")])
+        values = [_shaped(g[1:], shape, "each table row after its time")
+                  for g in spec.values]
+        return TimeField.table([g[0] for g in spec.values], values)
+    raise ValueError(f"unsupported load kind {spec.kind!r}")
 
 
 def load_from_config(cfg: RunConfig) -> LoadFunctional:
     sim = cfg.simulation
     return LoadFunctional(
-        body_force=_time_field(sim.load_f, (3,)),
-        double_force=_time_field(sim.load_m, (3, 3)),
+        body_force=_time_field(sim.load_f, _FIELD_SHAPES["load_f"]),
+        double_force=_time_field(sim.load_m, _FIELD_SHAPES["load_m"]),
     )
 
 
@@ -420,9 +386,11 @@ def initial_field_callable(spec: FieldSpec, dims, shape: tuple[int, ...]):
     if spec.kind == "zero":
         return None
     if spec.kind == "constant":
-        value = np.reshape(spec.values, shape)
+        value = _shaped(spec.values, shape, "constant")
         return lambda x: value
     if spec.kind == "sine":
+        if len(spec.values) != 1:
+            raise ValueError("sine takes one amplitude")
         amp = spec.values[0]
         dims = np.asarray(dims, dtype=float)
 
@@ -431,4 +399,4 @@ def initial_field_callable(spec: FieldSpec, dims, shape: tuple[int, ...]):
             return np.full(shape, s)
 
         return bump
-    raise ConfigError([(0, "initial", f"unsupported initial kind {spec.kind!r}")])
+    raise ValueError(f"unsupported initial kind {spec.kind!r}")

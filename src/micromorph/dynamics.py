@@ -49,6 +49,7 @@ log = logging.getLogger(__name__)
 
 MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
 _QUADRATIC_BLOCK = 32    # columns per sparse-times-block product
+_BETA, _GAMMA = 0.25, 0.5  # Newmark average-acceleration parameters
 
 
 @dataclass(frozen=True)
@@ -404,21 +405,20 @@ def newmark_integrate(
     load,
     dt: float,
     n_steps: int,
-    beta: float = 0.25,
-    gamma: float = 0.5,
     solve_tol: float = 1e-13,
 ) -> Trajectory:
     """Newmark stepping of W1(w_tt, .) + W2(w, .) = l(.).
 
-    W1 is factored for the initial acceleration and released; then the
-    effective operator W1 + beta dt^2 W2 is factored once and every step is
-    one solve with it, every residual within ``solve_tol``.
+    Average acceleration: beta = 1/4, gamma = 1/2.  W1 is factored for the
+    initial acceleration and released; then the effective operator
+    W1 + beta dt^2 W2 is factored once and every step is one solve with it,
+    every residual within ``solve_tol``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("need at least one step")
-    eff = combine_operators(1.0, w1, beta * dt * dt, w2)
+    eff = combine_operators(1.0, w1, _BETA * dt * dt, w2)
     times = state0.t + dt * np.arange(n_steps + 1)
     loads = _load_at(load, times)
 
@@ -433,14 +433,14 @@ def newmark_integrate(
     initial.close()  # one factor alive at a time
     step = definite_solver(eff, solve_tol)
     for k in range(n_steps):
-        u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - beta) * a
-        v_pred = velocities[k] + dt * (1.0 - gamma) * a
+        u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
+        v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a
         rhs = -w2.matvec(u_pred)
         if loads[k + 1] is not None:
             rhs = rhs + loads[k + 1]
         a = step(rhs)
-        positions[k + 1] = u_pred + beta * dt * dt * a
-        velocities[k + 1] = v_pred + gamma * dt * a
+        positions[k + 1] = u_pred + _BETA * dt * dt * a
+        velocities[k + 1] = v_pred + _GAMMA * dt * a
 
     kinetic, potential = _energies(w1, w2, positions, velocities)
     return Trajectory(
@@ -451,7 +451,7 @@ def newmark_integrate(
         potential=potential,
         layout=w1.layout,
         diagnostics={
-            "integrator": "newmark", "beta": beta, "gamma": gamma,
+            "integrator": "newmark", "beta": _BETA, "gamma": _GAMMA,
             **_solver_counters(initial, step),
         },
     )

@@ -1,9 +1,17 @@
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromorph.cli import main, run
 from micromorph.config import (
+    _FIELD_SHAPES,
     RunConfig,
     config_digest,
+    initial_field_callable,
+    load_from_config,
     material_from_config,
     parse_config,
     serialize_config,
@@ -275,3 +283,125 @@ class TestRejectedValues:
         assert main([command, "--config", str(p), "--out", str(out)]) == 2
         assert "MICROMORPH-ERROR config" in capsys.readouterr().err
         assert not out.exists()
+
+
+FIELD_SIZES = {"load_f": 3, "load_m": 9, "initial_u": 3, "initial_ut": 3,
+               "initial_p": 9, "initial_pt": 9}
+
+
+def _numbers(n: int) -> str:
+    return " ".join(str(float(i + 1)) for i in range(n))
+
+
+def _unbuildable_values(key: str) -> list:
+    """A wrong arity for each kind the key takes, and the kinds it rejects."""
+    n = FIELD_SIZES[key]
+    values = [f"constant {_numbers(n - 1)}", f"constant {_numbers(n + 1)}"]
+    if key.startswith("load"):
+        values += [f"poly {_numbers(n)} | {_numbers(n + 1)}",
+                   f"table 0 {_numbers(n)} | 1 {_numbers(n - 1)}",
+                   "sine 1"]
+    else:
+        values += ["sine", "sine 1 2", f"poly {_numbers(n)}",
+                   f"table 0 {_numbers(n)} | 1 {_numbers(n)}"]
+    return values
+
+
+def _newmark_config(line: str) -> str:
+    return f"[mesh]\nresolution = 1 1 1\n\n[simulation]\nintegrator = newmark\n{line}\n"
+
+
+class TestValuesBuiltAtParse:
+    """Each tensor and field value is built once by parse_config, with the
+    constructor the run uses, and its error names the value's line."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in FIELD_SIZES for value in _unbuildable_values(key)],
+    )
+    def test_unbuildable_field_names_its_line(self, key, value, tmp_path):
+        text = _newmark_config(f"{key} = {value}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [(6, key)]
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("initial_u = constant 1 2", "constant needs 3 numbers, got 2"),
+         ("initial_u = poly 1 2 3", "unsupported initial kind 'poly'"),
+         ("load_f = constant 1 2", "constant needs 3 numbers, got 2"),
+         ("load_m = poly 1 2 3", "each poly coefficient needs 9 numbers, got 3"),
+         ("load_f = table 0 1 2 3", "table needs matching times and values"),
+         ("load_f = sine 1", "unsupported load kind 'sine'"),
+         ("initial_u = table 0 1 2 3 | 1 1 2 3", "unsupported initial kind 'table'")],
+    )
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_cli_reports_line_and_key(self, command, line, message, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text(_newmark_config(line))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        key = line.split(" = ")[0]
+        assert f"line 6: {key}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("isotropic 1.0", "elastic class takes two moduli (mu, lambda)"),
+         ("isotropic 1.0 2.0 3.0", "elastic class takes two moduli (mu, lambda)"),
+         ("components 1 2 3", "elastic tensor needs 21 components, got 3"),
+         ("orthotropic 1 2", "unknown tensor kind 'orthotropic'"),
+         ("isotropic 1.0 x", "could not convert string to float: 'x'")],
+    )
+    def test_unbuildable_tensor_names_its_line(self, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[material]\nrho = 1.0\nc_e = {value}\n")
+        assert err.value.issues == [(3, "c_e", message)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(FIELD_SIZES)),
+        kind=st.sampled_from(["zero", "constant", "sine", "poly", "table"]),
+        arities=st.lists(st.integers(0, 10), min_size=1, max_size=3),
+    )
+    def test_every_accepted_field_builds(self, key, kind, arities):
+        groups = [_numbers(n) for n in arities]
+        if kind == "table":  # row j at time j
+            groups = [f"{j} {g}" for j, g in enumerate(groups)]
+        value = " | ".join(groups) if kind in ("poly", "table") else groups[0]
+        try:
+            cfg = parse_config(f"[simulation]\n{key} = {kind} {value}\n")
+        except ConfigError:
+            return
+        shape = _FIELD_SHAPES[key]
+        if key.startswith("load"):
+            load = load_from_config(cfg)
+            field = load.body_force if key == "load_f" else load.double_force
+            assert field(0.0).shape == shape
+        else:
+            f = initial_field_callable(getattr(cfg.simulation, key), cfg.mesh.dims, shape)
+            assert kind == "zero" or f((0.5, 0.25, 0.75)).shape == shape
+
+
+def test_readme_config_example_parses_and_checks(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    parse_config(blocks[0])
+    p = tmp_path / "readme.ini"
+    p.write_text(blocks[0])
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_simulate_rejects_sample_dof_beyond_the_system(tmp_path, capsys):
+    p = tmp_path / "dofs.ini"
+    p.write_text("[simulation]\nt_final = 0.1\nsample_dofs = 0 99999\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "MICROMORPH-ERROR config" in err
+    assert "[99999]" in err and "n_dofs = 81" in err
+    assert not (out / "trajectory.csv").exists()
