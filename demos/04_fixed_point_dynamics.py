@@ -21,7 +21,6 @@ from micromorph import (
     isotropic_material,
     newmark_integrate,
     picard_integrate,
-    picard_interval,
     well_posedness_report,
 )
 
@@ -42,7 +41,10 @@ state0 = DynamicState.from_vectors(
 )
 
 print("\n=== measured contraction ratios on one subinterval ===")
-_, ratios = picard_interval(state0, w1, w2, None, report.interval, n_t=9, gram=gram)
+one = picard_integrate(
+    state0, w1, w2, None, report.interval, report.contraction, n_t=9, gram=gram
+)
+ratios = one.diagnostics["contraction_ratios"][0]
 for i, r in enumerate(ratios, start=1):
     print(f"  sweep {i}: successive-difference ratio {r:.3e}")
 

@@ -59,7 +59,6 @@ from .dynamics import (
     energy,
     newmark_integrate,
     picard_integrate,
-    picard_interval,
     stationary_solve,
 )
 from .analysis import (

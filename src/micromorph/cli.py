@@ -38,7 +38,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .dynamics import DynamicState, newmark_integrate, picard_integrate, picard_interval
+from .dynamics import DynamicState, newmark_integrate, picard_integrate
 from .errors import ConfigError, HypothesisError, MicromorphError, SolverError
 from .fespace import build_fe_system, interpolate_p, interpolate_u
 from .mesh import build_box_mesh
@@ -143,6 +143,19 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     return _EXIT_OK if report.well_posed else _EXIT_HYPOTHESIS
 
 
+def _certified(params, sys_, w1, w2):
+    """The Gram matrix and the well-posedness report; HypothesisError unless
+    the material is well posed, so the report's c and delta are finite or
+    flag a constant map (c = 0)."""
+    gram = assemble_gram(sys_)
+    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
+    if not report.well_posed:
+        raise HypothesisError(
+            "cannot integrate: failed items " + ", ".join(report.failed_items())
+        )
+    return gram, report
+
+
 def _simulate_trajectory(cfg: RunConfig, params, sys_):
     sim = cfg.simulation
     w1 = assemble_w1(params, sys_)
@@ -151,16 +164,10 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_):
     state0 = _initial_state(cfg, sys_)
 
     if sim.integrator == "newmark":
-        n_steps = max(1, round(sim.t_final / sim.dt))
-        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, n_steps), None
-    gram = assemble_gram(sys_)
-    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
-    if not report.well_posed:
-        raise HypothesisError(
-            "cannot integrate: failed items " + ", ".join(report.failed_items())
-        )
+        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps), None
+    gram, report = _certified(params, sys_, w1, w2)
     traj = picard_integrate(
-        state0, w1, w2, load_fn, sim.t_final, report.contraction or 0.0,
+        state0, w1, w2, load_fn, sim.t_final, report.contraction,
         n_t=sim.nodes_per_interval, fixed_tol=sim.fixed_tol, gram=gram,
     )
     return traj, report
@@ -240,10 +247,7 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     sys_ = build_fe_system(mesh_from_config(cfg))
     w1 = assemble_w1(params, sys_)
     w2 = assemble_w2(params, sys_)
-    gram = assemble_gram(sys_)
-    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
-    if not report.well_posed or report.contraction is None:
-        raise HypothesisError("contraction demo needs a well-posed material")
+    gram, report = _certified(params, sys_, w1, w2)
     load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):
@@ -253,13 +257,16 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
             w1.layout, 0.0,
             rng.standard_normal(sys_.n_dofs), rng.standard_normal(sys_.n_dofs),
         )
-    delta = report.interval
+    # one subinterval of length delta; a constant map (c = 0, delta = inf)
+    # runs over t_final, where its bound delta^2 c is 0
+    delta = cfg.simulation.t_final if report.constant_map else report.interval
     bound = delta**2 * report.contraction
-    _, ratios = picard_interval(
-        state0, w1, w2, load_fn, delta,
+    traj = picard_integrate(
+        state0, w1, w2, load_fn, delta, report.contraction,
         n_t=cfg.simulation.nodes_per_interval, fixed_tol=cfg.simulation.fixed_tol,
         gram=gram,
     )
+    ratios = traj.diagnostics["contraction_ratios"][0]
     rows = [(i + 1, r, bound) for i, r in enumerate(ratios)]
     _write_csv(out / "contraction.csv", cfg, ["sweep", "ratio", "bound"], rows)
     print(

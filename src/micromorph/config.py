@@ -16,7 +16,10 @@ vanishes on the boundary.  Each field key fixes the shape of its value
 The parser reads only this syntax.  Whether a value can be built (a tensor's
 arity, a field's kind and arity) is decided by the constructor the run uses
 later, called once at parse time; its ``ValueError`` becomes a
-:class:`ConfigError` entry carrying the value's line and key.
+:class:`ConfigError` entry carrying the value's line and key.  Each built
+load is also evaluated at 0 and at ``SimulationConfig.load_end``, the last
+time the integrator evaluates it, so a ``table`` that does not cover the run
+is rejected there too.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -25,6 +28,7 @@ outputs are reproducible from the artifact alone.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -142,6 +146,16 @@ class SimulationConfig:
     initial_pt: FieldSpec = FieldSpec("zero")
     sample_dofs: tuple[int, ...] = (0, 1, 2, 3)
 
+    @property
+    def n_steps(self) -> int:
+        """Newmark steps: t_final / dt rounded, at least one."""
+        return max(1, round(self.t_final / self.dt))
+
+    @property
+    def load_end(self) -> float:
+        """Last time the integrator evaluates the loads at (the first is 0)."""
+        return self.t_final if self.integrator == "picard" else self.dt * self.n_steps
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -196,8 +210,6 @@ def _parse_tensor(value: str, symmetry_class: SymmetryClass) -> TensorSpec:
 
 def _parse_field(value: str) -> FieldSpec:
     kind, rest = _split_kind(value, "field")
-    if kind == "zero":
-        return FieldSpec("zero")
     if kind in ("poly", "table"):
         return FieldSpec(kind, tuple(_parse_floats(g) for g in rest.split("|")))
     return FieldSpec(kind, _parse_floats(rest))
@@ -270,11 +282,28 @@ def parse_config(text: str) -> RunConfig:
     def line_of(section: str, key: str) -> int:
         return sections.get(section, {}).get(key, (0, ""))[0]
 
+    sim = cfg.simulation
+    times_ok = sim.integrator in ("picard", "newmark")
+    if not 0 < sim.t_final < math.inf:
+        issues.append((line_of("simulation", "t_final"), "t_final",
+                       "must be positive and finite"))
+        times_ok = False
+    if sim.integrator == "newmark" and not (
+        0 < sim.dt < math.inf and sim.t_final / sim.dt < math.inf
+    ):
+        issues.append((line_of("simulation", "dt"), "dt",
+                       "the newmark step must be positive, finite and give "
+                       "a finite step count"))
+        times_ok = False
+
     for key, shape in _FIELD_SHAPES.items():  # built once, as the run builds it
-        spec = getattr(cfg.simulation, key)
+        spec = getattr(sim, key)
         try:
             if key.startswith("load"):
-                _time_field(spec, shape)
+                load = _time_field(spec, shape)
+                if times_ok:  # a table must cover the integrator's load times
+                    load(0.0)
+                    load(sim.load_end)
             else:
                 initial_field_callable(spec, cfg.mesh.dims, shape)
         except ValueError as exc:
@@ -286,10 +315,10 @@ def parse_config(text: str) -> RunConfig:
              f"unknown variant {cfg.material.variant!r}; expected one of "
              + ", ".join(sorted(_VARIANTS)))
         )
-    if cfg.simulation.integrator not in ("picard", "newmark"):
+    if sim.integrator not in ("picard", "newmark"):
         issues.append((line_of("simulation", "integrator"), "integrator",
                        "expected 'picard' or 'newmark'"))
-    if any(d < 0 for d in cfg.simulation.sample_dofs):
+    if any(d < 0 for d in sim.sample_dofs):
         issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
                        "dof indices must be non-negative"))
     if cfg.analysis.korn_levels < 1:
@@ -355,6 +384,7 @@ def _shaped(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _time_field(spec: FieldSpec, shape: tuple[int, ...]) -> TimeField:
     if spec.kind == "zero":
+        _shaped(spec.values, (0,), "zero")
         return TimeField.zero(shape)
     if spec.kind == "constant":
         return TimeField.constant(_shaped(spec.values, shape, "constant"))
@@ -384,6 +414,7 @@ def initial_field_callable(spec: FieldSpec, dims, shape: tuple[int, ...]):
     vanishes on the whole box boundary.
     """
     if spec.kind == "zero":
+        _shaped(spec.values, (0,), "zero")
         return None
     if spec.kind == "constant":
         value = _shaped(spec.values, shape, "constant")

@@ -7,10 +7,12 @@ Two integrators over the same operator pair:
   stationary problem at each time node followed by a double time
   integration (composite trapezoid) from the initial data; the subinterval
   length delta = 1/(2 sqrt(c)) makes the map a contraction with measured
-  per-sweep ratios bounded by delta^2 * c.  Consecutive subintervals are
-  glued by reseeding with the terminal state.  W1 is factored once per run
-  and each sweep solves the stationary problems of all its nodes as one
-  block of right-hand sides.
+  per-sweep ratios bounded by delta^2 * c.  The subintervals are slices of
+  one uniform node grid over [0, T] and are glued by starting each from the
+  terminal state of the previous one; a single subinterval is the run with
+  t_final <= delta (or c = 0).  W1 is factored once per run and each sweep
+  solves the stationary problems of all its nodes as one block of
+  right-hand sides.
 * :func:`newmark_integrate` - average-acceleration stepping (beta = 1/4,
   gamma = 1/2), unconditionally stable and energy conserving on the same
   linear system; used for cross-validation.  The effective operator
@@ -19,8 +21,9 @@ Two integrators over the same operator pair:
 Loads are callables t -> dual vector (or None).  The operators solved with
 must be positive definite: :func:`linalg.definite_solver` certifies that by
 the inertia of their LU factor, else :class:`DefinitenessError`, and checks
-the residual of every solve.  Each trajectory's diagnostics carry the
-solver counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.
+the residual of every solve against ``_SOLVE_TOL``.  Each trajectory's
+diagnostics carry the solver counters ``factor_nnz``, ``solves`` and
+``max_solve_residual``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "DynamicState",
     "Trajectory",
     "stationary_solve",
-    "picard_interval",
     "picard_integrate",
     "newmark_integrate",
     "energy",
@@ -50,6 +52,7 @@ log = logging.getLogger(__name__)
 MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
 _QUADRATIC_BLOCK = 32    # columns per sparse-times-block product
 _BETA, _GAMMA = 0.25, 0.5  # Newmark average-acceleration parameters
+_SOLVE_TOL = 1e-13       # relative residual every factored solve must meet
 
 
 @dataclass(frozen=True)
@@ -210,40 +213,31 @@ def _load_at(load, times: np.ndarray) -> list[np.ndarray | None]:
 
 
 def _fixed_point(
-    state0: DynamicState,
+    times: np.ndarray,
+    w0: np.ndarray,
+    wt0: np.ndarray,
     w1: SparseSymOperator,
     w2: SparseSymOperator,
     load,
-    delta: float,
-    n_t: int,
     fixed_tol: float,
     max_iterations: int,
     gram: SparseSymOperator | None,
     solve: DefiniteSolver,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Fixed-point sweeps on [t0, t0 + delta] with ``solve``, a factor of W1.
+) -> tuple[np.ndarray, np.ndarray, int, list[float], float]:
+    """Fixed-point sweeps on the subinterval grid ``times`` from (w0, wt0).
 
-    Returns the node times, positions, velocities and the subinterval's
-    diagnostics; energies are left to the callers that return them.
+    ``solve`` is a factor of W1.  Returns the positions and velocities at
+    the nodes, the sweep count, the measured contraction ratios and the
+    final successive-difference Gram norm.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if n_t < 3:
-        raise ValueError("need at least three time nodes")
-    times = state0.t + np.linspace(0.0, delta, n_t)
     loads = None if load is None else np.column_stack(_load_at(load, times))
-    w0 = state0.position
-    wt0 = state0.velocity
-
     seed_scale = 1.0 + _gram_norms(gram, w0[None, :])[0]
-    positions = np.tile(w0, (n_t, 1))
-    velocities = np.tile(wt0, (n_t, 1))
+    positions = np.tile(w0, (times.size, 1))
+    velocities = np.tile(wt0, (times.size, 1))
     ratios: list[float] = []
     prev_diff = None
-    iterations = 0
 
     for sweep in range(max_iterations):
-        iterations = sweep + 1
         acc = stationary_solve(w1, w2, positions.T, loads, solve=solve).T
         new_pos, new_vel = _double_trapezoid(times, acc, w0, wt0)
         diff = float(_gram_norms(gram, new_pos - positions).max())
@@ -251,62 +245,15 @@ def _fixed_point(
             ratios.append(diff / prev_diff)
         positions, velocities = new_pos, new_vel
         if diff <= fixed_tol * seed_scale:
-            break
+            return positions, velocities, sweep + 1, ratios, diff
         prev_diff = diff
-    else:
-        raise NonConvergenceError(
-            f"fixed point not reached in {max_iterations} sweeps "
-            f"(delta={delta!r} likely exceeds the contraction radius)",
-            residual=prev_diff,
-            history=ratios,
-        )
-
-    diagnostics = {
-        "picard_iterations": [iterations],
-        "contraction_ratios": [ratios],
-        "residuals": [diff],      # final successive-difference Gram norm
-        "delta": delta,
-    }
-    return times, positions, velocities, diagnostics
-
-
-def picard_interval(
-    state0: DynamicState,
-    w1: SparseSymOperator,
-    w2: SparseSymOperator,
-    load,
-    delta: float,
-    n_t: int = 17,
-    fixed_tol: float = 1e-10,
-    max_iterations: int = 60,
-    gram: SparseSymOperator | None = None,
-    solve_tol: float = 1e-13,
-) -> tuple[Trajectory, list[float]]:
-    """Fixed-point iteration on one subinterval [t0, t0 + delta].
-
-    Returns the converged trajectory on n_t uniform nodes and the measured
-    per-sweep contraction ratios (successive-difference quotients in the
-    max-over-nodes Gram norm).  Non-convergence raises
-    :class:`NonConvergenceError` carrying the ratio history, which signals
-    that delta exceeds the contraction radius.  W1 is factored here; each
-    sweep solves all n_t stationary problems as one block, every residual
-    within ``solve_tol``.
-    """
-    solve = definite_solver(w1, solve_tol)
-    times, positions, velocities, diagnostics = _fixed_point(
-        state0, w1, w2, load, delta, n_t, fixed_tol, max_iterations, gram, solve
+    raise NonConvergenceError(
+        f"fixed point not reached in {max_iterations} sweeps on "
+        f"[{float(times[0])!r}, {float(times[-1])!r}] (the subinterval is likely "
+        "longer than the contraction radius)",
+        residual=prev_diff,
+        history=ratios,
     )
-    kinetic, potential = _energies(w1, w2, positions, velocities)
-    traj = Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        kinetic=kinetic,
-        potential=potential,
-        layout=w1.layout,
-        diagnostics={**diagnostics, **_solver_counters(solve)},
-    )
-    return traj, list(diagnostics["contraction_ratios"][0])
 
 
 def picard_integrate(
@@ -320,23 +267,32 @@ def picard_integrate(
     fixed_tol: float = 1e-10,
     max_iterations: int = 60,
     gram: SparseSymOperator | None = None,
-    solve_tol: float = 1e-13,
 ) -> Trajectory:
     """Glue fixed-point subintervals of length 1/(2 sqrt(c_est)) over [0, T].
 
-    The subinterval count is rounded up so the global grid stays uniform;
-    each subinterval is seeded with the terminal state of the previous one,
-    so glued states match bitwise at the seams.  c_est = 0 flags a constant
-    map (unbounded contraction radius): a single subinterval is used.  A run
-    that needs more than ``MAX_INTERVALS`` subintervals raises
-    :class:`SolverError`; delta is never stretched past 1/(2 sqrt(c_est)).
-    W1 is factored once for all subintervals.  ``diagnostics["node_interval"]``
-    gives the subinterval of each node (node 0 belongs to the first).
+    The subinterval count is rounded up, and all subintervals share one
+    uniform grid of n_t - 1 steps each, built once, whose last node is
+    exactly t0 + T; loads are evaluated on it.  Each subinterval starts from
+    the terminal state of the previous one, so glued states match bitwise at
+    the seams.  c_est = 0 flags a constant map (unbounded contraction
+    radius): a single subinterval is used.  A run that needs more than
+    ``MAX_INTERVALS`` subintervals raises :class:`SolverError`; delta is never
+    stretched past 1/(2 sqrt(c_est)).  Non-convergence of a subinterval raises
+    :class:`NonConvergenceError` carrying its ratio history.
+
+    W1 is factored once for all subintervals.  ``diagnostics`` carries per
+    subinterval the sweep count (``picard_iterations``), the measured
+    per-sweep contraction ratios (successive-difference quotients in the
+    max-over-nodes Gram norm, ``contraction_ratios``) and the final residual;
+    ``node_interval`` gives the subinterval of each node (node 0 belongs to
+    the first).
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
     if c_est < 0:
         raise ValueError("c_est must be nonnegative")
+    if n_t < 3:
+        raise ValueError("need at least three time nodes")
     if c_est == 0.0:
         delta = t_final
         log.info("constant-map flag: zero contraction constant, one interval")
@@ -351,32 +307,27 @@ def picard_integrate(
             f"contraction interval {delta!r} needs {n_int} subintervals over "
             f"t_final={t_final!r}, more than MAX_INTERVALS={MAX_INTERVALS}"
         )
-    delta_eff = t_final / n_int
 
-    solve = definite_solver(w1, solve_tol)
-    positions = np.empty((n_int * (n_t - 1) + 1, w1.dimension))
+    solve = definite_solver(w1, _SOLVE_TOL)
+    times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
+    positions = np.empty((times.size, w1.dimension))
     velocities = np.empty_like(positions)
     positions[0], velocities[0] = state0.position, state0.velocity
     iterations: list[int] = []
     all_ratios: list[list[float]] = []
     residuals: list[float] = []
-    node_interval = [0]
-    current = state0
     for interval in range(n_int):
-        times, pos, vel, diagnostics = _fixed_point(
-            current, w1, w2, load, delta_eff, n_t, fixed_tol, max_iterations,
-            gram, solve,
+        first = interval * (n_t - 1)
+        nodes = slice(first, first + n_t)
+        pos, vel, sweeps, ratios, residual = _fixed_point(
+            times[nodes], positions[first], velocities[first], w1, w2, load,
+            fixed_tol, max_iterations, gram, solve,
         )
-        nodes = slice(1 + interval * (n_t - 1), 1 + (interval + 1) * (n_t - 1))
-        positions[nodes], velocities[nodes] = pos[1:], vel[1:]
-        iterations.extend(diagnostics["picard_iterations"])
-        all_ratios.extend(diagnostics["contraction_ratios"])
-        residuals.extend(diagnostics["residuals"])
-        node_interval.extend([interval] * (n_t - 1))
-        current = DynamicState.from_vectors(w1.layout, times[-1], pos[-1], vel[-1])
+        positions[nodes], velocities[nodes] = pos, vel
+        iterations.append(sweeps)
+        all_ratios.append(ratios)
+        residuals.append(residual)
 
-    # exactly uniform node times (concatenated linspaces drift in ulps)
-    times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
     kinetic, potential = _energies(w1, w2, positions, velocities)
     return Trajectory(
         times=times,
@@ -389,10 +340,10 @@ def picard_integrate(
             "picard_iterations": iterations,
             "contraction_ratios": all_ratios,
             "residuals": residuals,
-            "delta": delta_eff,
+            "delta": t_final / n_int,
             "intervals": n_int,
             "c_est": c_est,
-            "node_interval": node_interval,
+            "node_interval": [0] + [k for k in range(n_int) for _ in range(n_t - 1)],
             **_solver_counters(solve),
         },
     )
@@ -405,14 +356,13 @@ def newmark_integrate(
     load,
     dt: float,
     n_steps: int,
-    solve_tol: float = 1e-13,
 ) -> Trajectory:
     """Newmark stepping of W1(w_tt, .) + W2(w, .) = l(.).
 
     Average acceleration: beta = 1/4, gamma = 1/2.  W1 is factored for the
     initial acceleration and released; then the effective operator
     W1 + beta dt^2 W2 is factored once and every step is one solve with it,
-    every residual within ``solve_tol``.
+    every residual within ``_SOLVE_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -428,10 +378,10 @@ def newmark_integrate(
     positions[0] = state0.position
     velocities[0] = state0.velocity
 
-    initial = definite_solver(w1, solve_tol)
+    initial = definite_solver(w1, _SOLVE_TOL)
     a = stationary_solve(w1, w2, positions[0], loads[0], solve=initial)
     initial.close()  # one factor alive at a time
-    step = definite_solver(eff, solve_tol)
+    step = definite_solver(eff, _SOLVE_TOL)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a

@@ -88,10 +88,11 @@ def _contraction_gate(material, systems, grams, label, results):
         w1.layout, 0.0,
         rng.standard_normal(sys.n_dofs), rng.standard_normal(sys.n_dofs),
     )
-    traj, ratios = mm.picard_interval(
-        s0, w1, w2, None, delta, n_t=9, gram=gram, max_iterations=25
+    traj = mm.picard_integrate(
+        s0, w1, w2, None, delta, c, n_t=9, gram=gram, max_iterations=25
     )
     iters = traj.diagnostics["picard_iterations"][0]
+    ratios = traj.diagnostics["contraction_ratios"][0]
     worst = max(ratios) if ratios else 0.0
     results.append(
         (worst <= 0.5, f"{label} max ratio {worst:.4g} (bound 0.25 theory)")

@@ -231,6 +231,25 @@ class TestCommands:
             _, ratio, bound = row.split(",")
             assert float(ratio) <= float(bound)
 
+    def test_contraction_demo_on_a_constant_map(self, tmp_path, capsys):
+        # M2 = 0: delta = inf, so the demo runs one subinterval over t_final
+        # and its bound delta^2 c is 0
+        p = tmp_path / "constant.ini"
+        p.write_text(
+            "[material]\nc_e = isotropic 0 0\nc_c = isotropic 0\n"
+            "c_micro = isotropic 0 0\nl_aniso = isotropic 0\n"
+            "[simulation]\nt_final = 0.2\ninitial_u = sine 1.0\ninitial_ut = sine 1.0\n"
+        )
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+        assert "fixed-point map is constant" in capsys.readouterr().out
+        assert main(["contraction-demo", "--config", str(p), "--out", str(out)]) == 0
+        rows = [
+            l for l in (out / "contraction.csv").read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("sweep")
+        ]
+        assert rows == ["1,0,0"]
+
     def test_csv_headers_carry_config(self, demo_path, tmp_path):
         out = tmp_path / "o"
         main(["simulate", "--config", str(demo_path), "--out", str(out)])
@@ -261,7 +280,13 @@ class TestRejectedValues:
         [("[simulation]\nsample_dofs = -1 0\n", "sample_dofs", 2),
          ("[analysis]\nkorn_levels = 0\n", "korn_levels", 2),
          ("[mesh]\nresolution = 1 1 1\n[analysis]\nkorn_levels = -1\n",
-          "korn_levels", 4)],
+          "korn_levels", 4),
+         ("[simulation]\nt_final = 0\n", "t_final", 2),
+         ("[simulation]\nt_final = -1\n", "t_final", 2),
+         ("[simulation]\nt_final = inf\n", "t_final", 2),
+         ("[simulation]\nintegrator = newmark\ndt = 0\n", "dt", 3),
+         ("[simulation]\nintegrator = newmark\nt_final = 1e300\ndt = 1e-300\n",
+          "dt", 4)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         with pytest.raises(ConfigError) as err:
@@ -296,7 +321,8 @@ def _numbers(n: int) -> str:
 def _unbuildable_values(key: str) -> list:
     """A wrong arity for each kind the key takes, and the kinds it rejects."""
     n = FIELD_SIZES[key]
-    values = [f"constant {_numbers(n - 1)}", f"constant {_numbers(n + 1)}"]
+    values = [f"constant {_numbers(n - 1)}", f"constant {_numbers(n + 1)}",
+              "zero 1 2"]
     if key.startswith("load"):
         values += [f"poly {_numbers(n)} | {_numbers(n + 1)}",
                    f"table 0 {_numbers(n)} | 1 {_numbers(n - 1)}",
@@ -384,6 +410,40 @@ class TestValuesBuiltAtParse:
         else:
             f = initial_field_callable(getattr(cfg.simulation, key), cfg.mesh.dims, shape)
             assert kind == "zero" or f((0.5, 0.25, 0.75)).shape == shape
+
+
+class TestLoadTimesCovered:
+    """A table load must cover every time the integrator evaluates it at:
+    0 and t_final (picard) or dt * max(1, round(t_final / dt)) (newmark)."""
+
+    @pytest.mark.parametrize(
+        "simulation, table, end",
+        [("integrator = newmark", "0 1 2 3 | 0.5 1 2 3", "1.0"),
+         ("integrator = newmark\ndt = 0.35", "0 1 2 3 | 1 1 2 3", "1.0499999999999998"),
+         ("integrator = picard\nt_final = 1.2", "0 1 2 3 | 1 1 2 3", "1.2"),
+         ("integrator = picard", "0.1 1 2 3 | 1 1 2 3", "0.0")],
+    )
+    def test_check_names_the_uncovered_time(self, simulation, table, end, tmp_path,
+                                            capsys):
+        text = f"[mesh]\nresolution = 1 1 1\n[simulation]\n{simulation}\nload_f = table {table}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        [(line, key, message)] = err.value.issues
+        assert (line, key) == (len(text.splitlines()), "load_f")
+        assert message.startswith(f"time {end} outside the sampled table")
+        p = tmp_path / "table.ini"
+        p.write_text(text)
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "load_f: time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "simulation",
+        ["integrator = newmark\nt_final = 1.0\ndt = 0.25",
+         "integrator = newmark\nt_final = 1.1\ndt = 0.25",   # 4 steps, ends at 1.0
+         "integrator = picard\nt_final = 1.0\ndt = 0"],      # picard ignores dt
+    )
+    def test_table_ending_at_the_last_load_time_parses(self, simulation):
+        parse_config(f"[simulation]\n{simulation}\nload_f = table 0 1 2 3 | 1 1 2 3\n")
 
 
 def test_readme_config_example_parses_and_checks(tmp_path):

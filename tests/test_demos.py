@@ -1,6 +1,8 @@
-"""Every narrative script in ``demos/`` runs to completion."""
+"""Every narrative script in ``demos/`` and the README's library example run
+to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +17,30 @@ def test_demos_found():
     assert DEMOS, "no demo scripts found"
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(script, tmp_path):
+def _run(script: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(script, tmp_path):
+    proc = _run(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """The README's library example uses only names the package still has."""
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(
+        r"^## Library quick start\n\n```python\n(.*?)^```", readme, re.S | re.M
+    )
+    script = tmp_path / "quick_start.py"
+    script.write_text(block)
+    proc = _run(script, tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -4,19 +4,21 @@ import pytest
 from micromorph.assembly import (
     BlockLayout,
     SparseSymOperator,
+    TimeField,
     assemble_gram,
     assemble_load,
     assemble_w1,
     assemble_w2,
     LoadFunctional,
+    load_assembler,
 )
 from micromorph.dynamics import (
+    _SOLVE_TOL,
     MAX_INTERVALS,
     DynamicState,
     energy,
     newmark_integrate,
     picard_integrate,
-    picard_interval,
     stationary_solve,
 )
 from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
@@ -70,13 +72,15 @@ class TestStationarySolve:
 
 
 class TestPicardInterval:
+    """One subinterval: t_final = delta, with c_est = 0 or the c of delta."""
+
     def test_constant_map_converges_immediately(self):
         # W2 = 0, no load: u(t) = u0 + t u0dot, the map ignores its input
         layout = BlockLayout(2, 0)
         w1 = dense_op(np.diag([1.0, 2.0]), layout)
         w2 = dense_op(np.zeros((2, 2)), layout)
         s0 = DynamicState.from_vectors(layout, 0.0, [1.0, -1.0], [0.5, 2.0])
-        traj, ratios = picard_interval(s0, w1, w2, None, delta=1.0, n_t=9)
+        traj = picard_integrate(s0, w1, w2, None, 1.0, 0.0, n_t=9)
         assert traj.diagnostics["picard_iterations"] == [2]  # second sweep confirms
         for j, t in enumerate(traj.times):
             np.testing.assert_allclose(
@@ -87,7 +91,8 @@ class TestPicardInterval:
         w1, w2, s0, omega = oscillator
         delta = 0.5
         n_t = 33
-        traj, ratios = picard_interval(s0, w1, w2, None, delta, n_t=n_t)
+        traj = picard_integrate(s0, w1, w2, None, delta, 0.0, n_t=n_t)
+        ratios = traj.diagnostics["contraction_ratios"][0]
         exact = np.cos(omega * traj.times)
         err = np.abs(traj.positions[:, 0] - exact).max()
         h = delta / (n_t - 1)
@@ -111,22 +116,23 @@ class TestPicardInterval:
             w1.layout, 0.0,
             rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
         )
-        _, ratios = picard_interval(s0, w1, w2, None, delta, n_t=9, gram=gram)
+        traj = picard_integrate(s0, w1, w2, None, delta, c, n_t=9, gram=gram)
+        ratios = traj.diagnostics["contraction_ratios"][0]
         assert ratios, "expected at least one measured ratio"
         assert max(ratios) <= delta**2 * c
 
     def test_nonconvergence_carries_history(self, oscillator):
         w1, w2, s0, omega = oscillator
         with pytest.raises(NonConvergenceError) as err:
-            picard_interval(s0, w1, w2, None, delta=10.0, n_t=17, max_iterations=8)
+            picard_integrate(s0, w1, w2, None, 10.0, 0.0, n_t=17, max_iterations=8)
         assert err.value.history is not None
 
     def test_rejects_bad_arguments(self, oscillator):
         w1, w2, s0, _ = oscillator
         with pytest.raises(ValueError):
-            picard_interval(s0, w1, w2, None, delta=0.0)
+            picard_integrate(s0, w1, w2, None, 0.0, 0.0)
         with pytest.raises(ValueError):
-            picard_interval(s0, w1, w2, None, delta=1.0, n_t=2)
+            picard_integrate(s0, w1, w2, None, 1.0, 0.0, n_t=2)
 
 
 class TestPicardIntegrate:
@@ -135,7 +141,7 @@ class TestPicardIntegrate:
         c = 4.0
         t_final = 0.1  # < delta = 1/(2*2) = 0.25
         traj = picard_integrate(s0, w1, w2, None, t_final, c, n_t=9)
-        ref, _ = picard_interval(s0, w1, w2, None, t_final, n_t=9)
+        ref = picard_integrate(s0, w1, w2, None, t_final, 0.0, n_t=9)
         np.testing.assert_array_equal(traj.positions, ref.positions)
         assert traj.diagnostics["intervals"] == 1
 
@@ -269,11 +275,10 @@ class TestFactoredPath:
         s0 = DynamicState.from_vectors(
             w1.layout, 0.0, rng.standard_normal(3), rng.standard_normal(3)
         )
-        tol = 1e-12
-        picard = picard_integrate(s0, w1, w2, None, 0.5, 5.0, n_t=9, gram=gram,
-                                  solve_tol=tol)
-        interval, _ = picard_interval(s0, w1, w2, None, 0.1, n_t=9, solve_tol=tol)
-        newmark = newmark_integrate(s0, w1, w2, None, 0.05, 20, solve_tol=tol)
+        tol = _SOLVE_TOL
+        picard = picard_integrate(s0, w1, w2, None, 0.5, 5.0, n_t=9, gram=gram)
+        interval = picard_integrate(s0, w1, w2, None, 0.1, 0.0, n_t=9)
+        newmark = newmark_integrate(s0, w1, w2, None, 0.05, 20)
         for traj, n_t in ((picard, 9), (interval, 9), (newmark, 1)):
             d = traj.diagnostics
             assert d["solves"] == n_t * sum(d.get("picard_iterations", [21]))
@@ -382,3 +387,18 @@ class TestLoadedFESystem:
         assert abs(final_u[2]) > 0
         assert abs(final_u[0]) < 0.2 * abs(final_u[2])
         assert abs(final_u[1]) < 0.2 * abs(final_u[2])
+
+    def test_table_load_ending_at_t_final(self, sys_2, demo_material):
+        # ten subintervals of 0.001 on one grid: the last load time is
+        # t_final itself, where the table ends, not an ulp past it
+        w1 = assemble_w1(demo_material, sys_2)
+        w2 = assemble_w2(demo_material, sys_2)
+        table = TimeField.table([0.0, 0.01], [np.zeros(3), np.array([0.0, 0.0, 1.0])])
+        load = LoadFunctional(table, TimeField.zero((3, 3)))
+        traj = picard_integrate(
+            DynamicState.zero(w1.layout), w1, w2, load_assembler(load, sys_2),
+            0.01, c_est=250000.0, gram=assemble_gram(sys_2),
+        )
+        assert traj.diagnostics["intervals"] == 10
+        assert traj.times[-1] == 0.01
+        assert np.any(traj.positions[-1] != 0.0)
