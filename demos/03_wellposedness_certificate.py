@@ -13,18 +13,25 @@ bounded and may be indefinite.  On a mesh, the certificate is quantitative:
 """
 
 from micromorph import (
+    assemble_gram,
+    assemble_w1,
+    assemble_w2,
     build_box_mesh,
     build_fe_system,
     check_hypotheses,
+    discrete_coercivity,
     isotropic_material,
     well_posedness_report,
 )
 
 sys = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)))
+gram = assemble_gram(sys)
 
 print("=== a healthy material: indefinite potential tensor is fine ===")
 good = isotropic_material(elastic=(1.0, -1.0))   # indefinite potential energy
-report = well_posedness_report(good, sys)
+report = well_posedness_report(
+    good, assemble_w1(good, sys), assemble_w2(good, sys), gram
+)
 for c in report.checks:
     print(f"  ({c.item}) {'pass' if c.passed else 'FAIL'}  {c.description}")
 print(f"m1    = {report.coercivity:.6g}")
@@ -51,9 +58,6 @@ print("failed items:", rep3.failed_items())
 print("(the base checklist passes; only the variant's extra condition fails)")
 
 print("\n=== and the coercivity constant shows it quantitatively ===")
-from micromorph import assemble_gram, assemble_w1, discrete_coercivity
-
-gram = assemble_gram(sys)
 ok = isotropic_material(variant=ModelVariant.SIMPLIFIED_INERTIA)
 m_ok = discrete_coercivity(assemble_w1(ok, sys), gram)
 m_bad = discrete_coercivity(assemble_w1(simplified_bad, sys), gram)

@@ -29,7 +29,7 @@ sys = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (2, 2, 2)))
 w1 = assemble_w1(params, sys)
 w2 = assemble_w2(params, sys)
 gram = assemble_gram(sys)
-report = well_posedness_report(params, sys, w1=w1, w2=w2, gram=gram)
+report = well_posedness_report(params, w1, w2, gram)
 print(f"contraction constant c = {report.contraction:.4g}")
 print(f"subinterval delta      = {report.interval:.4g}")
 print(f"theoretical sweep bound delta^2 c = {report.interval**2 * report.contraction:.3f}")

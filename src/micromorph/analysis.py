@@ -33,9 +33,6 @@ from .assembly import (
     FormSpec,
     SparseSymOperator,
     assemble_form,
-    assemble_gram,
-    assemble_w1,
-    assemble_w2,
     form_spec_w1,
     form_spec_w2,
 )
@@ -114,7 +111,7 @@ def _semi_definite(report: DefinitenessReport) -> bool:
     return report.classification is not Definiteness.INDEFINITE
 
 
-def check_hypotheses(params: MaterialParams, tol: float = 1e-10) -> WellPosednessReport:
+def check_hypotheses(params: MaterialParams) -> WellPosednessReport:
     """Evaluate the existence theorem's hypothesis checklist on the material.
 
     Items: (i) tensor symmetry, (ii) boundedness of the potential tensors,
@@ -122,12 +119,11 @@ def check_hypotheses(params: MaterialParams, tol: float = 1e-10) -> WellPosednes
     tensors, (iv) positive semi-definiteness of the micro-rate and
     coupling-rate tensors, (v)/(vi) load and initial-data regularity
     (satisfied by construction for every load and state this engine can
-    represent), (vii) scalar positivity.  The simplified and quasistatic
-    variants additionally require a positive definite micro-rate tensor.
+    represent), (vii) scalar positivity (enforced by :class:`MaterialParams`
+    on construction).  The simplified and quasistatic variants additionally
+    require a positive definite micro-rate tensor.
     """
-    reports = {
-        name: classify_definiteness(t, tol) for name, t in params.tensors().items()
-    }
+    reports = {name: classify_definiteness(t) for name, t in params.tensors().items()}
     checks: list[HypothesisCheck] = []
 
     # storage is the symmetric matrix representation, so major symmetry is
@@ -195,18 +191,10 @@ def check_hypotheses(params: MaterialParams, tol: float = 1e-10) -> WellPosednes
         )
     )
 
-    v = params.variant
-    scalars_ok = params.rho > 0 and params.mu > 0
-    if v in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE):
-        scalars_ok = scalars_ok and params.micro_inertia > 0
-    if v is ModelVariant.ZERO_LENGTH_SCALE:
-        scalars_ok = scalars_ok and params.length_scale == 0.0
-    else:
-        scalars_ok = scalars_ok and params.length_scale > 0
-    checks.append(
-        HypothesisCheck("vii", "scalar parameters positive", scalars_ok)
-    )
+    # MaterialParams rejects every nonpositive scalar on construction
+    checks.append(HypothesisCheck("vii", "scalar parameters positive", True))
 
+    v = params.variant
     if v in (ModelVariant.SIMPLIFIED_INERTIA, ModelVariant.QUASISTATIC):
         checks.append(
             HypothesisCheck(
@@ -252,32 +240,17 @@ def contraction_constant(m1: float, m2: float) -> tuple[float, float]:
 
 def well_posedness_report(
     params: MaterialParams,
-    sys: FESystem,
-    tol: float = 1e-10,
-    *,
-    w1: SparseSymOperator | None = None,
-    w2: SparseSymOperator | None = None,
-    gram: SparseSymOperator | None = None,
+    w1: SparseSymOperator,
+    w2: SparseSymOperator,
+    gram: SparseSymOperator,
 ) -> WellPosednessReport:
-    """Checklist plus discrete constants m1, M2, c, delta on a mesh.
-
-    Operators the caller has already assembled for ``params`` on ``sys`` may
-    be passed in; the missing ones are assembled here.
-    """
-    base = check_hypotheses(params, tol)
-    w1 = assemble_w1(params, sys) if w1 is None else w1
-    w2 = assemble_w2(params, sys) if w2 is None else w2
-    gram = assemble_gram(sys) if gram is None else gram
+    """Checklist plus the discrete constants m1, M2, c, delta of the
+    operators W1, W2 and Gram assembled for ``params`` on one mesh."""
     m1 = discrete_coercivity(w1, gram)
     m2 = discrete_boundedness(w2, gram)
-    if m1 > 0:
-        c, delta = contraction_constant(m1, m2)
-    else:
-        c, delta = None, None
-    return WellPosednessReport(
-        variant=base.variant,
-        tensor_reports=base.tensor_reports,
-        checks=base.checks,
+    c, delta = contraction_constant(m1, m2) if m1 > 0 else (None, None)
+    return dataclasses.replace(
+        check_hypotheses(params),
         coercivity=m1,
         boundedness=m2,
         contraction=c,
@@ -407,6 +380,25 @@ class DispersionResult:
         return self.frequencies.shape[1]
 
 
+def _unit_direction(direction) -> np.ndarray:
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,):
+        raise ValueError("direction must have three entries")
+    nrm = np.linalg.norm(d)
+    if not 0 < nrm < math.inf:
+        raise ValueError("direction must be a nonzero finite vector")
+    return d / nrm
+
+
+def _wavenumbers(k_samples) -> np.ndarray:
+    ks = np.asarray(k_samples, dtype=float)
+    if ks.ndim != 1 or ks.size == 0:
+        raise ValueError("k_samples must be a nonempty 1-d sequence")
+    if not np.all((ks >= 0) & (ks < math.inf)):
+        raise ValueError("wavenumber samples must be nonnegative and finite")
+    return ks
+
+
 def dispersion_curves(
     params: MaterialParams,
     direction,
@@ -419,17 +411,8 @@ def dispersion_curves(
     unstable branch.  A rate-energy pencil that is not positive definite
     violates the inertia hypotheses and raises :class:`HypothesisError`.
     """
-    d = np.asarray(direction, dtype=float)
-    nrm = np.linalg.norm(d)
-    if nrm == 0:
-        raise ValueError("direction must be a nonzero vector")
-    d = d / nrm
-    ks = np.asarray(k_samples, dtype=float)
-    if ks.ndim != 1 or ks.size == 0:
-        raise ValueError("k_samples must be a nonempty 1-d sequence")
-    if np.any(ks < 0):
-        raise ValueError("wavenumber samples must be nonnegative")
-
+    d = _unit_direction(direction)
+    ks = _wavenumbers(k_samples)
     powers = ks[:, None] ** np.arange(3)
     a, b = (np.tensordot(powers, c, 1) for c in _pencil_coefficients(params, d))
     a_min = np.linalg.eigvalsh(a)[:, 0]

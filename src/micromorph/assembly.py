@@ -103,15 +103,6 @@ class SparseSymOperator:
             self.matrix[n:, n:].tocsr(), BlockLayout(0, self.layout.p_size)
         )
 
-    @classmethod
-    def from_dense(cls, m, layout: BlockLayout | None = None) -> "SparseSymOperator":
-        import scipy.sparse as sp
-
-        m = np.atleast_2d(np.asarray(m, dtype=float))
-        if layout is None:
-            layout = BlockLayout(m.shape[0], 0)
-        return cls(sp.csr_matrix(m), layout)
-
 
 def combine_operators(
     a: float, op_a: SparseSymOperator, b: float, op_b: SparseSymOperator

@@ -83,12 +83,14 @@ def _initial_state(cfg: RunConfig, sys_) -> DynamicState:
         f = initial_field_callable(getattr(sim, key), cfg.mesh.dims, _FIELD_SHAPES[key])
         return np.zeros(size) if f is None else interpolate(sys_, f)
 
+    def vector(u_key, p_key):
+        return np.concatenate([
+            part(u_key, interpolate_u, sys_.n_u_dofs),
+            part(p_key, interpolate_p, sys_.n_p_dofs),
+        ])
+
     return DynamicState(
-        t=0.0,
-        u=part("initial_u", interpolate_u, sys_.n_u_dofs),
-        p=part("initial_p", interpolate_p, sys_.n_p_dofs),
-        ut=part("initial_ut", interpolate_u, sys_.n_u_dofs),
-        pt=part("initial_pt", interpolate_p, sys_.n_p_dofs),
+        0.0, vector("initial_u", "initial_p"), vector("initial_ut", "initial_pt")
     )
 
 
@@ -124,10 +126,16 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_check(cfg: RunConfig, out: Path) -> int:
+def _operators(cfg: RunConfig):
+    """The run's material, FE system, W1 and W2, each built once."""
     params = material_from_config(cfg)
     sys_ = build_fe_system(mesh_from_config(cfg))
-    report = well_posedness_report(params, sys_)
+    return params, sys_, assemble_w1(params, sys_), assemble_w2(params, sys_)
+
+
+def _cmd_check(cfg: RunConfig, out: Path) -> int:
+    params, sys_, w1, w2 = _operators(cfg)
+    report = well_posedness_report(params, w1, w2, assemble_gram(sys_))
     (out / "report.txt").write_text(_report_text(report))
     rows = [
         (name, r.classification.value, r.min_modulus, r.max_modulus)
@@ -148,7 +156,7 @@ def _certified(params, sys_, w1, w2):
     the material is well posed, so the report's c and delta are finite or
     flag a constant map (c = 0)."""
     gram = assemble_gram(sys_)
-    report = well_posedness_report(params, sys_, w1=w1, w2=w2, gram=gram)
+    report = well_posedness_report(params, w1, w2, gram)
     if not report.well_posed:
         raise HypothesisError(
             "cannot integrate: failed items " + ", ".join(report.failed_items())
@@ -156,33 +164,28 @@ def _certified(params, sys_, w1, w2):
     return gram, report
 
 
-def _simulate_trajectory(cfg: RunConfig, params, sys_):
+def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
     sim = cfg.simulation
-    w1 = assemble_w1(params, sys_)
-    w2 = assemble_w2(params, sys_)
     load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)
-
     if sim.integrator == "newmark":
-        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps), None
+        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
     gram, report = _certified(params, sys_, w1, w2)
-    traj = picard_integrate(
+    return picard_integrate(
         state0, w1, w2, load_fn, sim.t_final, report.contraction,
         n_t=sim.nodes_per_interval, fixed_tol=sim.fixed_tol, gram=gram,
     )
-    return traj, report
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    params = material_from_config(cfg)
-    sys_ = build_fe_system(mesh_from_config(cfg))
+    params, sys_, w1, w2 = _operators(cfg)
     samples = cfg.simulation.sample_dofs
     beyond = [d for d in samples if d >= sys_.n_dofs]
     if beyond:
         raise ValueError(
             f"sample_dofs {beyond} out of range: the system has n_dofs = {sys_.n_dofs}"
         )
-    traj, _ = _simulate_trajectory(cfg, params, sys_)
+    traj = _simulate_trajectory(cfg, params, sys_, w1, w2)
     columns = ["t", "kinetic", "potential"] + [f"dof{d}" for d in samples]
     columns += ["picard_iterations"]
     iters = traj.diagnostics.get("picard_iterations", [])
@@ -243,10 +246,7 @@ def _cmd_korn(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
-    params = material_from_config(cfg)
-    sys_ = build_fe_system(mesh_from_config(cfg))
-    w1 = assemble_w1(params, sys_)
-    w2 = assemble_w2(params, sys_)
+    params, sys_, w1, w2 = _operators(cfg)
     gram, report = _certified(params, sys_, w1, w2)
     load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = _initial_state(cfg, sys_)

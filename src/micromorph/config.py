@@ -19,7 +19,11 @@ later, called once at parse time; its ``ValueError`` becomes a
 :class:`ConfigError` entry carrying the value's line and key.  Each built
 load is also evaluated at 0 and at ``SimulationConfig.load_end``, the last
 time the integrator evaluates it, so a ``table`` that does not cover the run
-is rejected there too.
+is rejected there too.  Likewise every value in ``_VALUE_CHECKS`` is
+checked whichever command the run executes: mesh dims and resolution, Picard
+nodes and tolerance, and the dispersion direction and wavenumbers by the
+function the library applies where it uses them, and the output precision,
+which only the CLI reads, here.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -33,9 +37,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .analysis import _unit_direction, _wavenumbers
 from .assembly import LoadFunctional, TimeField
+from .dynamics import _check_fixed_tol, _check_time_nodes
 from .errors import ConfigError
-from .mesh import BoxMesh, build_box_mesh
+from .mesh import BoxMesh, _box_dims, _box_resolution, build_box_mesh
 from .tensors import (
     _TENSOR_CLASSES,
     ConstitutiveTensor4,
@@ -106,6 +112,23 @@ class FieldSpec:
             return f"{self.kind} " + " ".join(f"{v!r}" for v in self.values)
         parts = [" ".join(f"{v!r}" for v in group) for group in self.values]
         return f"{self.kind} " + " | ".join(parts)
+
+
+def _check_precision(precision: int) -> None:
+    if precision < 1:
+        raise ValueError("needs at least one significant digit")
+
+
+# (section, key) -> the one check of that value, shared with the library
+_VALUE_CHECKS = {
+    ("mesh", "dims"): _box_dims,
+    ("mesh", "resolution"): _box_resolution,
+    ("simulation", "nodes_per_interval"): _check_time_nodes,
+    ("simulation", "fixed_tol"): _check_fixed_tol,
+    ("analysis", "direction"): _unit_direction,
+    ("analysis", "k_samples"): _wavenumbers,
+    ("output", "precision"): _check_precision,
+}
 
 
 @dataclass(frozen=True)
@@ -308,6 +331,12 @@ def parse_config(text: str) -> RunConfig:
                 initial_field_callable(spec, cfg.mesh.dims, shape)
         except ValueError as exc:
             issues.append((line_of("simulation", key), key, str(exc)))
+
+    for (section, key), check in _VALUE_CHECKS.items():
+        try:
+            check(getattr(getattr(cfg, section), key))
+        except ValueError as exc:
+            issues.append((line_of(section, key), key, str(exc)))
 
     if cfg.material.variant not in _VARIANTS:
         issues.append(

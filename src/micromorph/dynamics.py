@@ -60,34 +60,22 @@ class DynamicState:
     """Coefficient vectors of position and velocity at one time."""
 
     t: float
-    u: np.ndarray
-    p: np.ndarray
-    ut: np.ndarray
-    pt: np.ndarray
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.concatenate([self.u, self.p])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.concatenate([self.ut, self.pt])
+    position: np.ndarray
+    velocity: np.ndarray
 
     @classmethod
     def from_vectors(
         cls, layout: BlockLayout, t: float, w: np.ndarray, wt: np.ndarray
     ) -> "DynamicState":
-        nu = layout.u_size
         w = np.asarray(w, dtype=float)
         wt = np.asarray(wt, dtype=float)
-        if w.size != layout.total or wt.size != layout.total:
+        if w.shape != (layout.total,) or wt.shape != (layout.total,):
             raise ValueError("state vectors do not match the layout")
-        return cls(t=float(t), u=w[:nu], p=w[nu:], ut=wt[:nu], pt=wt[nu:])
+        return cls(float(t), w, wt)
 
     @classmethod
     def zero(cls, layout: BlockLayout, t: float = 0.0) -> "DynamicState":
-        z = np.zeros(layout.total)
-        return cls.from_vectors(layout, t, z, z.copy())
+        return cls(float(t), np.zeros(layout.total), np.zeros(layout.total))
 
 
 @dataclass(frozen=True)
@@ -99,12 +87,15 @@ class Trajectory:
     velocities: np.ndarray      # (n_nodes, n_dofs)
     kinetic: np.ndarray
     potential: np.ndarray
-    layout: BlockLayout
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # t0 + k dt rounds at the ulp of the largest time, not of dt
         dt = np.diff(self.times)
-        if dt.size and (np.any(dt <= 0) or np.ptp(dt) > 1e-10 * dt[0]):
+        if dt.size and (
+            np.any(dt <= 0)
+            or np.ptp(dt) > 1e-10 * dt[0] + 4 * np.spacing(np.abs(self.times).max())
+        ):
             raise ValueError("trajectory grid must be strictly increasing, uniform")
 
     @property
@@ -112,9 +103,7 @@ class Trajectory:
         return self.times.size
 
     def state(self, i: int) -> DynamicState:
-        return DynamicState.from_vectors(
-            self.layout, self.times[i], self.positions[i], self.velocities[i]
-        )
+        return DynamicState(float(self.times[i]), self.positions[i], self.velocities[i])
 
     @property
     def total_energy(self) -> np.ndarray:
@@ -256,6 +245,16 @@ def _fixed_point(
     )
 
 
+def _check_time_nodes(n_t: int) -> None:
+    if n_t < 3:
+        raise ValueError("need at least three time nodes")
+
+
+def _check_fixed_tol(fixed_tol: float) -> None:
+    if not 0 < fixed_tol < math.inf:
+        raise ValueError("fixed_tol must be positive and finite")
+
+
 def picard_integrate(
     state0: DynamicState,
     w1: SparseSymOperator,
@@ -291,8 +290,8 @@ def picard_integrate(
         raise ValueError("t_final must be positive")
     if c_est < 0:
         raise ValueError("c_est must be nonnegative")
-    if n_t < 3:
-        raise ValueError("need at least three time nodes")
+    _check_time_nodes(n_t)
+    _check_fixed_tol(fixed_tol)
     if c_est == 0.0:
         delta = t_final
         log.info("constant-map flag: zero contraction constant, one interval")
@@ -335,7 +334,6 @@ def picard_integrate(
         velocities=velocities,
         kinetic=kinetic,
         potential=potential,
-        layout=w1.layout,
         diagnostics={
             "picard_iterations": iterations,
             "contraction_ratios": all_ratios,
@@ -399,7 +397,6 @@ def newmark_integrate(
         velocities=velocities,
         kinetic=kinetic,
         potential=potential,
-        layout=w1.layout,
         diagnostics={
             "integrator": "newmark", "beta": _BETA, "gamma": _GAMMA,
             **_solver_counters(initial, step),

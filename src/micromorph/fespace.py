@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import LOCAL_EDGES, BoxMesh
+from .mesh import BoxMesh
 
 __all__ = [
     "DofMap",
@@ -30,13 +30,8 @@ __all__ = [
     "build_u_space",
     "build_p_space",
     "build_fe_system",
-    "eval_u_basis",
-    "eval_p_basis",
     "interpolate_u",
     "interpolate_p",
-    "evaluate_u",
-    "evaluate_p",
-    "evaluate_curl_p",
 ]
 
 N_LOCAL = 30  # 4 vertices x 3 components + 6 edges x 3 rows
@@ -45,9 +40,8 @@ N_LOCAL = 30  # 4 vertices x 3 components + 6 edges x 3 rows
 @dataclass(frozen=True)
 class DofMap:
     n_dofs: int
-    n_entities: int
-    entity_rank: np.ndarray = field(repr=False)  # (n_entities,), -1 constrained
-    constrained: np.ndarray = field(repr=False)  # (n_entities,) bool
+    entity_rank: np.ndarray = field(repr=False)  # per vertex or edge, -1 constrained
+    constrained: np.ndarray = field(repr=False)  # per vertex or edge
 
     @property
     def n_constrained(self) -> int:
@@ -62,7 +56,6 @@ def build_u_space(mesh: BoxMesh) -> DofMap:
     rank[interior] = np.arange(interior.size)
     return DofMap(
         n_dofs=3 * interior.size,
-        n_entities=mesh.n_vertices,
         entity_rank=rank,
         constrained=constrained,
     )
@@ -76,7 +69,6 @@ def build_p_space(mesh: BoxMesh) -> DofMap:
     rank[interior] = np.arange(interior.size)
     return DofMap(
         n_dofs=3 * interior.size,
-        n_entities=mesh.n_edges,
         entity_rank=rank,
         constrained=constrained,
     )
@@ -205,30 +197,6 @@ def build_fe_system(mesh: BoxMesh) -> FESystem:
     )
 
 
-def eval_u_basis(sys: FESystem, cell: int, bary) -> tuple[np.ndarray, np.ndarray]:
-    """Hat values (4,) and their constant physical gradients (4, 3)."""
-    bary = np.asarray(bary, dtype=float)
-    return bary.copy(), sys.grad_hats[cell].copy()
-
-
-def eval_p_basis(sys: FESystem, cell: int, bary) -> tuple[np.ndarray, np.ndarray]:
-    """Edge basis values (6, 3) and constant curls (6, 3), globally oriented.
-
-    Local edge (a, b) carries w = lam_a grad lam_b - lam_b grad lam_a with
-    curl 2 grad lam_a x grad lam_b, flipped where the local direction
-    disagrees with the global low-to-high orientation.
-    """
-    bary = np.asarray(bary, dtype=float)
-    g = sys.grad_hats[cell]
-    signs = sys.mesh.cell_edge_signs[cell]
-    values = np.empty((6, 3))
-    curls = np.empty((6, 3))
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        values[e] = signs[e] * (bary[a] * g[b] - bary[b] * g[a])
-        curls[e] = signs[e] * 2.0 * np.cross(g[a], g[b])
-    return values, curls
-
-
 _GAUSS3 = (
     (0.5 * (1.0 - np.sqrt(0.6)), 5.0 / 18.0),
     (0.5, 4.0 / 9.0),
@@ -264,42 +232,3 @@ def interpolate_p(sys: FESystem, f) -> np.ndarray:
         for row in range(3):
             coeffs[row * n_int + rank[e]] = circ[row]
     return coeffs
-
-
-def _local_u(sys: FESystem, u_coeffs: np.ndarray, cell: int) -> np.ndarray:
-    """(4, 3) nodal values on a cell, zeros at constrained vertices."""
-    out = np.zeros((4, 3))
-    rank = sys.u_map.entity_rank[sys.mesh.cells[cell]]
-    for a in range(4):
-        if rank[a] >= 0:
-            out[a] = u_coeffs[3 * rank[a]: 3 * rank[a] + 3]
-    return out
-
-
-def _local_p(sys: FESystem, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
-    """(6, 3) per-edge row circulations on a cell, zeros at constrained edges."""
-    out = np.zeros((6, 3))
-    rank = sys.p_map.entity_rank[sys.mesh.cell_edges[cell]]
-    n_int = sys.n_p_dofs // 3
-    for e in range(6):
-        if rank[e] >= 0:
-            for row in range(3):
-                out[e, row] = p_coeffs[row * n_int + rank[e]]
-    return out
-
-
-def evaluate_u(sys: FESystem, u_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:
-    vals, _ = eval_u_basis(sys, cell, bary)
-    return vals @ _local_u(sys, u_coeffs, cell)
-
-
-def evaluate_p(sys: FESystem, p_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:
-    vals, _ = eval_p_basis(sys, cell, bary)     # (6, 3)
-    local = _local_p(sys, p_coeffs, cell)       # (6, 3) rows x edges
-    return np.einsum("er,ej->rj", local, vals)
-
-
-def evaluate_curl_p(sys: FESystem, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
-    _, curls = eval_p_basis(sys, cell, np.full(4, 0.25))
-    local = _local_p(sys, p_coeffs, cell)
-    return np.einsum("er,ej->rj", local, curls)

@@ -9,6 +9,7 @@ its lower to its higher global vertex index.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,17 +71,29 @@ class BoxMesh:
             stream.write(f"e {a} {b} {int(flag)}\n")
 
 
-def build_box_mesh(dims, resolution, origin=(0.0, 0.0, 0.0)) -> BoxMesh:
-    """Mesh the box with resolution[i] cubes per axis, 6 tets per cube."""
+def _box_dims(dims) -> tuple[float, float, float]:
     dims = tuple(float(d) for d in dims)
+    if len(dims) != 3:
+        raise ValueError("dims must have three entries")
+    if not all(0 < d < math.inf for d in dims):
+        raise ValueError("box side lengths must be positive and finite")
+    return dims
+
+
+def _box_resolution(resolution) -> tuple[int, int, int]:
     resolution = tuple(int(n) for n in resolution)
-    origin = tuple(float(o) for o in origin)
-    if len(dims) != 3 or len(resolution) != 3:
-        raise ValueError("dims and resolution must have three entries")
-    if any(d <= 0 for d in dims):
-        raise ValueError("box side lengths must be positive")
+    if len(resolution) != 3:
+        raise ValueError("resolution must have three entries")
     if any(n < 1 for n in resolution):
         raise ValueError("resolution must be at least one cell per axis")
+    return resolution
+
+
+def build_box_mesh(dims, resolution, origin=(0.0, 0.0, 0.0)) -> BoxMesh:
+    """Mesh the box with resolution[i] cubes per axis, 6 tets per cube."""
+    dims = _box_dims(dims)
+    resolution = _box_resolution(resolution)
+    origin = tuple(float(o) for o in origin)
 
     nx, ny, nz = resolution
     h = np.array(dims) / np.array(resolution)

@@ -305,24 +305,25 @@ class MaterialParams:
     variant: ModelVariant = ModelVariant.FULL_INERTIA
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # written as "not x > 0" so that NaN is rejected too
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if self.micro_inertia < 0:
+        if not self.micro_inertia >= 0:
             raise ValueError("micro_inertia must be nonnegative")
         needs_j = self.variant in (
             ModelVariant.FULL_INERTIA,
             ModelVariant.ZERO_LENGTH_SCALE,
         )
-        if needs_j and self.micro_inertia <= 0:
+        if needs_j and not self.micro_inertia > 0:
             raise ValueError(
                 f"micro_inertia must be positive in the {self.variant.value} variant"
             )
         if self.variant is ModelVariant.ZERO_LENGTH_SCALE:
             if self.length_scale != 0.0:
                 raise ValueError("length_scale must be exactly zero in this variant")
-        elif self.length_scale <= 0:
+        elif not self.length_scale > 0:
             raise ValueError("length_scale must be positive in this variant")
         for name, cls in _TENSOR_CLASSES.items():
             t = getattr(self, name)

@@ -5,7 +5,9 @@ dense quadruple-loop tensor contraction, per-cell dense assembly from
 first-principles basis formulas under a *different* quadrature rule
 (degree-3 with a negative centroid weight), the per-quadrature-point
 element kernel that the moment kernel of ``micromorph.assembly`` replaced,
-and a strong-form plane-wave pencil builder via explicit index expansion.
+a strong-form plane-wave pencil builder via explicit index expansion, and
+the point evaluation of basis functions and discrete fields on one cell,
+which only the tests need.
 """
 
 from __future__ import annotations
@@ -334,3 +336,70 @@ def strong_form_pencil(params, direction, k: float):
         b[:3, col] = force_pot
         b[3:, col] = moment_pot.ravel()
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# point evaluation of basis functions and discrete fields on one cell
+
+
+def eval_u_basis(sys, cell: int, bary) -> tuple[np.ndarray, np.ndarray]:
+    """Hat values (4,) and their constant physical gradients (4, 3)."""
+    bary = np.asarray(bary, dtype=float)
+    return bary.copy(), sys.grad_hats[cell].copy()
+
+
+def eval_p_basis(sys, cell: int, bary) -> tuple[np.ndarray, np.ndarray]:
+    """Edge basis values (6, 3) and constant curls (6, 3), globally oriented.
+
+    Local edge (a, b) carries w = lam_a grad lam_b - lam_b grad lam_a with
+    curl 2 grad lam_a x grad lam_b, flipped where the local direction
+    disagrees with the global low-to-high orientation.
+    """
+    bary = np.asarray(bary, dtype=float)
+    g = sys.grad_hats[cell]
+    signs = sys.mesh.cell_edge_signs[cell]
+    values = np.empty((6, 3))
+    curls = np.empty((6, 3))
+    for e, (a, b) in enumerate(LOCAL_EDGES):
+        values[e] = signs[e] * (bary[a] * g[b] - bary[b] * g[a])
+        curls[e] = signs[e] * 2.0 * np.cross(g[a], g[b])
+    return values, curls
+
+
+def _local_u(sys, u_coeffs: np.ndarray, cell: int) -> np.ndarray:
+    """(4, 3) nodal values on a cell, zeros at constrained vertices."""
+    out = np.zeros((4, 3))
+    rank = sys.u_map.entity_rank[sys.mesh.cells[cell]]
+    for a in range(4):
+        if rank[a] >= 0:
+            out[a] = u_coeffs[3 * rank[a]: 3 * rank[a] + 3]
+    return out
+
+
+def _local_p(sys, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
+    """(6, 3) per-edge row circulations on a cell, zeros at constrained edges."""
+    out = np.zeros((6, 3))
+    rank = sys.p_map.entity_rank[sys.mesh.cell_edges[cell]]
+    n_int = sys.n_p_dofs // 3
+    for e in range(6):
+        if rank[e] >= 0:
+            for row in range(3):
+                out[e, row] = p_coeffs[row * n_int + rank[e]]
+    return out
+
+
+def evaluate_u(sys, u_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:
+    vals, _ = eval_u_basis(sys, cell, bary)
+    return vals @ _local_u(sys, u_coeffs, cell)
+
+
+def evaluate_p(sys, p_coeffs: np.ndarray, cell: int, bary) -> np.ndarray:
+    vals, _ = eval_p_basis(sys, cell, bary)     # (6, 3)
+    local = _local_p(sys, p_coeffs, cell)       # (6, 3) rows x edges
+    return np.einsum("er,ej->rj", local, vals)
+
+
+def evaluate_curl_p(sys, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
+    _, curls = eval_p_basis(sys, cell, np.full(4, 0.25))
+    local = _local_p(sys, p_coeffs, cell)
+    return np.einsum("er,ej->rj", local, curls)

@@ -171,7 +171,10 @@ class TestDiscreteConstants:
 
 class TestFullReport:
     def test_well_posed_verdict(self, sys_2, demo_material):
-        report = well_posedness_report(demo_material, sys_2)
+        report = well_posedness_report(
+            demo_material, assemble_w1(demo_material, sys_2),
+            assemble_w2(demo_material, sys_2), assemble_gram(sys_2),
+        )
         assert report.well_posed
         assert report.coercivity > 0
         assert report.interval == pytest.approx(
@@ -180,7 +183,9 @@ class TestFullReport:
 
     def test_failed_hypothesis_fails_verdict(self, sys_2):
         bad = isotropic_material(inertia_elastic=(-1.0, 0.0))
-        report = well_posedness_report(bad, sys_2)
+        report = well_posedness_report(
+            bad, assemble_w1(bad, sys_2), assemble_w2(bad, sys_2), assemble_gram(sys_2)
+        )
         assert not report.well_posed
         assert "iii" in report.failed_items()
 

@@ -28,7 +28,7 @@ from micromorph.tensors import (
     isotropic_elastic,
     isotropic_material,
 )
-from oracles import dense_form_matrix, quadrature_point_form_matrix
+from oracles import dense_form_matrix, eval_p_basis, quadrature_point_form_matrix
 from test_analysis import random_material
 
 
@@ -213,8 +213,6 @@ class TestLoads:
         mass_p = dense_form_matrix(sys_2, spec)
         # constant field M interpolated exactly by the edge space per cell is
         # not global, so integrate directly instead:
-        from micromorph.fespace import eval_p_basis
-
         mesh = sys_2.mesh
         q = sys_2.quadrature
         n_int = sys_2.n_p_dofs // 3

@@ -149,9 +149,7 @@ class TestCommands:
         assert b1 == b2
 
     def test_picard_iterations_column_on_multi_interval_run(self, tmp_path):
-        from micromorph.cli import _simulate_trajectory
-        from micromorph.config import mesh_from_config
-        from micromorph.fespace import build_fe_system
+        from micromorph.cli import _operators, _simulate_trajectory
 
         text = DEMO.replace(
             "t_final = 0.2",
@@ -168,8 +166,7 @@ class TestCommands:
         column = [int(row.split(",")[-1]) for row in rows]
 
         cfg = parse_config(text)
-        sys_ = build_fe_system(mesh_from_config(cfg))
-        traj, _ = _simulate_trajectory(cfg, material_from_config(cfg), sys_)
+        traj = _simulate_trajectory(cfg, *_operators(cfg))
         iters = traj.diagnostics["picard_iterations"]
         assert len(iters) > 1 and len(set(iters)) > 1
         # the column as derived from the node index before the integrator
@@ -264,6 +261,36 @@ class TestCommands:
             run("frobnicate", RunConfig())
 
 
+@pytest.mark.parametrize(
+    "command, simulation, calls",
+    [("check", "", 3),
+     ("simulate", "", 3),
+     ("simulate", "integrator = newmark\n", 2),   # no Gram matrix
+     ("contraction-demo", "", 3),
+     ("korn", "", 4),                             # two forms per level, 2 levels
+     ("dispersion", "", 0)],
+)
+def test_assemble_form_calls_per_command(command, simulation, calls, tmp_path,
+                                         monkeypatch):
+    """Each command assembles every operator it needs once."""
+    import micromorph.analysis
+    import micromorph.assembly
+
+    original = micromorph.assembly.assemble_form
+    specs = []
+
+    def counted(sys, spec):
+        specs.append(spec)
+        return original(sys, spec)
+
+    monkeypatch.setattr(micromorph.assembly, "assemble_form", counted)
+    monkeypatch.setattr(micromorph.analysis, "assemble_form", counted)
+    p = tmp_path / "run.ini"
+    p.write_text(DEMO.replace("[simulation]\n", "[simulation]\n" + simulation))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert len(specs) == calls
+
+
 class TestRejectedValues:
     """Values that used to crash a command or pass silently exit 2 instead."""
 
@@ -286,7 +313,15 @@ class TestRejectedValues:
          ("[simulation]\nt_final = inf\n", "t_final", 2),
          ("[simulation]\nintegrator = newmark\ndt = 0\n", "dt", 3),
          ("[simulation]\nintegrator = newmark\nt_final = 1e300\ndt = 1e-300\n",
-          "dt", 4)],
+          "dt", 4),
+         ("[analysis]\ndirection = 0 0 0\n", "direction", 2),
+         ("[analysis]\nk_samples = -1 0\n", "k_samples", 2),
+         ("[mesh]\nresolution = 0 2 2\n", "resolution", 2),
+         ("[mesh]\ndims = 1 1\n", "dims", 2),
+         ("[simulation]\nnodes_per_interval = 2\n", "nodes_per_interval", 2),
+         ("[simulation]\nfixed_tol = -1\n", "fixed_tol", 2),
+         ("[output]\nprecision = -1\n", "precision", 2),
+         ("[output]\nprecision = 0\n", "precision", 2)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         with pytest.raises(ConfigError) as err:
@@ -299,7 +334,15 @@ class TestRejectedValues:
          ("dispersion", "[simulation]\ninitial_u =\n"),
          ("korn", "[simulation]\nload_m =\n"),
          ("simulate", "[simulation]\nsample_dofs = -1 0\n"),
-         ("korn", "[analysis]\nkorn_levels = -1\n")],
+         ("korn", "[analysis]\nkorn_levels = -1\n"),
+         ("check", "[analysis]\ndirection = 0 0 0\n"),
+         ("check", "[analysis]\nk_samples = -1 0\n"),
+         ("dispersion", "[mesh]\nresolution = 0 2 2\n"),
+         ("dispersion", "[mesh]\ndims = 1 1\n"),
+         ("check", "[simulation]\nnodes_per_interval = 2\n"),
+         ("simulate", "[simulation]\nfixed_tol = -1\n"),
+         ("check", "[output]\nprecision = -1\n"),
+         ("check", "[output]\nprecision = 0\n")],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from micromorph.assembly import (
     BlockLayout,
@@ -24,15 +25,15 @@ from micromorph.dynamics import (
 from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
 
 
-def scalar_op(value):
-    return SparseSymOperator.from_dense([[float(value)]], BlockLayout(1, 0))
-
-
 def dense_op(m, layout=None):
-    m = np.asarray(m, dtype=float)
-    return SparseSymOperator.from_dense(
-        m, layout or BlockLayout(m.shape[0], 0)
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    return SparseSymOperator(
+        scipy.sparse.csr_matrix(m), layout or BlockLayout(m.shape[0], 0)
     )
+
+
+def scalar_op(value):
+    return dense_op([[float(value)]])
 
 
 @pytest.fixture()
@@ -133,6 +134,34 @@ class TestPicardInterval:
             picard_integrate(s0, w1, w2, None, 0.0, 0.0)
         with pytest.raises(ValueError):
             picard_integrate(s0, w1, w2, None, 1.0, 0.0, n_t=2)
+        for fixed_tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="fixed_tol"):
+                picard_integrate(s0, w1, w2, None, 0.1, 0.0, fixed_tol=fixed_tol)
+
+
+class TestLateStart:
+    """t0 + k dt rounds at the ulp of t0, not of dt: a run that starts at
+    t0 = 1e6 still has a uniform grid and the dynamics of a run from 0."""
+
+    T0 = 1e6
+
+    def test_picard(self, oscillator):
+        w1, w2, s0, omega = oscillator
+        late = DynamicState.from_vectors(w1.layout, self.T0, s0.position, s0.velocity)
+        c = omega**2 * np.sqrt(2)
+        traj = picard_integrate(late, w1, w2, None, 1e-3, c, n_t=9)
+        ref = picard_integrate(s0, w1, w2, None, 1e-3, c, n_t=9)
+        assert traj.times[0] == self.T0
+        np.testing.assert_allclose(traj.times - self.T0, ref.times, atol=1e-9)
+        np.testing.assert_allclose(traj.positions, ref.positions, rtol=1e-9)
+
+    def test_newmark(self, oscillator):
+        w1, w2, s0, _ = oscillator
+        late = DynamicState.from_vectors(w1.layout, self.T0, s0.position, s0.velocity)
+        traj = newmark_integrate(late, w1, w2, None, 1e-4, 10)
+        ref = newmark_integrate(s0, w1, w2, None, 1e-4, 10)
+        assert traj.times[0] == self.T0 and traj.n_nodes == 11
+        np.testing.assert_array_equal(traj.positions, ref.positions)
 
 
 class TestPicardIntegrate:

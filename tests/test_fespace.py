@@ -5,16 +5,12 @@ from micromorph.fespace import (
     build_fe_system,
     build_p_space,
     build_u_space,
-    eval_p_basis,
-    eval_u_basis,
-    evaluate_curl_p,
-    evaluate_p,
-    evaluate_u,
     interpolate_p,
     interpolate_u,
     quadrature_rule,
 )
 from micromorph.mesh import build_box_mesh
+from oracles import eval_p_basis, eval_u_basis, evaluate_curl_p, evaluate_p, evaluate_u
 
 
 def barycentric_of(mesh, cell, x):

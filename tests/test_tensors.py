@@ -188,6 +188,15 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             isotropic_material(micro_inertia=0.0)  # required in full variant
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    @pytest.mark.parametrize("name", ["rho", "mu", "micro_inertia", "length_scale"])
+    def test_nan_scalar_rejected(self, name, variant):
+        # the checklist's item (vii) passes every material that constructs
+        scalars = {"length_scale": 0.0} if variant is ModelVariant.ZERO_LENGTH_SCALE else {}
+        scalars[name] = float("nan")
+        with pytest.raises(ValueError):
+            isotropic_material(variant=variant, **scalars)
+
     def test_simplified_allows_zero_micro_inertia(self):
         m = isotropic_material(
             variant=ModelVariant.SIMPLIFIED_INERTIA, micro_inertia=0.0
