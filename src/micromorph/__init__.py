@@ -56,7 +56,6 @@ from .linalg import (
 from .dynamics import (
     DynamicState,
     Trajectory,
-    energy,
     newmark_integrate,
     picard_integrate,
     stationary_solve,
@@ -72,7 +71,6 @@ from .analysis import (
     discrete_coercivity,
     dispersion_curves,
     korn_curl_constant,
-    plane_wave_pencil,
     well_posedness_report,
 )
 from .errors import (

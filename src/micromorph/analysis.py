@@ -63,7 +63,6 @@ __all__ = [
     "BandGap",
     "dispersion_curves",
     "detect_band_gaps",
-    "plane_wave_pencil",
 ]
 
 _CLAMP_TOL = 1e-10  # relative size of a negative omega^2 read as round-off
@@ -299,9 +298,11 @@ def _pencil_coefficients(
     params: MaterialParams, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A0, A1, A2) and (B0, B1, B2), each stacked (3, 12, 12), of the
-    plane-wave pencil along ``d``: A(k) = A0 + k A1 + k^2 A2, likewise B.
-    A and B are the rate and potential forms of :mod:`assembly` evaluated on
-    plane waves; neither carries a ``grad_u`` term."""
+    Hermitian plane-wave pencil w^2 A z = B z along ``d``: A(k) = A0 + k A1
+    + k^2 A2, likewise B.  z stacks the displacement amplitude (3) and the
+    row-major micro-distortion amplitude (9).  A and B are the rate and
+    potential forms of :mod:`assembly` evaluated on plane waves, so A
+    respects the model variant; neither carries a ``grad_u`` term."""
     # the fields (u, grad u - P, P, Curl P) of amplitude z are (f0 + i k f1) z:
     # grad u = i k (u (x) d) and row i of Curl P is i k (d x P_i)
     u, p = np.eye(12)[:3], np.eye(12)[3:]
@@ -330,19 +331,6 @@ def _pencil_coefficients(
         return np.stack([f0.T @ m @ f0, 1j * (cross - cross.T), f1.T @ m @ f1])
 
     return coefficients(form_spec_w1(params)), coefficients(form_spec_w2(params))
-
-
-def plane_wave_pencil(
-    params: MaterialParams, direction: np.ndarray, k: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian 12 x 12 pencil (A, B) of the plane-wave problem w^2 A z = B z.
-
-    z stacks the displacement amplitude (3) and the row-major
-    micro-distortion amplitude (9).  A carries the rate-energy terms
-    (respecting the model variant), B the potential terms.
-    """
-    coeffs = _pencil_coefficients(params, np.asarray(direction, dtype=float))
-    return tuple(c[0] + k * c[1] + k * k * c[2] for c in coeffs)
 
 
 @dataclass(frozen=True)

@@ -408,10 +408,6 @@ class LoadFunctional:
     double_force: TimeField
 
     @classmethod
-    def zero(cls) -> "LoadFunctional":
-        return cls(TimeField.zero((3,)), TimeField.zero((3, 3)))
-
-    @classmethod
     def constant(cls, f=None, m=None) -> "LoadFunctional":
         bf = TimeField.constant(f) if f is not None else TimeField.zero((3,))
         df = TimeField.constant(m) if m is not None else TimeField.zero((3, 3))

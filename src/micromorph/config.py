@@ -23,7 +23,9 @@ is rejected there too.  Likewise every value in ``_VALUE_CHECKS`` is
 checked whichever command the run executes: mesh dims and resolution, Picard
 nodes and tolerance, and the dispersion direction and wavenumbers by the
 function the library applies where it uses them, and the output precision,
-which only the CLI reads, here.
+which only the CLI reads, here.  The material scalars ``rho``, ``j``, ``mu``
+and ``lc`` are checked for the configured variant by the rule that
+:class:`MaterialParams` applies on construction.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -48,6 +50,7 @@ from .tensors import (
     MaterialParams,
     ModelVariant,
     SymmetryClass,
+    _scalar_problems,
     make_isotropic,
 )
 
@@ -64,6 +67,13 @@ __all__ = [
 ]
 
 _VARIANTS = {v.value: v for v in ModelVariant}
+
+_SCALAR_KEYS = {  # ini key -> MaterialParams attribute
+    "rho": "rho",
+    "j": "micro_inertia",
+    "mu": "mu",
+    "lc": "length_scale",
+}
 
 _TENSOR_KEYS = {  # ini key -> MaterialParams attribute, which fixes the class
     "c_e": "elastic",
@@ -338,12 +348,18 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             issues.append((line_of(section, key), key, str(exc)))
 
-    if cfg.material.variant not in _VARIANTS:
+    mat = cfg.material
+    if mat.variant not in _VARIANTS:
         issues.append(
             (line_of("material", "variant"), "variant",
-             f"unknown variant {cfg.material.variant!r}; expected one of "
+             f"unknown variant {mat.variant!r}; expected one of "
              + ", ".join(sorted(_VARIANTS)))
         )
+    else:  # the scalar rules depend on the variant
+        key_of = {attr: key for key, attr in _SCALAR_KEYS.items()}
+        scalars = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
+        for attr, reason in _scalar_problems(_VARIANTS[mat.variant], **scalars):
+            issues.append((line_of("material", key_of[attr]), key_of[attr], reason))
     if sim.integrator not in ("picard", "newmark"):
         issues.append((line_of("simulation", "integrator"), "integrator",
                        "expected 'picard' or 'newmark'"))
@@ -388,13 +404,8 @@ def config_digest(cfg: RunConfig) -> str:
 
 def material_from_config(cfg: RunConfig) -> MaterialParams:
     mat = cfg.material
-    kwargs = {
-        "rho": mat.rho,
-        "micro_inertia": mat.j,
-        "mu": mat.mu,
-        "length_scale": mat.lc,
-        "variant": _VARIANTS[mat.variant],
-    }
+    kwargs = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
+    kwargs["variant"] = _VARIANTS[mat.variant]
     for key, attr in _TENSOR_KEYS.items():
         kwargs[attr] = getattr(mat, key).build(_TENSOR_CLASSES[attr])
     return MaterialParams(**kwargs)

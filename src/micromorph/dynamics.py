@@ -21,9 +21,8 @@ Two integrators over the same operator pair:
 Loads are callables t -> dual vector (or None).  The operators solved with
 must be positive definite: :func:`linalg.definite_solver` certifies that by
 the inertia of their LU factor, else :class:`DefinitenessError`, and checks
-the residual of every solve against ``_SOLVE_TOL``.  Each trajectory's
-diagnostics carry the solver counters ``factor_nnz``, ``solves`` and
-``max_solve_residual``.
+the residual of every solve.  Each trajectory's diagnostics carry the solver
+counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.
 """
 
 from __future__ import annotations
@@ -44,15 +43,14 @@ __all__ = [
     "stationary_solve",
     "picard_integrate",
     "newmark_integrate",
-    "energy",
 ]
 
 log = logging.getLogger(__name__)
 
 MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
+_MAX_SWEEPS = 60         # fixed-point sweep budget of one subinterval
 _QUADRATIC_BLOCK = 32    # columns per sparse-times-block product
 _BETA, _GAMMA = 0.25, 0.5  # Newmark average-acceleration parameters
-_SOLVE_TOL = 1e-13       # relative residual every factored solve must meet
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,8 @@ class DynamicState:
         return cls(float(t), w, wt)
 
     @classmethod
-    def zero(cls, layout: BlockLayout, t: float = 0.0) -> "DynamicState":
-        return cls(float(t), np.zeros(layout.total), np.zeros(layout.total))
+    def zero(cls, layout: BlockLayout) -> "DynamicState":
+        return cls(0.0, np.zeros(layout.total), np.zeros(layout.total))
 
 
 @dataclass(frozen=True)
@@ -102,44 +100,26 @@ class Trajectory:
     def n_nodes(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> DynamicState:
-        return DynamicState(float(self.times[i]), self.positions[i], self.velocities[i])
-
     @property
     def total_energy(self) -> np.ndarray:
         return self.kinetic + self.potential
 
 
-def energy(
-    state: DynamicState, w1: SparseSymOperator, w2: SparseSymOperator
-) -> tuple[float, float]:
-    """(kinetic, potential) = (W1(wt, wt), W2(w, w)) / 2."""
-    return (
-        0.5 * w1.quadratic(state.velocity),
-        0.5 * w2.quadratic(state.position),
-    )
-
-
 def stationary_solve(
-    w1: SparseSymOperator,
+    solve: DefiniteSolver,
     w2: SparseSymOperator,
     w_prev: np.ndarray,
     load_vec: np.ndarray | None,
-    tol: float = 1e-12,
-    solve: DefiniteSolver | None = None,
 ) -> np.ndarray:
     """One Lax-Milgram step: solve W1(a, .) = -W2(w_prev, .) + l(.).
 
-    ``w_prev`` and ``load_vec`` are single vectors or (n, k) blocks whose k
-    columns are solved together.  ``solve`` is a factor of W1 from
-    :func:`definite_solver` kept across calls; without one, W1 is factored
-    here and every residual must meet ``tol``.
+    ``solve`` is a factor of W1 from :func:`definite_solver` kept across
+    calls.  ``w_prev`` and ``load_vec`` are single vectors or (n, k) blocks
+    whose k columns are solved together.
     """
     rhs = -w2.matvec(w_prev)
     if load_vec is not None:
         rhs = rhs + load_vec
-    if solve is None:
-        solve = definite_solver(w1, tol)
     return solve(rhs)
 
 
@@ -151,14 +131,12 @@ def _solver_counters(*solvers: DefiniteSolver) -> dict:
     }
 
 
-def _quadratic_rows(op: SparseSymOperator | None, rows: np.ndarray) -> np.ndarray:
-    """w^T A w for every row w of ``rows`` (w^T w when ``op`` is None).
+def _quadratic_rows(op: SparseSymOperator, rows: np.ndarray) -> np.ndarray:
+    """w^T A w for every row w of ``rows``.
 
     A is applied to blocks of ``_QUADRATIC_BLOCK`` rows at once, never to all
     rows, so the product stays small.
     """
-    if op is None:
-        return np.einsum("ij,ij->i", rows, rows)
     out = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _QUADRATIC_BLOCK):
         block = rows[start:start + _QUADRATIC_BLOCK]
@@ -168,7 +146,7 @@ def _quadratic_rows(op: SparseSymOperator | None, rows: np.ndarray) -> np.ndarra
     return out
 
 
-def _gram_norms(gram: SparseSymOperator | None, rows: np.ndarray) -> np.ndarray:
+def _gram_norms(gram: SparseSymOperator, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(_quadratic_rows(gram, rows), 0.0))
 
 
@@ -180,10 +158,10 @@ def _energies(
 
 
 def _double_trapezoid(
-    times: np.ndarray, acc: np.ndarray, w0: np.ndarray, wt0: np.ndarray
+    h: float, acc: np.ndarray, w0: np.ndarray, wt0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nested cumulative trapezoid: velocity then position from accelerations."""
-    h = times[1] - times[0]
+    """Nested cumulative trapezoid with step h: velocity then position from
+    accelerations."""
     vel = np.empty_like(acc)
     vel[0] = wt0
     np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0, out=vel[1:])
@@ -203,21 +181,23 @@ def _load_at(load, times: np.ndarray) -> list[np.ndarray | None]:
 
 def _fixed_point(
     times: np.ndarray,
+    h: float,
     w0: np.ndarray,
     wt0: np.ndarray,
-    w1: SparseSymOperator,
     w2: SparseSymOperator,
     load,
     fixed_tol: float,
-    max_iterations: int,
-    gram: SparseSymOperator | None,
+    gram: SparseSymOperator,
     solve: DefiniteSolver,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float], float]:
-    """Fixed-point sweeps on the subinterval grid ``times`` from (w0, wt0).
+    """Fixed-point sweeps on the subinterval grid ``times`` of step h from
+    (w0, wt0).
 
-    ``solve`` is a factor of W1.  Returns the positions and velocities at
-    the nodes, the sweep count, the measured contraction ratios and the
-    final successive-difference Gram norm.
+    ``solve`` is a factor of W1.  h is passed, not read off ``times``: a
+    difference of two nodes rounds at the ulp of the nodes, not of h.
+    Returns the positions and velocities at the nodes, the sweep count, the
+    measured contraction ratios and the final successive-difference Gram
+    norm.
     """
     loads = None if load is None else np.column_stack(_load_at(load, times))
     seed_scale = 1.0 + _gram_norms(gram, w0[None, :])[0]
@@ -226,9 +206,9 @@ def _fixed_point(
     ratios: list[float] = []
     prev_diff = None
 
-    for sweep in range(max_iterations):
-        acc = stationary_solve(w1, w2, positions.T, loads, solve=solve).T
-        new_pos, new_vel = _double_trapezoid(times, acc, w0, wt0)
+    for sweep in range(_MAX_SWEEPS):
+        acc = stationary_solve(solve, w2, positions.T, loads).T
+        new_pos, new_vel = _double_trapezoid(h, acc, w0, wt0)
         diff = float(_gram_norms(gram, new_pos - positions).max())
         if prev_diff is not None and prev_diff > 0:
             ratios.append(diff / prev_diff)
@@ -237,7 +217,7 @@ def _fixed_point(
             return positions, velocities, sweep + 1, ratios, diff
         prev_diff = diff
     raise NonConvergenceError(
-        f"fixed point not reached in {max_iterations} sweeps on "
+        f"fixed point not reached in {_MAX_SWEEPS} sweeps on "
         f"[{float(times[0])!r}, {float(times[-1])!r}] (the subinterval is likely "
         "longer than the contraction radius)",
         residual=prev_diff,
@@ -264,8 +244,8 @@ def picard_integrate(
     c_est: float,
     n_t: int = 17,
     fixed_tol: float = 1e-10,
-    max_iterations: int = 60,
-    gram: SparseSymOperator | None = None,
+    *,
+    gram: SparseSymOperator,
 ) -> Trajectory:
     """Glue fixed-point subintervals of length 1/(2 sqrt(c_est)) over [0, T].
 
@@ -276,8 +256,9 @@ def picard_integrate(
     the seams.  c_est = 0 flags a constant map (unbounded contraction
     radius): a single subinterval is used.  A run that needs more than
     ``MAX_INTERVALS`` subintervals raises :class:`SolverError`; delta is never
-    stretched past 1/(2 sqrt(c_est)).  Non-convergence of a subinterval raises
-    :class:`NonConvergenceError` carrying its ratio history.
+    stretched past 1/(2 sqrt(c_est)).  A subinterval not converged within
+    ``_MAX_SWEEPS`` sweeps raises :class:`NonConvergenceError` carrying its
+    ratio history.  Sweeps are measured in the product norm of ``gram``.
 
     W1 is factored once for all subintervals.  ``diagnostics`` carries per
     subinterval the sweep count (``picard_iterations``), the measured
@@ -307,7 +288,8 @@ def picard_integrate(
             f"t_final={t_final!r}, more than MAX_INTERVALS={MAX_INTERVALS}"
         )
 
-    solve = definite_solver(w1, _SOLVE_TOL)
+    solve = definite_solver(w1)
+    h = t_final / (n_int * (n_t - 1))
     times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
     positions = np.empty((times.size, w1.dimension))
     velocities = np.empty_like(positions)
@@ -319,8 +301,8 @@ def picard_integrate(
         first = interval * (n_t - 1)
         nodes = slice(first, first + n_t)
         pos, vel, sweeps, ratios, residual = _fixed_point(
-            times[nodes], positions[first], velocities[first], w1, w2, load,
-            fixed_tol, max_iterations, gram, solve,
+            times[nodes], h, positions[first], velocities[first], w2, load,
+            fixed_tol, gram, solve,
         )
         positions[nodes], velocities[nodes] = pos, vel
         iterations.append(sweeps)
@@ -359,8 +341,7 @@ def newmark_integrate(
 
     Average acceleration: beta = 1/4, gamma = 1/2.  W1 is factored for the
     initial acceleration and released; then the effective operator
-    W1 + beta dt^2 W2 is factored once and every step is one solve with it,
-    every residual within ``_SOLVE_TOL``.
+    W1 + beta dt^2 W2 is factored once and every step is one solve with it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -376,10 +357,10 @@ def newmark_integrate(
     positions[0] = state0.position
     velocities[0] = state0.velocity
 
-    initial = definite_solver(w1, _SOLVE_TOL)
-    a = stationary_solve(w1, w2, positions[0], loads[0], solve=initial)
+    initial = definite_solver(w1)
+    a = stationary_solve(initial, w2, positions[0], loads[0])
     initial.close()  # one factor alive at a time
-    step = definite_solver(eff, _SOLVE_TOL)
+    step = definite_solver(eff)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a

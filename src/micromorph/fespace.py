@@ -43,10 +43,6 @@ class DofMap:
     entity_rank: np.ndarray = field(repr=False)  # per vertex or edge, -1 constrained
     constrained: np.ndarray = field(repr=False)  # per vertex or edge
 
-    @property
-    def n_constrained(self) -> int:
-        return int(self.constrained.sum())
-
 
 def build_u_space(mesh: BoxMesh) -> DofMap:
     """Vector P1 on interior vertices; boundary vertices constrained."""
@@ -87,19 +83,14 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)  # (nq,)
 
 
-def quadrature_rule(degree: int = 2) -> QuadratureRule:
-    if degree <= 1:
-        pts = np.full((1, 4), 0.25)
-        wts = np.array([1.0 / 6.0])
-        return QuadratureRule(1, pts, wts)
-    if degree == 2:
-        a = 0.5854101966249685
-        b = 0.1381966011250105
-        pts = np.full((4, 4), b)
-        np.fill_diagonal(pts, a)
-        wts = np.full(4, 1.0 / 24.0)
-        return QuadratureRule(2, pts, wts)
-    raise ValueError(f"no quadrature rule of degree {degree}")
+def quadrature_rule() -> QuadratureRule:
+    """The symmetric 4-point rule, exact for polynomials of degree 2."""
+    a = 0.5854101966249685
+    b = 0.1381966011250105
+    pts = np.full((4, 4), b)
+    np.fill_diagonal(pts, a)
+    wts = np.full(4, 1.0 / 24.0)
+    return QuadratureRule(2, pts, wts)
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,7 @@ def build_fe_system(mesh: BoxMesh) -> FESystem:
         mesh=mesh,
         u_map=u_map,
         p_map=p_map,
-        quadrature=quadrature_rule(2),  # exact for the moments of assembly
+        quadrature=quadrature_rule(),  # exact for the moments of assembly
         grad_hats=_cell_grad_hats(mesh),
         cell_dofs=_cell_dof_table(mesh, u_map, p_map),
     )

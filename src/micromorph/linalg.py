@@ -8,8 +8,8 @@ time.
 * :func:`definite_solver` - certify A > 0 by that count, factor once and
   solve vectors or (n, k) blocks; every column checks its own residual.
   Both integrators and the stationary solve run on it.
-* :func:`extreme_generalized_eigenvalues` - one or both ends of the spectrum
-  of a symmetric pencil (A, B), B positive definite.  Small pencils use
+* :func:`extreme_generalized_eigenvalues` - one end of the spectrum of a
+  symmetric pencil (A, B), B positive definite.  Small pencils use
   dense ``eigh``.  For larger ones the count certifies B > 0 before ARPACK
   runs: regular mode with the factor of B for the top end, and for the
   bottom end shift-invert at 0 when the count also certifies A > 0,
@@ -19,6 +19,11 @@ time.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
+
+Every caller runs the paper's certification chain with the same settings,
+so they are constants here: solves meet a relative residual of
+``_SOLVE_TOL``, eigenpairs one of ``_EIG_TOL``, and ARPACK starts from the
+vector seeded by ``_ARPACK_SEED``, so results repeat.
 
 scipy is imported inside the functions that call it (here and in
 ``assembly``): importing it costs more than a ``dispersion`` run, which
@@ -44,6 +49,9 @@ __all__ = [
 DENSE_CUTOFF = 64  # pencils with at most this many rows use dense eigh
 _DENSE_RESIDUAL = 1e-10  # backward error accepted from hermitian_dense_eig
 _HERMITIAN_TOL = 1e-10  # relative asymmetry accepted in its H and G
+_SOLVE_TOL = 1e-13  # relative residual every factored solve must meet
+_EIG_TOL = 1e-8  # relative residual every extreme eigenpair must meet
+_ARPACK_SEED = 7  # seed of ARPACK's start vector
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
@@ -95,18 +103,17 @@ class DefiniteSolver:
     """Solves A x = b with one certified SuperLU factor of A > 0.
 
     Call it on a vector or on an (n, k) block; the block goes to SuperLU in
-    one call.  Every column must meet ||A x - b|| <= tol ||b||.  A column
-    that misses gets one step of iterative refinement, and one that still
-    misses raises :class:`NonConvergenceError`.  ``factor_nnz`` is the fill
+    one call.  Every column must meet ||A x - b|| <= ``_SOLVE_TOL`` ||b||.
+    A column that misses gets one step of iterative refinement, and one that
+    still misses raises :class:`NonConvergenceError`.  ``factor_nnz`` is the fill
     of L + U, ``solves`` counts the right-hand sides solved and
     ``max_residual`` is the worst relative residual returned; they outlive
     :meth:`close`, which releases the factor.
     """
 
-    def __init__(self, mat, lu, tol: float):
+    def __init__(self, mat, lu):
         self._mat = mat
         self._lu = lu
-        self.tol = tol
         self.factor_nnz = int(lu.L.nnz + lu.U.nnz)
         self.solves = 0
         self.max_residual = 0.0
@@ -121,14 +128,14 @@ class DefiniteSolver:
         block = b.reshape(b.shape[0], -1)
         x = self._lu.solve(block)
         r, rel = self._relative_residuals(x, block)
-        missed = ~(rel <= self.tol)  # NaN misses too
+        missed = ~(rel <= _SOLVE_TOL)  # NaN misses too
         if missed.any():
             x[:, missed] += self._lu.solve(r[:, missed])
             _, rel[missed] = self._relative_residuals(x[:, missed], block[:, missed])
-            if not np.all(rel <= self.tol):
+            if not np.all(rel <= _SOLVE_TOL):
                 worst = float(rel.max())
                 raise NonConvergenceError(
-                    f"factored solve misses tol={self.tol!r} after one step of "
+                    f"factored solve misses tol={_SOLVE_TOL!r} after one step of "
                     f"iterative refinement (relative residual {worst:.3g})",
                     residual=worst,
                 )
@@ -140,7 +147,7 @@ class DefiniteSolver:
         self._lu = None
 
 
-def definite_solver(a, tol: float = 1e-12) -> DefiniteSolver:
+def definite_solver(a) -> DefiniteSolver:
     """Factor symmetric A once and return its :class:`DefiniteSolver`.
 
     The inertia of the LU certifies A > 0; a negative or zero pivot raises
@@ -148,10 +155,8 @@ def definite_solver(a, tol: float = 1e-12) -> DefiniteSolver:
     """
     import scipy.sparse
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mat = scipy.sparse.csr_matrix(_as_matrix(a))
-    return DefiniteSolver(mat, _definite_lu(mat, "the operator"), tol)
+    return DefiniteSolver(mat, _definite_lu(mat, "the operator"))
 
 
 def _certify_minimum(a_mat, b_mat, lam: float) -> None:
@@ -166,10 +171,10 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
         )
 
 
-def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
+def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
     import scipy.sparse.linalg as spla
 
-    v0 = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
+    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(a_mat.shape[0])
 
     def arpack(**kwargs):
         try:
@@ -180,58 +185,50 @@ def _sparse_pairs(a_mat, b_mat, ends, seed) -> dict:
 
     b_inv = _inverse(_definite_lu(b_mat, "B"))
     if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
-        return dict.fromkeys(ends, (0.0, v0))
-    pairs = {
-        end: arpack(which=_ARPACK_WHICH[end], Minv=b_inv)
-        for end in ends if end != "smallest"
-    }
-    if "smallest" in ends:
-        b_inv = None  # one factorization alive at a time
-        a_lu, negatives = _symmetric_lu(a_mat)
-        if negatives == 0:  # A > 0: the eigenvalue nearest 0 is the smallest
-            pairs["smallest"] = arpack(sigma=0.0, which="LM", OPinv=_inverse(a_lu))
-            a_lu = None  # release A's factor before the inertia count
-        else:
-            a_lu = None  # release A's factor before B is factored again
-            pairs["smallest"] = arpack(
-                which="SA", Minv=_inverse(_definite_lu(b_mat, "B"))
-            )
-        _certify_minimum(a_mat, b_mat, pairs["smallest"][0])
-    return pairs
+        return 0.0, v0
+    if which != "smallest":
+        return arpack(which=_ARPACK_WHICH[which], Minv=b_inv)
+    b_inv = None  # one factorization alive at a time
+    a_lu, negatives = _symmetric_lu(a_mat)
+    if negatives == 0:  # A > 0: the eigenvalue nearest 0 is the smallest
+        pair = arpack(sigma=0.0, which="LM", OPinv=_inverse(a_lu))
+        a_lu = None  # release A's factor before the inertia count
+    else:
+        a_lu = None  # release A's factor before B is factored again
+        pair = arpack(which="SA", Minv=_inverse(_definite_lu(b_mat, "B")))
+    _certify_minimum(a_mat, b_mat, pair[0])
+    return pair
 
 
-def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray, tol: float) -> None:
+def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray) -> None:
     import scipy.sparse.linalg as spla
 
     ax, bx = a_mat @ x, b_mat @ x
     res = float(np.linalg.norm(ax - lam * bx))
     scale = max(float(np.linalg.norm(ax)), abs(lam) * float(np.linalg.norm(bx)))
     roundoff = _ROUNDOFF * (spla.norm(a_mat, 1) + abs(lam) * spla.norm(b_mat, 1))
-    if res > max(tol * scale, roundoff * float(np.linalg.norm(x))):
+    if res > max(_EIG_TOL * scale, roundoff * float(np.linalg.norm(x))):
         rel = res / scale if scale else math.inf
         raise NonConvergenceError(
-            f"eigenpair lambda={lam!r} fails its residual check ({rel:.3g} > {tol!r})",
+            f"eigenpair lambda={lam!r} fails its residual check "
+            f"({rel:.3g} > {_EIG_TOL!r})",
             residual=rel,
         )
 
 
-def extreme_generalized_eigenvalues(
-    a, b, tol: float = 1e-8, seed: int = 7, which: str = "both"
-) -> tuple[float, float] | float:
-    """Extreme eigenvalues of A x = lambda B x, A symmetric, B positive definite.
+def extreme_generalized_eigenvalues(a, b, which: str) -> float:
+    """One extreme eigenvalue of A x = lambda B x, A symmetric, B positive
+    definite: ``which`` is ``"smallest"``, ``"largest"`` or ``"magnitude"``
+    (largest |lambda|, signed).
 
-    ``which="both"`` returns ``(smallest, largest)``; ``"smallest"``,
-    ``"largest"`` and ``"magnitude"`` (largest |lambda|, signed) return one
-    float and compute only that end.  Raises :class:`DefinitenessError`
-    when B is not positive definite and :class:`NonConvergenceError` when a
-    pair has ||Ax - lambda Bx|| > tol max(||Ax||, |lambda| ||Bx||) above
-    round-off.  ``seed`` fixes ARPACK's start vector, so results repeat.
+    Raises :class:`DefinitenessError` when B is not positive definite and
+    :class:`NonConvergenceError` when the pair has ||Ax - lambda Bx|| >
+    ``_EIG_TOL`` max(||Ax||, |lambda| ||Bx||) above round-off.
     """
     import scipy.linalg
     import scipy.sparse
 
-    ends = ("smallest", "largest") if which == "both" else (which,)
-    if not set(ends) <= {"smallest", *_ARPACK_WHICH}:
+    if which not in ("smallest", *_ARPACK_WHICH):
         raise ValueError(f"unknown which={which!r}")
     a_mat = scipy.sparse.csr_matrix(_as_matrix(a))
     b_mat = scipy.sparse.csr_matrix(_as_matrix(b))
@@ -239,28 +236,26 @@ def extreme_generalized_eigenvalues(
     if n == 0:
         raise ValueError("empty operator")
     if n > DENSE_CUTOFF:
-        pairs = _sparse_pairs(a_mat, b_mat, ends, seed)
+        lam, x = _sparse_pair(a_mat, b_mat, which)
     else:
         try:
             w, v = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray())
         except scipy.linalg.LinAlgError as exc:
             raise DefinitenessError(f"B is not positive definite: {exc}")
         at = {"smallest": 0, "largest": -1, "magnitude": int(np.argmax(np.abs(w)))}
-        pairs = {end: (float(w[at[end]]), v[:, at[end]]) for end in ends}
-    for lam, x in pairs.values():
-        _check_pair(a_mat, b_mat, lam, x, tol)
-    values = tuple(pairs[end][0] for end in ends)
-    return values if which == "both" else values[0]
+        lam, x = float(w[at[which]]), v[:, at[which]]
+    _check_pair(a_mat, b_mat, lam, x)
+    return lam
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def hermitian_dense_eig(h, g=None) -> np.ndarray:
+def hermitian_dense_eig(h, g) -> np.ndarray:
     """All eigenvalues (ascending) of H z = lambda G z for dense Hermitian
-    H and Hermitian positive definite G (identity when omitted), or of each
-    pencil of (..., n, n) stacks in one batched call.
+    H and Hermitian positive definite G, or of each pencil of (..., n, n)
+    stacks in one batched call.
 
     The Cholesky factor G = L L^H reduces each pencil to the standard
     problem of L^-1 H L^-H.  Raises :class:`DefinitenessError` when G has no
@@ -271,7 +266,7 @@ def hermitian_dense_eig(h, g=None) -> np.ndarray:
     n = h.shape[-1]
     if h.ndim < 2 or h.shape[-2] != n:
         raise ValueError("H must be square")
-    g = np.broadcast_to(np.asarray(np.eye(n) if g is None else g, complex), h.shape)
+    g = np.broadcast_to(np.asarray(g, dtype=complex), h.shape)
     for name, x in (("H", h), ("G", g)):
         scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1e-300)
         if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > _HERMITIAN_TOL * scale):

@@ -28,7 +28,7 @@ _PARITY = tuple(
 
 @dataclass(frozen=True)
 class BoxMesh:
-    """Tetrahedral mesh of [0, Lx] x [0, Ly] x [0, Lz] (plus optional origin).
+    """Tetrahedral mesh of [0, Lx] x [0, Ly] x [0, Lz].
 
     ``edges`` hold global vertex pairs with the lower index first;
     ``cell_edge_signs`` record whether a cell's local edge direction agrees
@@ -38,7 +38,6 @@ class BoxMesh:
 
     dims: tuple[float, float, float]
     resolution: tuple[int, int, int]
-    origin: tuple[float, float, float]
     vertices: np.ndarray = field(repr=False)       # (nv, 3) float
     vertex_grid: np.ndarray = field(repr=False)    # (nv, 3) int
     cells: np.ndarray = field(repr=False)          # (nc, 4) int
@@ -89,11 +88,10 @@ def _box_resolution(resolution) -> tuple[int, int, int]:
     return resolution
 
 
-def build_box_mesh(dims, resolution, origin=(0.0, 0.0, 0.0)) -> BoxMesh:
+def build_box_mesh(dims, resolution) -> BoxMesh:
     """Mesh the box with resolution[i] cubes per axis, 6 tets per cube."""
     dims = _box_dims(dims)
     resolution = _box_resolution(resolution)
-    origin = tuple(float(o) for o in origin)
 
     nx, ny, nz = resolution
     h = np.array(dims) / np.array(resolution)
@@ -103,7 +101,7 @@ def build_box_mesh(dims, resolution, origin=(0.0, 0.0, 0.0)) -> BoxMesh:
         np.arange(nz + 1), np.arange(ny + 1), np.arange(nx + 1), indexing="ij"
     )
     vertex_grid = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
-    vertices = vertex_grid * h + np.array(origin)
+    vertices = vertex_grid * h
 
     def vid(g):
         return g[..., 0] + (nx + 1) * (g[..., 1] + (ny + 1) * g[..., 2])
@@ -150,7 +148,6 @@ def build_box_mesh(dims, resolution, origin=(0.0, 0.0, 0.0)) -> BoxMesh:
     return BoxMesh(
         dims=dims,
         resolution=resolution,
-        origin=origin,
         vertices=vertices,
         vertex_grid=vertex_grid,
         cells=cells,

@@ -130,15 +130,6 @@ class ConstitutiveTensor4:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def zero(cls, symmetry_class: SymmetryClass) -> "ConstitutiveTensor4":
-        d = symmetry_class.dim
-        return cls(symmetry_class, np.zeros((d, d)))
-
-    @classmethod
-    def identity(cls, symmetry_class: SymmetryClass) -> "ConstitutiveTensor4":
-        return cls(symmetry_class, np.eye(symmetry_class.dim))
-
-    @classmethod
     def from_components(
         cls, symmetry_class: SymmetryClass, components
     ) -> "ConstitutiveTensor4":
@@ -157,23 +148,10 @@ class ConstitutiveTensor4:
         m = m + np.triu(m, 1).T
         return cls(symmetry_class, m)
 
-    @property
-    def components(self) -> np.ndarray:
-        """Upper triangle of the representation, row-major (round-trips)."""
-        return self.matrix[np.triu_indices(self.symmetry_class.dim)]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """T.X; annihilates the part of X outside the class domain."""
         c = self.symmetry_class.coords(np.asarray(x, dtype=float))
         return self.symmetry_class.from_coords(c @ self.matrix)
-
-    def quadratic(self, x: np.ndarray) -> float:
-        """<T.X, X> evaluated through the representation."""
-        c = self.symmetry_class.coords(np.asarray(x, dtype=float))
-        return float(c @ self.matrix @ c)
-
-    def scaled(self, s: float) -> "ConstitutiveTensor4":
-        return ConstitutiveTensor4(self.symmetry_class, s * self.matrix)
 
 
 def matrix_representation(t: ConstitutiveTensor4) -> np.ndarray:
@@ -218,6 +196,9 @@ def isotropic_curvature(alpha: float) -> ConstitutiveTensor4:
     return make_isotropic(SymmetryClass.CURVATURE, alpha)
 
 
+_DEFINITENESS_TOL = 1e-10  # modulus read as zero, relative to the largest
+
+
 class Definiteness(enum.Enum):
     POSITIVE_DEFINITE = "positive-definite"
     POSITIVE_SEMI_DEFINITE = "positive-semi-definite"
@@ -231,19 +212,16 @@ class DefinitenessReport:
     max_modulus: float
 
 
-def classify_definiteness(
-    t: ConstitutiveTensor4, tol: float = 1e-10
-) -> DefinitenessReport:
+def classify_definiteness(t: ConstitutiveTensor4) -> DefinitenessReport:
     """Classify via the extreme eigenvalues of the matrix representation.
 
-    ``tol`` is relative to the largest modulus magnitude, so scaling the
-    tensor by a positive factor never changes the classification.
+    Moduli within ``_DEFINITENESS_TOL`` of zero, relative to the largest
+    modulus magnitude, count as zero, so scaling the tensor by a positive
+    factor never changes the classification.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     w = np.linalg.eigvalsh(t.matrix)
     lo, hi = float(w[0]), float(w[-1])
-    thr = tol * max(abs(lo), abs(hi))
+    thr = _DEFINITENESS_TOL * max(abs(lo), abs(hi))
     if lo > thr:
         cls = Definiteness.POSITIVE_DEFINITE
     elif lo >= -thr:
@@ -280,6 +258,36 @@ _TENSOR_CLASSES = {
 }
 
 
+def _scalar_problems(
+    variant: ModelVariant,
+    rho: float,
+    micro_inertia: float,
+    mu: float,
+    length_scale: float,
+) -> list[tuple[str, str]]:
+    """(name, reason) for each scalar of :class:`MaterialParams` that
+    ``variant`` does not admit, in the order the constructor reports them."""
+    # written as "not x > 0" so that NaN is rejected too
+    problems = []
+    if not rho > 0:
+        problems.append(("rho", "must be positive"))
+    if not mu > 0:
+        problems.append(("mu", "must be positive"))
+    needs_j = variant in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
+    if not micro_inertia >= 0:
+        problems.append(("micro_inertia", "must be nonnegative"))
+    elif needs_j and not micro_inertia > 0:
+        problems.append(
+            ("micro_inertia", f"must be positive in the {variant.value} variant")
+        )
+    if variant is ModelVariant.ZERO_LENGTH_SCALE:
+        if length_scale != 0.0:
+            problems.append(("length_scale", "must be exactly zero in this variant"))
+    elif not length_scale > 0:
+        problems.append(("length_scale", "must be positive in this variant"))
+    return problems
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """All scalars and tensors entering the rate and potential energies.
@@ -305,26 +313,11 @@ class MaterialParams:
     variant: ModelVariant = ModelVariant.FULL_INERTIA
 
     def __post_init__(self):
-        # written as "not x > 0" so that NaN is rejected too
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.micro_inertia >= 0:
-            raise ValueError("micro_inertia must be nonnegative")
-        needs_j = self.variant in (
-            ModelVariant.FULL_INERTIA,
-            ModelVariant.ZERO_LENGTH_SCALE,
+        problems = _scalar_problems(
+            self.variant, self.rho, self.micro_inertia, self.mu, self.length_scale
         )
-        if needs_j and not self.micro_inertia > 0:
-            raise ValueError(
-                f"micro_inertia must be positive in the {self.variant.value} variant"
-            )
-        if self.variant is ModelVariant.ZERO_LENGTH_SCALE:
-            if self.length_scale != 0.0:
-                raise ValueError("length_scale must be exactly zero in this variant")
-        elif not self.length_scale > 0:
-            raise ValueError("length_scale must be positive in this variant")
+        if problems:
+            raise ValueError(" ".join(problems[0]))
         for name, cls in _TENSOR_CLASSES.items():
             t = getattr(self, name)
             if t.symmetry_class is not cls:

@@ -7,7 +7,8 @@ first-principles basis formulas under a *different* quadrature rule
 element kernel that the moment kernel of ``micromorph.assembly`` replaced,
 a strong-form plane-wave pencil builder via explicit index expansion, and
 the point evaluation of basis functions and discrete fields on one cell,
-which only the tests need.
+which only the tests need.  :func:`plane_wave_pencil` is no oracle: it
+evaluates the package's own pencil at one wavenumber for comparison.
 """
 
 from __future__ import annotations
@@ -336,6 +337,16 @@ def strong_form_pencil(params, direction, k: float):
         b[:3, col] = force_pot
         b[3:, col] = moment_pot.ravel()
     return a, b
+
+
+def plane_wave_pencil(params, direction, k: float):
+    """The 12 x 12 pencil (A, B) that ``dispersion_curves`` solves at one
+    wavenumber: its coefficient stacks evaluated at ``k``, so tests can set
+    it against :func:`strong_form_pencil`."""
+    from micromorph.analysis import _pencil_coefficients
+
+    coeffs = _pencil_coefficients(params, np.asarray(direction, dtype=float))
+    return tuple(c[0] + k * c[1] + k * k * c[2] for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ class TestRefinementConsistency:
 
 class TestLoads:
     def test_zero_load(self, sys_2):
-        vec = assemble_load(LoadFunctional.zero(), sys_2, 0.3)
+        vec = assemble_load(LoadFunctional.constant(), sys_2, 0.3)
         assert np.all(vec == 0.0)
 
     def test_constant_force_hat_integrals(self, sys_2):

@@ -291,6 +291,34 @@ def test_assemble_form_calls_per_command(command, simulation, calls, tmp_path,
     assert len(specs) == calls
 
 
+@pytest.mark.parametrize(
+    "command, simulation, calls",
+    [("check", "", 4),            # m1: Gram, W1, inertia count; M2: Gram
+     ("simulate", "", 5),         # check's four, then W1 for every sweep
+     ("simulate", "integrator = newmark\n", 2),   # W1, W1 + beta dt^2 W2
+     ("contraction-demo", "", 5),
+     ("korn", "", 2),             # the right-hand form, once per level
+     ("dispersion", "", 0)],
+)
+def test_factorizations_per_command(command, simulation, calls, tmp_path,
+                                    monkeypatch):
+    """Each solver factors its operator once, however many solves it serves."""
+    import micromorph.linalg
+
+    original = micromorph.linalg._symmetric_lu
+    factored = []
+
+    def counted(mat):
+        factored.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(micromorph.linalg, "_symmetric_lu", counted)
+    p = tmp_path / "run.ini"
+    p.write_text(DEMO.replace("[simulation]\n", "[simulation]\n" + simulation))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert len(factored) == calls
+
+
 class TestRejectedValues:
     """Values that used to crash a command or pass silently exit 2 instead."""
 
@@ -321,7 +349,12 @@ class TestRejectedValues:
          ("[simulation]\nnodes_per_interval = 2\n", "nodes_per_interval", 2),
          ("[simulation]\nfixed_tol = -1\n", "fixed_tol", 2),
          ("[output]\nprecision = -1\n", "precision", 2),
-         ("[output]\nprecision = 0\n", "precision", 2)],
+         ("[output]\nprecision = 0\n", "precision", 2),
+         ("[material]\nrho = -1\n", "rho", 2),
+         ("[material]\nrho = nan\n", "rho", 2),
+         ("[material]\nmu = 0\n", "mu", 2),
+         ("[material]\nvariant = full\nlc = 0\n", "lc", 3),
+         ("[material]\nvariant = full\nj = 0\n", "j", 3)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         with pytest.raises(ConfigError) as err:
@@ -342,7 +375,12 @@ class TestRejectedValues:
          ("check", "[simulation]\nnodes_per_interval = 2\n"),
          ("simulate", "[simulation]\nfixed_tol = -1\n"),
          ("check", "[output]\nprecision = -1\n"),
-         ("check", "[output]\nprecision = 0\n")],
+         ("check", "[output]\nprecision = 0\n"),
+         ("check", "[material]\nrho = -1\n"),
+         ("simulate", "[material]\nrho = nan\n"),
+         ("korn", "[material]\nmu = 0\n"),
+         ("dispersion", "[material]\nvariant = full\nlc = 0\n"),
+         ("check", "[material]\nvariant = full\nj = 0\n")],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"

@@ -31,7 +31,7 @@ class TestDofCounts:
 
     def test_constrained_partition(self, unit_mesh_2):
         pm = build_p_space(unit_mesh_2)
-        assert pm.n_dofs + 3 * pm.n_constrained == 3 * unit_mesh_2.n_edges
+        assert pm.n_dofs + 3 * int(pm.constrained.sum()) == 3 * unit_mesh_2.n_edges
 
     def test_interior_edges_grow_faster_than_boundary(self):
         prev_int, prev_bnd = -1, -1
@@ -45,13 +45,12 @@ class TestDofCounts:
 
 
 class TestQuadrature:
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_weights_sum_to_reference_volume(self, degree):
-        q = quadrature_rule(degree)
+    def test_weights_sum_to_reference_volume(self):
+        q = quadrature_rule()
         assert q.weights.sum() == pytest.approx(1 / 6, rel=1e-15)
 
     def test_degree_two_exact_on_quadratics(self):
-        q = quadrature_rule(2)
+        q = quadrature_rule()
         # reference integral of lam_a lam_b = 1/120 (a != b), lam_a^2 = 1/60
         for a in range(4):
             for b in range(4):

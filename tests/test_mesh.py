@@ -105,10 +105,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             build_box_mesh((1, 1), (1, 1, 1))
 
-    def test_origin_offset(self):
-        m = build_box_mesh((1, 1, 1), (1, 1, 1), origin=(1.25, -0.5, 2.0))
-        assert m.vertices.min(axis=0) == pytest.approx([1.25, -0.5, 2.0])
-
 
 class TestDump:
     def test_dump_round_numbers(self, unit_mesh_1, tmp_path):
