@@ -18,7 +18,7 @@ from micromorph import (
     make_isotropic,
     skew,
 )
-from micromorph.tensors import ConstitutiveTensor4, matrix_representation
+from micromorph.tensors import ConstitutiveTensor4
 
 rng = np.random.default_rng(0)
 
@@ -28,9 +28,8 @@ x = rng.standard_normal((3, 3))
 print("T.X symmetric:", np.allclose(t.apply(x), t.apply(x).T))
 print("skew input annihilated:", np.abs(t.apply(skew(x))).max())
 
-rep = matrix_representation(t)
 print("\n6x6 representation eigenvalues (2 mu five times, 2 mu + 3 lam once):")
-print(np.round(np.linalg.eigvalsh(rep), 12))
+print(np.round(np.linalg.eigvalsh(t.matrix), 12))
 
 print("\n=== definiteness classification ===")
 for mu, lam in [(1.0, 0.0), (1.0, -1.0), (0.0, 0.0)]:

@@ -31,8 +31,6 @@ from .fespace import (
     DofMap,
     FESystem,
     build_fe_system,
-    build_p_space,
-    build_u_space,
     interpolate_p,
     interpolate_u,
 )

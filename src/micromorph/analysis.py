@@ -40,7 +40,6 @@ from .errors import DefinitenessError, HypothesisError, NonConvergenceError
 from .fespace import FESystem
 from .linalg import extreme_generalized_eigenvalues, hermitian_dense_eig
 from .tensors import (
-    FULL_BASIS,
     Definiteness,
     DefinitenessReport,
     MaterialParams,
@@ -311,18 +310,13 @@ def _pencil_coefficients(
     f0 = np.vstack([u, -p, p, 0.0 * p])
     f1 = np.vstack([0.0 * u, grad, 0.0 * p, curl])
 
-    def act(tensor) -> np.ndarray:
-        # 9 x 9 matrix of X -> T.X on row-major X; T.X sees only the class
-        # part (sym, skew or all) of X, so the sym/skew projections are implicit
-        return tensor.apply(FULL_BASIS).reshape(9, 9).T
-
     def coefficients(spec: FormSpec) -> np.ndarray:
         # F^H M F, M the (symmetric, block-diagonal) energy of spec on the fields
         blocks = (
             spec.mass_u * np.eye(3),
-            act(spec.sym_relative) + act(spec.skew_relative),
-            spec.mass_p * np.eye(9) + act(spec.sym_micro),
-            spec.curl_coeff * act(spec.curl),
+            spec.sym_relative.action + spec.skew_relative.action,
+            spec.mass_p * np.eye(9) + spec.sym_micro.action,
+            spec.curl_coeff * spec.curl.action,
         )
         m = np.zeros((30, 30))
         for lo, block in zip((0, 3, 12, 21), blocks):

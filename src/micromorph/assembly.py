@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fespace import FESystem
+from .fespace import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, FESystem
 from .mesh import LOCAL_EDGES
 from .tensors import (
     ConstitutiveTensor4,
@@ -188,13 +188,11 @@ _INNER = np.outer(np.eye(3).ravel(), np.eye(3).ravel())   # <X, Y> in full index
 def _full_index(tensor: ConstitutiveTensor4 | None) -> np.ndarray:
     """9x9 K with <T (e_i (x) v), e_j (x) v'> = sum_kl K[3k + l, 3i + j] v_k v'_l.
 
-    This is B^T M B of the tensor's class basis B, regrouped; the class
-    projection (sym, skew or none) is implicit in B.
+    This is the tensor's :attr:`~ConstitutiveTensor4.action`, regrouped.
     """
     if tensor is None:
         return np.zeros((9, 9))
-    basis = tensor.symmetry_class.basis.reshape(-1, 9)
-    k = (basis.T @ tensor.matrix @ basis).reshape(3, 3, 3, 3)   # [i, k, j, l]
+    k = tensor.action.reshape(3, 3, 3, 3)   # [i, k, j, l]
     return k.transpose(1, 3, 0, 2).reshape(9, 9)
 
 
@@ -233,14 +231,13 @@ def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     symmetric up to round-off; the PU block is the transpose of uP.
     """
     k_uu, k_up, k_pp, k_curl = _block_tensors(spec)
-    quad = sys.quadrature
-    lam = quad.points                                     # (nq, 4)
+    lam = QUADRATURE_POINTS                               # (nq, 4)
     nc = cells.size
     g = sys.grad_hats[cells]                              # (nc, 4, 3)
     vol = sys.mesh.cell_volumes[cells]
     sign = sys.mesh.cell_edge_signs[cells][:, :, None]    # (nc, 6, 1)
     ga, gb = g[:, _EDGE_A], g[:, _EDGE_B]                 # (nc, 6, 3)
-    weight = vol[:, None] * (6.0 * quad.weights)          # (nc, nq)
+    weight = vol[:, None] * (6.0 * QUADRATURE_WEIGHTS)    # (nc, nq)
     cell_vol = vol[:, None, None, None, None]
 
     # edge functions s_e (lam_a g_b - lam_b g_a) at the quadrature points
@@ -259,7 +256,7 @@ def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     if spec.mass_u or k_uu.any():
         uu = _contract(cell_vol * g[:, :, None, :, None] * g[:, None, :, None, :], k_uu)
         if spec.mass_u:
-            lam_lam = (lam.T * (6.0 * quad.weights)) @ lam   # reference 4x4 moment
+            lam_lam = (lam.T * (6.0 * QUADRATURE_WEIGHTS)) @ lam   # reference 4x4 moment
             delta = lam_lam[:, None, :, None] * np.eye(3)[:, None, :]   # (4, 3, 4, 3)
             uu += spec.mass_u * cell_vol * delta
         uu = uu.reshape(nc, 12, 12)
@@ -427,13 +424,12 @@ def _hat_integrals(sys: FESystem) -> np.ndarray:
 
 def _edge_integrals(sys: FESystem) -> np.ndarray:
     """(n_interior_edges, 3) integrals of each oriented edge function."""
-    quad = sys.quadrature
     n_int = max(sys.n_p_dofs // 3, 1)
     out = np.zeros((n_int, 3))
     g = sys.grad_hats
     signs = sys.mesh.cell_edge_signs
     rank = sys.p_map.entity_rank[sys.mesh.cell_edges]
-    lam_bar = quad.points.mean(axis=0)  # equal weights: mean is exact for linears
+    lam_bar = QUADRATURE_POINTS.mean(axis=0)  # equal weights: mean is exact for linears
     for e, (a, b) in enumerate(LOCAL_EDGES):
         w_int = (
             (lam_bar[a] * g[:, b, :] - lam_bar[b] * g[:, a, :])

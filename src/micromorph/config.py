@@ -25,7 +25,8 @@ nodes and tolerance, and the dispersion direction and wavenumbers by the
 function the library applies where it uses them, and the output precision,
 which only the CLI reads, here.  The material scalars ``rho``, ``j``, ``mu``
 and ``lc`` are checked for the configured variant by the rule that
-:class:`MaterialParams` applies on construction.
+:class:`MaterialParams` applies on construction; under an unknown variant
+the parts of that rule that hold in every variant still run.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -349,23 +350,26 @@ def parse_config(text: str) -> RunConfig:
             issues.append((line_of(section, key), key, str(exc)))
 
     mat = cfg.material
-    if mat.variant not in _VARIANTS:
+    variant = _VARIANTS.get(mat.variant)
+    if variant is None:  # only the variant-free scalar rules can run
         issues.append(
             (line_of("material", "variant"), "variant",
              f"unknown variant {mat.variant!r}; expected one of "
              + ", ".join(sorted(_VARIANTS)))
         )
-    else:  # the scalar rules depend on the variant
-        key_of = {attr: key for key, attr in _SCALAR_KEYS.items()}
-        scalars = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
-        for attr, reason in _scalar_problems(_VARIANTS[mat.variant], **scalars):
-            issues.append((line_of("material", key_of[attr]), key_of[attr], reason))
+    key_of = {attr: key for key, attr in _SCALAR_KEYS.items()}
+    scalars = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
+    for attr, reason in _scalar_problems(variant, **scalars):
+        issues.append((line_of("material", key_of[attr]), key_of[attr], reason))
     if sim.integrator not in ("picard", "newmark"):
         issues.append((line_of("simulation", "integrator"), "integrator",
                        "expected 'picard' or 'newmark'"))
     if any(d < 0 for d in sim.sample_dofs):
         issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
                        "dof indices must be non-negative"))
+    if len(set(sim.sample_dofs)) < len(sim.sample_dofs):
+        issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
+                       "dof indices must not repeat"))
     if cfg.analysis.korn_levels < 1:
         issues.append((line_of("analysis", "korn_levels"), "korn_levels",
                        "needs at least one level"))

@@ -24,11 +24,9 @@ from .mesh import BoxMesh
 
 __all__ = [
     "DofMap",
-    "QuadratureRule",
-    "quadrature_rule",
+    "QUADRATURE_POINTS",
+    "QUADRATURE_WEIGHTS",
     "FESystem",
-    "build_u_space",
-    "build_p_space",
     "build_fe_system",
     "interpolate_u",
     "interpolate_p",
@@ -41,56 +39,25 @@ N_LOCAL = 30  # 4 vertices x 3 components + 6 edges x 3 rows
 class DofMap:
     n_dofs: int
     entity_rank: np.ndarray = field(repr=False)  # per vertex or edge, -1 constrained
-    constrained: np.ndarray = field(repr=False)  # per vertex or edge
 
 
-def build_u_space(mesh: BoxMesh) -> DofMap:
-    """Vector P1 on interior vertices; boundary vertices constrained."""
-    constrained = mesh.boundary_vertex
-    rank = -np.ones(mesh.n_vertices, dtype=int)
+def _dof_map(constrained: np.ndarray) -> DofMap:
+    """Three dofs on each entity not flagged ``constrained``, ranked in order."""
+    rank = -np.ones(constrained.size, dtype=int)
     interior = np.flatnonzero(~constrained)
     rank[interior] = np.arange(interior.size)
-    return DofMap(
-        n_dofs=3 * interior.size,
-        entity_rank=rank,
-        constrained=constrained,
-    )
+    return DofMap(n_dofs=3 * interior.size, entity_rank=rank)
 
 
-def build_p_space(mesh: BoxMesh) -> DofMap:
-    """Three edge-element fields on interior edges; boundary edges constrained."""
-    constrained = mesh.boundary_edge
-    rank = -np.ones(mesh.n_edges, dtype=int)
-    interior = np.flatnonzero(~constrained)
-    rank[interior] = np.arange(interior.size)
-    return DofMap(
-        n_dofs=3 * interior.size,
-        entity_rank=rank,
-        constrained=constrained,
-    )
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Barycentric points and weights on the reference tetrahedron.
-
-    Weights sum to the reference volume 1/6; the physical weight on a cell
-    of volume V is 6 * V * weight.
-    """
-
-    degree: int
-    points: np.ndarray = field(repr=False)   # (nq, 4) barycentric
-    weights: np.ndarray = field(repr=False)  # (nq,)
-
-
-def quadrature_rule() -> QuadratureRule:
-    """The symmetric 4-point rule, exact for polynomials of degree 2."""
-    a = 0.5854101966249685
-    b = 0.1381966011250105
-    pts = np.full((4, 4), b)
-    np.fill_diagonal(pts, a)
-    wts = np.full(4, 1.0 / 24.0)
-    return QuadratureRule(2, pts, wts)
+# The symmetric 4-point rule on the reference tetrahedron, exact for
+# polynomials of degree 2: barycentric points (4, 4) and weights summing to
+# the reference volume 1/6, so the physical weight on a cell of volume V is
+# 6 * V * weight.
+QUADRATURE_POINTS = np.full((4, 4), 0.1381966011250105)
+np.fill_diagonal(QUADRATURE_POINTS, 0.5854101966249685)
+QUADRATURE_WEIGHTS = np.full(4, 1.0 / 24.0)
+QUADRATURE_POINTS.setflags(write=False)
+QUADRATURE_WEIGHTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +73,6 @@ class FESystem:
     mesh: BoxMesh
     u_map: DofMap
     p_map: DofMap
-    quadrature: QuadratureRule
     grad_hats: np.ndarray = field(repr=False)   # (nc, 4, 3)
     cell_dofs: np.ndarray = field(repr=False)   # (nc, 30)
 
@@ -176,13 +142,12 @@ def _cell_dof_table(mesh: BoxMesh, u_map: DofMap, p_map: DofMap) -> np.ndarray:
 
 
 def build_fe_system(mesh: BoxMesh) -> FESystem:
-    u_map = build_u_space(mesh)
-    p_map = build_p_space(mesh)
+    u_map = _dof_map(mesh.boundary_vertex)
+    p_map = _dof_map(mesh.boundary_edge)
     return FESystem(
         mesh=mesh,
         u_map=u_map,
         p_map=p_map,
-        quadrature=quadrature_rule(),  # exact for the moments of assembly
         grad_hats=_cell_grad_hats(mesh),
         cell_dofs=_cell_dof_table(mesh, u_map, p_map),
     )

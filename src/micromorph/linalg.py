@@ -9,8 +9,9 @@ time.
   solve vectors or (n, k) blocks; every column checks its own residual.
   Both integrators and the stationary solve run on it.
 * :func:`extreme_generalized_eigenvalues` - one end of the spectrum of a
-  symmetric pencil (A, B), B positive definite.  Small pencils use
-  dense ``eigh``.  For larger ones the count certifies B > 0 before ARPACK
+  symmetric pencil (A, B), B positive definite.  Pencils of at most
+  ``DENSE_CUTOFF`` rows go to :func:`hermitian_dense_eig`, the one dense
+  solver.  For larger ones the count certifies B > 0 before ARPACK
   runs: regular mode with the factor of B for the top end, and for the
   bottom end shift-invert at 0 when the count also certifies A > 0,
   regular mode otherwise.  Every returned eigenpair must pass a residual
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-DENSE_CUTOFF = 64  # pencils with at most this many rows use dense eigh
+DENSE_CUTOFF = 64  # pencils with at most this many rows use hermitian_dense_eig
 _DENSE_RESIDUAL = 1e-10  # backward error accepted from hermitian_dense_eig
 _HERMITIAN_TOL = 1e-10  # relative asymmetry accepted in its H and G
 _SOLVE_TOL = 1e-13  # relative residual every factored solve must meet
@@ -165,9 +166,11 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
     lambda_2 first, a true eigenpair that no residual check rejects."""
     sigma = lam - _MINIMUM_GAP * max(abs(lam), 1.0)
     _, below = _symmetric_lu(a_mat - sigma * b_mat)
-    if below:  # None: an off-diagonal pivot leaves the count unavailable
+    if below != 0:  # None: a zero pivot, which no positive definite matrix meets
+        found = "a zero pivot" if below is None else f"{below} negative pivots"
         raise NonConvergenceError(
-            f"{below} eigenvalue(s) lie below the returned smallest {lam!r}"
+            f"eigenvalue(s) lie below the returned smallest {lam!r}: "
+            f"A - sigma B just under it met {found}"
         )
 
 
@@ -223,9 +226,10 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
 
     Raises :class:`DefinitenessError` when B is not positive definite and
     :class:`NonConvergenceError` when the pair has ||Ax - lambda Bx|| >
-    ``_EIG_TOL`` max(||Ax||, |lambda| ||Bx||) above round-off.
+    ``_EIG_TOL`` max(||Ax||, |lambda| ||Bx||) above round-off; pencils of at
+    most ``DENSE_CUTOFF`` rows meet the check of :func:`hermitian_dense_eig`
+    instead.
     """
-    import scipy.linalg
     import scipy.sparse
 
     if which not in ("smallest", *_ARPACK_WHICH):
@@ -235,15 +239,11 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")
-    if n > DENSE_CUTOFF:
-        lam, x = _sparse_pair(a_mat, b_mat, which)
-    else:
-        try:
-            w, v = scipy.linalg.eigh(a_mat.toarray(), b_mat.toarray())
-        except scipy.linalg.LinAlgError as exc:
-            raise DefinitenessError(f"B is not positive definite: {exc}")
+    if n <= DENSE_CUTOFF:  # every pair is residual-checked there
+        w = hermitian_dense_eig(a_mat.toarray(), b_mat.toarray())
         at = {"smallest": 0, "largest": -1, "magnitude": int(np.argmax(np.abs(w)))}
-        lam, x = float(w[at[which]]), v[:, at[which]]
+        return float(w[at[which]])
+    lam, x = _sparse_pair(a_mat, b_mat, which)
     _check_pair(a_mat, b_mat, lam, x)
     return lam
 

@@ -32,14 +32,13 @@ class BoxMesh:
 
     ``edges`` hold global vertex pairs with the lower index first;
     ``cell_edge_signs`` record whether a cell's local edge direction agrees
-    with the global one.  ``vertex_grid`` keeps integer grid indices so
-    boundary classification is exact.
+    with the global one.  The boundary flags are read off integer grid
+    indices, so they are exact.
     """
 
     dims: tuple[float, float, float]
     resolution: tuple[int, int, int]
     vertices: np.ndarray = field(repr=False)       # (nv, 3) float
-    vertex_grid: np.ndarray = field(repr=False)    # (nv, 3) int
     cells: np.ndarray = field(repr=False)          # (nc, 4) int
     cell_volumes: np.ndarray = field(repr=False)   # (nc,)
     edges: np.ndarray = field(repr=False)          # (ne, 2) int, sorted pairs
@@ -149,7 +148,6 @@ def build_box_mesh(dims, resolution) -> BoxMesh:
         dims=dims,
         resolution=resolution,
         vertices=vertices,
-        vertex_grid=vertex_grid,
         cells=cells,
         cell_volumes=cell_volumes,
         edges=edges,
@@ -165,7 +163,6 @@ class MeshDiagnostics:
     volume_sum: float
     min_cell_volume: float
     euler_characteristic: int
-    n_faces: int
     violations: tuple[str, ...]
 
 
@@ -199,6 +196,5 @@ def validate_mesh(mesh: BoxMesh) -> MeshDiagnostics:
         volume_sum=vol_sum,
         min_cell_volume=min_vol,
         euler_characteristic=euler,
-        n_faces=n_faces,
         violations=tuple(violations),
     )

@@ -93,17 +93,6 @@ class SymmetryClass(enum.Enum):
         d = self.dim
         return d * (d + 1) // 2
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal-basis coordinates of the class projection of x.
-
-        Projection is implicit: components of x orthogonal to the class
-        domain simply do not contribute.
-        """
-        return np.einsum("mij,...ij->...m", self.basis, x)
-
-    def from_coords(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("...m,mij->...ij", c, self.basis)
-
 
 @dataclass(frozen=True)
 class ConstitutiveTensor4:
@@ -148,15 +137,17 @@ class ConstitutiveTensor4:
         m = m + np.triu(m, 1).T
         return cls(symmetry_class, m)
 
+    @property
+    def action(self) -> np.ndarray:
+        """9x9 matrix of X -> T.X on row-major X: B^T M B for the class
+        basis B, so the part of X outside the class domain is annihilated."""
+        basis = self.symmetry_class.basis.reshape(-1, 9)
+        return basis.T @ self.matrix @ basis
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """T.X; annihilates the part of X outside the class domain."""
-        c = self.symmetry_class.coords(np.asarray(x, dtype=float))
-        return self.symmetry_class.from_coords(c @ self.matrix)
-
-
-def matrix_representation(t: ConstitutiveTensor4) -> np.ndarray:
-    """Dense symmetric matrix of the quadratic form (a copy)."""
-    return np.array(t.matrix)
+        """T.X for a 3x3 X or a stack of them."""
+        x = np.asarray(x, dtype=float)
+        return (x.reshape(*x.shape[:-2], 9) @ self.action.T).reshape(x.shape)
 
 
 def make_isotropic(symmetry_class: SymmetryClass, *moduli: float) -> ConstitutiveTensor4:
@@ -259,14 +250,15 @@ _TENSOR_CLASSES = {
 
 
 def _scalar_problems(
-    variant: ModelVariant,
+    variant: ModelVariant | None,
     rho: float,
     micro_inertia: float,
     mu: float,
     length_scale: float,
 ) -> list[tuple[str, str]]:
     """(name, reason) for each scalar of :class:`MaterialParams` that
-    ``variant`` does not admit, in the order the constructor reports them."""
+    ``variant`` does not admit, in the order the constructor reports them.
+    With ``variant`` None only the rules that hold in every variant run."""
     # written as "not x > 0" so that NaN is rejected too
     problems = []
     if not rho > 0:
@@ -283,7 +275,7 @@ def _scalar_problems(
     if variant is ModelVariant.ZERO_LENGTH_SCALE:
         if length_scale != 0.0:
             problems.append(("length_scale", "must be exactly zero in this variant"))
-    elif not length_scale > 0:
+    elif variant is not None and not length_scale > 0:
         problems.append(("length_scale", "must be positive in this variant"))
     return problems
 

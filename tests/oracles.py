@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from micromorph.fespace import QUADRATURE_POINTS, QUADRATURE_WEIGHTS
 from micromorph.mesh import LOCAL_EDGES
 
 
@@ -183,8 +184,7 @@ def _quadrature_point_fields(sys, cells):
     constant displacement gradients (nc, 30, 3, 3) and curls (nc, 30, 3, 3),
     dense over the 30 local dofs.
     """
-    quad = sys.quadrature
-    nq = quad.points.shape[0]
+    nq = QUADRATURE_POINTS.shape[0]
     nc = cells.size
     g = sys.grad_hats[cells]
     signs = sys.mesh.cell_edge_signs[cells]
@@ -194,7 +194,7 @@ def _quadrature_point_fields(sys, cells):
     grad_u = np.zeros((nc, 30, 3, 3))
     curl_p = np.zeros((nc, 30, 3, 3))
 
-    lam = quad.points
+    lam = QUADRATURE_POINTS
     for a in range(4):
         for i in range(3):
             k = 3 * a + i
@@ -223,11 +223,10 @@ def quadrature_point_form_matrix(sys, spec) -> np.ndarray:
     every point over all 30 local dofs, projected onto each tensor's class
     basis and contracted by one einsum per term; the sum is symmetrised.
     """
-    quad = sys.quadrature
     cells = np.arange(sys.mesh.n_cells)
     u_val, p_val, rel, grad_u, curl_p = _quadrature_point_fields(sys, cells)
     vols = sys.mesh.cell_volumes
-    w_phys = 6.0 * vols[:, None] * quad.weights[None, :]
+    w_phys = 6.0 * vols[:, None] * QUADRATURE_WEIGHTS[None, :]
 
     def coords(x, tensor):
         return np.einsum("mij,...ij->...m", tensor.symmetry_class.basis, x)

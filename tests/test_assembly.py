@@ -20,7 +20,13 @@ from micromorph.assembly import (
     form_spec_w2,
     load_assembler,
 )
-from micromorph.fespace import build_fe_system, interpolate_p, interpolate_u
+from micromorph.fespace import (
+    QUADRATURE_POINTS,
+    QUADRATURE_WEIGHTS,
+    build_fe_system,
+    interpolate_p,
+    interpolate_u,
+)
 from micromorph.mesh import build_box_mesh
 from micromorph.tensors import (
     ModelVariant,
@@ -214,11 +220,10 @@ class TestLoads:
         # constant field M interpolated exactly by the edge space per cell is
         # not global, so integrate directly instead:
         mesh = sys_2.mesh
-        q = sys_2.quadrature
         n_int = sys_2.n_p_dofs // 3
         oracle = np.zeros(sys_2.n_dofs)
         for c in range(mesh.n_cells):
-            for qp, qw in zip(q.points, q.weights):
+            for qp, qw in zip(QUADRATURE_POINTS, QUADRATURE_WEIGHTS):
                 vals, _ = eval_p_basis(sys_2, c, qp)
                 for e in range(6):
                     r = sys_2.p_map.entity_rank[mesh.cell_edges[c, e]]

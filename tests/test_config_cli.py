@@ -333,6 +333,7 @@ class TestRejectedValues:
     @pytest.mark.parametrize(
         "text, key, line",
         [("[simulation]\nsample_dofs = -1 0\n", "sample_dofs", 2),
+         ("[simulation]\nsample_dofs = 0 0 1\n", "sample_dofs", 2),
          ("[analysis]\nkorn_levels = 0\n", "korn_levels", 2),
          ("[mesh]\nresolution = 1 1 1\n[analysis]\nkorn_levels = -1\n",
           "korn_levels", 4),
@@ -361,12 +362,20 @@ class TestRejectedValues:
             parse_config(text)
         assert [(ln, k) for ln, k, _ in err.value.issues] == [(line, key)]
 
+    def test_unknown_variant_keeps_variant_free_scalar_checks(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[material]\nvariant = fulll\nrho = -1\n")
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [
+            (2, "variant"), (3, "rho")
+        ]
+
     @pytest.mark.parametrize(
         "command, text",
         [("check", "[simulation]\nload_f =\n"),
          ("dispersion", "[simulation]\ninitial_u =\n"),
          ("korn", "[simulation]\nload_m =\n"),
          ("simulate", "[simulation]\nsample_dofs = -1 0\n"),
+         ("simulate", "[simulation]\nsample_dofs = 0 0 1\n"),
          ("korn", "[analysis]\nkorn_levels = -1\n"),
          ("check", "[analysis]\ndirection = 0 0 0\n"),
          ("check", "[analysis]\nk_samples = -1 0\n"),

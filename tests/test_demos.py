@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from micromorph.cli import main
+from micromorph.config import parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -44,3 +47,15 @@ def test_readme_quick_start_runs(tmp_path):
     script.write_text(block)
     proc = _run(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_ini_example_checks(tmp_path):
+    """The README's configuration example parses and passes ``check``."""
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    parse_config(block)
+    config = tmp_path / "example.ini"
+    config.write_text(block)
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "moduli.csv").is_file()

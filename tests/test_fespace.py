@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from micromorph.fespace import (
+    QUADRATURE_POINTS,
+    QUADRATURE_WEIGHTS,
     build_fe_system,
-    build_p_space,
-    build_u_space,
     interpolate_p,
     interpolate_u,
-    quadrature_rule,
 )
 from micromorph.mesh import build_box_mesh
 from oracles import eval_p_basis, eval_u_basis, evaluate_curl_p, evaluate_p, evaluate_u
@@ -23,15 +22,16 @@ class TestDofCounts:
     def test_u_space_sizes(self):
         for n, interior in ((1, 0), (2, 1), (3, 8)):
             m = build_box_mesh((1, 1, 1), (n, n, n))
-            assert build_u_space(m).n_dofs == 3 * interior
+            assert build_fe_system(m).u_map.n_dofs == 3 * interior
 
     def test_p_space_single_cube(self, unit_mesh_1):
         # only the body diagonal is interior
-        assert build_p_space(unit_mesh_1).n_dofs == 3
+        assert build_fe_system(unit_mesh_1).p_map.n_dofs == 3
 
     def test_constrained_partition(self, unit_mesh_2):
-        pm = build_p_space(unit_mesh_2)
-        assert pm.n_dofs + 3 * int(pm.constrained.sum()) == 3 * unit_mesh_2.n_edges
+        pm = build_fe_system(unit_mesh_2).p_map
+        constrained = pm.entity_rank < 0
+        assert pm.n_dofs + 3 * int(constrained.sum()) == 3 * unit_mesh_2.n_edges
 
     def test_interior_edges_grow_faster_than_boundary(self):
         prev_int, prev_bnd = -1, -1
@@ -46,15 +46,15 @@ class TestDofCounts:
 
 class TestQuadrature:
     def test_weights_sum_to_reference_volume(self):
-        q = quadrature_rule()
-        assert q.weights.sum() == pytest.approx(1 / 6, rel=1e-15)
+        assert QUADRATURE_WEIGHTS.sum() == pytest.approx(1 / 6, rel=1e-15)
 
     def test_degree_two_exact_on_quadratics(self):
-        q = quadrature_rule()
         # reference integral of lam_a lam_b = 1/120 (a != b), lam_a^2 = 1/60
         for a in range(4):
             for b in range(4):
-                val = np.sum(q.weights * q.points[:, a] * q.points[:, b])
+                val = np.sum(
+                    QUADRATURE_WEIGHTS * QUADRATURE_POINTS[:, a] * QUADRATURE_POINTS[:, b]
+                )
                 expect = 1 / 60 if a == b else 1 / 120
                 assert val == pytest.approx(expect, rel=1e-14)
 

@@ -194,6 +194,24 @@ class TestSparsePath:
                 which="smallest",
             )
 
+    def test_unavailable_count_fails_minimum_certificate(self, monkeypatch):
+        # a zero pivot proves A - sigma B is not positive definite, so it fails too
+        real = linalg._symmetric_lu
+        calls = []
+
+        def count_unavailable(mat):
+            calls.append(mat)  # B, then A, then the count of A - sigma B
+            return (None, None) if len(calls) == 3 else real(mat)
+
+        monkeypatch.setattr(linalg, "_symmetric_lu", count_unavailable)
+        d = np.linspace(1.0, 10.0, N_SPARSE)
+        with pytest.raises(NonConvergenceError, match="below"):
+            extreme_generalized_eigenvalues(
+                sp.diags(d, format="csr"), sp.eye(N_SPARSE, format="csr"),
+                which="smallest",
+            )
+        assert len(calls) == 3
+
     def test_unknown_end_rejected(self):
         with pytest.raises(ValueError, match="which"):
             extreme_generalized_eigenvalues(sp.eye(3), sp.eye(3), which="middle")

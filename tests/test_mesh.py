@@ -87,8 +87,9 @@ class TestBoundaryFlags:
     def test_boundary_edge_needs_common_face(self):
         # both endpoints on the boundary but crossing the interior: not flagged
         m = build_box_mesh((1, 1, 1), (2, 2, 2))
+        grid = np.rint(m.vertices / m.dims * m.resolution).astype(int)
         for (a, b), flag in zip(m.edges, m.boundary_edge):
-            ga, gb = m.vertex_grid[a], m.vertex_grid[b]
+            ga, gb = grid[a], grid[b]
             on_common_face = any(
                 (ga[ax] == gb[ax]) and (ga[ax] in (0, m.resolution[ax]))
                 for ax in range(3)
