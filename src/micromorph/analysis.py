@@ -13,12 +13,14 @@ The dispersion calculator substitutes plane waves u = u0 exp(i(k d.x - w t)),
 P = P0 exp(i(k d.x - w t)) into the strong-form balance equations with zero
 loads: the gradient becomes i k (u0 x d^T) and the row-wise curl becomes the
 i k cross-product map, yielding a 12 x 12 Hermitian pencil
-w^2 A(k) z = B(k) z whose A collects the rate-energy (inertia) terms and B
-the potential terms.  Every field is f0 z + i k f1 z, so both are exactly
-quadratic in k: A(k) = A0 + k A1 + k^2 A2, likewise B.  The six coefficient
-matrices are built once per direction, and all wavenumber samples are solved
-in one batched eigensolve.  Frequencies are the square roots of the pencil
-eigenvalues; band gaps are read off sampled branches.
+w^2 A(k) z = B(k) z whose A and B are the symbols of the rate-energy
+(inertia) and potential forms.  Every field is f0 z + i k f1 z, so a symbol
+is exactly quadratic in k: A(k) = A0 + k A1 + k^2 A2.  The symbol of any
+:class:`~micromorph.assembly.FormSpec` is built once per direction from
+:func:`~micromorph.assembly.form_terms`, the reading the FE kernel uses too,
+and all wavenumber samples are solved in one batched eigensolve.
+Frequencies are the square roots of the pencil eigenvalues; band gaps are
+read off sampled branches.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .assembly import (
     assemble_form,
     form_spec_w1,
     form_spec_w2,
+    form_terms,
 )
-from .errors import DefinitenessError, HypothesisError, NonConvergenceError
+from .errors import DefinitenessError, HypothesisError
 from .fespace import FESystem
 from .linalg import extreme_generalized_eigenvalues, hermitian_dense_eig
 from .tensors import (
@@ -193,7 +196,7 @@ def check_hypotheses(params: MaterialParams) -> WellPosednessReport:
     checks.append(HypothesisCheck("vii", "scalar parameters positive", True))
 
     v = params.variant
-    if v in (ModelVariant.SIMPLIFIED_INERTIA, ModelVariant.QUASISTATIC):
+    if not v.micro_mass:
         checks.append(
             HypothesisCheck(
                 "micro-rate-definite",
@@ -268,21 +271,13 @@ def korn_curl_constant(sys: FESystem) -> float:
     """
     if sys.n_p_dofs < 1:
         raise ValueError("micro-distortion space has no degrees of freedom")
-    identity_curv = isotropic_curvature(1.0)
-    left = assemble_form(
-        sys, FormSpec(mass_p=1.0, curl=identity_curv, curl_coeff=1.0)
-    ).p_block()
-    right = assemble_form(
-        sys,
-        FormSpec(
-            sym_micro=isotropic_elastic(0.5, 0.0),  # 2 mu sym = sym for mu = 1/2
-            curl=identity_curv,
-            curl_coeff=1.0,
-        ),
-    ).p_block()
+    curl_curl = {"curl": isotropic_curvature(1.0), "curl_coeff": 1.0}
+    left = assemble_form(sys, FormSpec(mass_p=1.0, **curl_curl)).p_block()
+    sym_mass = isotropic_elastic(0.5, 0.0)   # 2 mu sym = sym for mu = 1/2
+    right = assemble_form(sys, FormSpec(sym_micro=sym_mass, **curl_curl)).p_block()
     try:
         return extreme_generalized_eigenvalues(left, right, which="largest")
-    except (DefinitenessError, NonConvergenceError) as exc:
+    except DefinitenessError as exc:
         raise DefinitenessError(
             "sym-mass + curl-curl form is singular on the tangential-zero "
             f"space; the discrete Korn-type inequality fails: {exc}"
@@ -293,38 +288,31 @@ def korn_curl_constant(sys: FESystem) -> float:
 # plane-wave dispersion
 
 
-def _pencil_coefficients(
-    params: MaterialParams, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A0, A1, A2) and (B0, B1, B2), each stacked (3, 12, 12), of the
-    Hermitian plane-wave pencil w^2 A z = B z along ``d``: A(k) = A0 + k A1
-    + k^2 A2, likewise B.  z stacks the displacement amplitude (3) and the
-    row-major micro-distortion amplitude (9).  A and B are the rate and
-    potential forms of :mod:`assembly` evaluated on plane waves, so A
-    respects the model variant; neither carries a ``grad_u`` term."""
-    # the fields (u, grad u - P, P, Curl P) of amplitude z are (f0 + i k f1) z:
+def _plane_wave_symbol(spec: FormSpec, d: np.ndarray) -> np.ndarray:
+    """(S0, S1, S2) stacked (3, 12, 12): the Hermitian symbol S(k) = S0 +
+    k S1 + k^2 S2 of the form ``spec`` on plane waves along the unit ``d``,
+    so that the form of two waves of amplitudes z, z' is z'^H S(k) z.  z
+    stacks the displacement amplitude (3) and the row-major
+    micro-distortion amplitude (9)."""
+    # the fields of amplitude z are (f0 + i k f1) z:
     # grad u = i k (u (x) d) and row i of Curl P is i k (d x P_i)
     u, p = np.eye(12)[:3], np.eye(12)[3:]
     grad = np.kron(np.eye(3), d[:, None]) @ u
     curl = np.kron(np.eye(3), np.cross(d, np.eye(3)).T) @ p
-    f0 = np.vstack([u, -p, p, 0.0 * p])
-    f1 = np.vstack([0.0 * u, grad, 0.0 * p, curl])
-
-    def coefficients(spec: FormSpec) -> np.ndarray:
-        # F^H M F, M the (symmetric, block-diagonal) energy of spec on the fields
-        blocks = (
-            spec.mass_u * np.eye(3),
-            spec.sym_relative.action + spec.skew_relative.action,
-            spec.mass_p * np.eye(9) + spec.sym_micro.action,
-            spec.curl_coeff * spec.curl.action,
-        )
-        m = np.zeros((30, 30))
-        for lo, block in zip((0, 3, 12, 21), blocks):
-            m[lo:lo + len(block), lo:lo + len(block)] = block
-        cross = f0.T @ m @ f1
-        return np.stack([f0.T @ m @ f0, 1j * (cross - cross.T), f1.T @ m @ f1])
-
-    return coefficients(form_spec_w1(params)), coefficients(form_spec_w2(params))
+    fields = {
+        "u": (u, 0.0 * u),
+        "grad u": (0.0 * p, grad),
+        "grad u - P": (-p, grad),
+        "P": (p, 0.0 * p),
+        "Curl P": (0.0 * p, curl),
+    }
+    f0, f1 = (np.vstack(parts) for parts in zip(*fields.values()))
+    m = np.zeros((39, 39))   # the block-diagonal energy of spec on the fields
+    at = dict(zip(fields, (0, 3, 12, 21, 30)))
+    for name, block in form_terms(spec):
+        m[at[name]:at[name] + len(block), at[name]:at[name] + len(block)] += block
+    cross = f0.T @ m @ f1
+    return np.stack([f0.T @ m @ f0, 1j * (cross - cross.T), f1.T @ m @ f1])
 
 
 @dataclass(frozen=True)
@@ -396,7 +384,8 @@ def dispersion_curves(
     d = _unit_direction(direction)
     ks = _wavenumbers(k_samples)
     powers = ks[:, None] ** np.arange(3)
-    a, b = (np.tensordot(powers, c, 1) for c in _pencil_coefficients(params, d))
+    specs = (form_spec_w1(params), form_spec_w2(params))
+    a, b = (np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
     a_min = np.linalg.eigvalsh(a)[:, 0]
     bad = np.flatnonzero(a_min <= 0)
     if bad.size:

@@ -4,8 +4,11 @@ and time-dependent load vectors.
 One table-driven integrand kernel serves every form.  A form is described
 by a :class:`FormSpec`: scalar mass coefficients plus constitutive tensors
 acting on the symmetric/antisymmetric parts of the relative distortion
-(grad u - P), on sym P, and on Curl P.  Model variants only change the
-coefficient table, never the code path.
+(grad u - P), on sym P, and on Curl P.  :func:`form_terms` is the one
+reading of a spec, which the element kernel here and the plane-wave symbol
+of :mod:`analysis` regroup.  Model variants only change the coefficient
+table (:class:`~micromorph.tensors.ModelVariant` says which inertia terms
+each keeps), never the code path.
 
 Boundary-constrained dofs are eliminated, not penalized.  Each element
 matrix is built from a few per-cell moments (see :func:`_element_blocks`);
@@ -26,7 +29,6 @@ from .mesh import LOCAL_EDGES
 from .tensors import (
     ConstitutiveTensor4,
     MaterialParams,
-    ModelVariant,
     isotropic_curvature,
 )
 
@@ -40,6 +42,7 @@ __all__ = [
     "form_spec_w1",
     "form_spec_w2",
     "form_spec_gram",
+    "form_terms",
     "assemble_form",
     "assemble_w1",
     "assemble_w2",
@@ -64,10 +67,6 @@ class BlockLayout:
     @property
     def total(self) -> int:
         return self.u_size + self.p_size
-
-    @property
-    def p_offset(self) -> int:
-        return self.u_size
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class SparseSymOperator:
         return self.matrix.toarray()
 
     def p_block(self) -> "SparseSymOperator":
-        n = self.layout.p_offset
+        n = self.layout.u_size
         return SparseSymOperator(
             self.matrix[n:, n:].tocsr(), BlockLayout(0, self.layout.p_size)
         )
@@ -135,22 +134,13 @@ class FormSpec:
 
 
 def form_spec_w1(params: MaterialParams) -> FormSpec:
-    """Rate-energy form: mass terms plus the inertia tensors.
-
-    The micro mass term is dropped in the simplified variant, both mass
-    terms in the quasistatic one; a zero length scale silently removes the
-    curvature-rate term.
+    """Rate-energy form: the mass terms the variant keeps plus the inertia
+    tensors; a zero length scale silently removes the curvature-rate term.
     """
     v = params.variant
-    mass_u = 0.0 if v is ModelVariant.QUASISTATIC else params.rho
-    mass_p = (
-        params.micro_inertia
-        if v in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
-        else 0.0
-    )
     return FormSpec(
-        mass_u=mass_u,
-        mass_p=mass_p,
+        mass_u=params.rho if v.mass else 0.0,
+        mass_p=params.micro_inertia if v.micro_mass else 0.0,
         sym_relative=params.inertia_elastic,
         skew_relative=params.inertia_coupling,
         sym_micro=params.inertia_micro,
@@ -181,34 +171,47 @@ def form_spec_gram() -> FormSpec:
     )
 
 
-_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T   # local end vertices of each edge
-_INNER = np.outer(np.eye(3).ravel(), np.eye(3).ravel())   # <X, Y> in full index
+def form_terms(spec: FormSpec) -> tuple[tuple[str, np.ndarray], ...]:
+    """The integrand of ``spec`` as (field, M) terms, each adding <M f(w), f(v)>
+    for the field f (u, grad u, grad u - P, P or Curl P, row-major) of w and v;
+    an absent tensor is zero.  Consumers sum a field's terms in this order,
+    which fixes the rounding of the operators and symbols built from them."""
 
+    def action(tensor: ConstitutiveTensor4 | None) -> np.ndarray:
+        return np.zeros((9, 9)) if tensor is None else tensor.action
 
-def _full_index(tensor: ConstitutiveTensor4 | None) -> np.ndarray:
-    """9x9 K with <T (e_i (x) v), e_j (x) v'> = sum_kl K[3k + l, 3i + j] v_k v'_l.
-
-    This is the tensor's :attr:`~ConstitutiveTensor4.action`, regrouped.
-    """
-    if tensor is None:
-        return np.zeros((9, 9))
-    k = tensor.action.reshape(3, 3, 3, 3)   # [i, k, j, l]
-    return k.transpose(1, 3, 0, 2).reshape(9, 9)
-
-
-def _block_tensors(spec: FormSpec) -> tuple[np.ndarray, ...]:
-    """Full-index matrices acting on the uu, uP, PP and curl-curl moments.
-
-    The relative-distortion tensors act on all three blocks, the mass of P
-    and the gradient term are <., .> on their moments, sym P only on PP.
-    """
-    relative = _full_index(spec.sym_relative) + _full_index(spec.skew_relative)
     return (
-        relative + spec.grad_u * _INNER,
-        relative,
-        relative + _full_index(spec.sym_micro) + spec.mass_p * _INNER,
-        spec.curl_coeff * _full_index(spec.curl),
+        ("grad u - P", action(spec.sym_relative)),
+        ("grad u - P", action(spec.skew_relative)),
+        ("grad u", spec.grad_u * np.eye(9)),
+        ("P", action(spec.sym_micro)),
+        ("P", spec.mass_p * np.eye(9)),
+        ("Curl P", spec.curl_coeff * action(spec.curl)),
+        ("u", spec.mass_u * np.eye(3)),
     )
+
+
+_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T   # local end vertices of each edge
+# moment blocks (uu, uP, PP, curl-curl) that each derivative field enters
+_MOMENT_BLOCKS = {"grad u - P": [0, 1, 2], "grad u": [0], "P": [2], "Curl P": [3]}
+
+
+def _full_index(action: np.ndarray) -> np.ndarray:
+    """9x9 K with <M (e_i (x) v), e_j (x) v'> = sum_kl K[3k + l, 3i + j] v_k v'_l
+    for a 9x9 M acting on row-major 3x3 matrices."""
+    return action.reshape(3, 3, 3, 3).transpose(1, 3, 0, 2).reshape(9, 9)
+
+
+def _block_tensors(spec: FormSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 mass of u and the (4, 9, 9) full-index matrices acting on the
+    uu, uP, PP and curl-curl moments, regrouped from :func:`form_terms`."""
+    k = np.zeros((4, 9, 9))
+    for name, m in form_terms(spec):
+        if name == "u":
+            mass = m
+        else:
+            k[_MOMENT_BLOCKS[name]] += _full_index(m)
+    return mass, k
 
 
 def _contract(moments: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -230,7 +233,7 @@ def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     quadrature rule integrates these exactly.  The uu and PP blocks are
     symmetric up to round-off; the PU block is the transpose of uP.
     """
-    k_uu, k_up, k_pp, k_curl = _block_tensors(spec)
+    mass, (k_uu, k_up, k_pp, k_curl) = _block_tensors(spec)
     lam = QUADRATURE_POINTS                               # (nq, 4)
     nc = cells.size
     g = sys.grad_hats[cells]                              # (nc, 4, 3)
@@ -253,12 +256,11 @@ def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     )
 
     uu = up = None
-    if spec.mass_u or k_uu.any():
+    if mass.any() or k_uu.any():
         uu = _contract(cell_vol * g[:, :, None, :, None] * g[:, None, :, None, :], k_uu)
-        if spec.mass_u:
+        if mass.any():
             lam_lam = (lam.T * (6.0 * QUADRATURE_WEIGHTS)) @ lam   # reference 4x4 moment
-            delta = lam_lam[:, None, :, None] * np.eye(3)[:, None, :]   # (4, 3, 4, 3)
-            uu += spec.mass_u * cell_vol * delta
+            uu += cell_vol * mass[:, None, :] * lam_lam[:, None, :, None]
         uu = uu.reshape(nc, 12, 12)
     if k_up.any():
         w_int = np.einsum("cq,cqek->cek", weight, w)      # (nc, 6, 3)

@@ -178,13 +178,15 @@ def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    params, sys_, w1, w2 = _operators(cfg)
+    params = material_from_config(cfg)
+    sys_ = build_fe_system(mesh_from_config(cfg))
     samples = cfg.simulation.sample_dofs
     beyond = [d for d in samples if d >= sys_.n_dofs]
-    if beyond:
+    if beyond:  # before anything is assembled
         raise ValueError(
             f"sample_dofs {beyond} out of range: the system has n_dofs = {sys_.n_dofs}"
         )
+    w1, w2 = assemble_w1(params, sys_), assemble_w2(params, sys_)
     traj = _simulate_trajectory(cfg, params, sys_, w1, w2)
     columns = ["t", "kinetic", "potential"] + [f"dof{d}" for d in samples]
     columns += ["picard_iterations"]

@@ -364,10 +364,7 @@ def newmark_integrate(
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a
-        rhs = -w2.matvec(u_pred)
-        if loads[k + 1] is not None:
-            rhs = rhs + loads[k + 1]
-        a = step(rhs)
+        a = stationary_solve(step, w2, u_pred, loads[k + 1])
         positions[k + 1] = u_pred + _BETA * dt * dt * a
         velocities[k + 1] = v_pred + _GAMMA * dt * a
 

@@ -236,6 +236,14 @@ class ModelVariant(enum.Enum):
     QUASISTATIC = "quasistatic"
     ZERO_LENGTH_SCALE = "zero-length-scale"
 
+    @property
+    def mass(self) -> bool:   # the rate energy keeps rho |u_t|^2
+        return self is not ModelVariant.QUASISTATIC
+
+    @property
+    def micro_mass(self) -> bool:   # the rate energy keeps micro_inertia |P_t|^2
+        return self in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
+
 
 _TENSOR_CLASSES = {
     "elastic": SymmetryClass.ELASTIC,
@@ -265,10 +273,9 @@ def _scalar_problems(
         problems.append(("rho", "must be positive"))
     if not mu > 0:
         problems.append(("mu", "must be positive"))
-    needs_j = variant in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
     if not micro_inertia >= 0:
         problems.append(("micro_inertia", "must be nonnegative"))
-    elif needs_j and not micro_inertia > 0:
+    elif variant is not None and variant.micro_mass and not micro_inertia > 0:
         problems.append(
             ("micro_inertia", f"must be positive in the {variant.value} variant")
         )

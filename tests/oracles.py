@@ -278,15 +278,9 @@ def strong_form_pencil(params, direction, k: float):
     d = np.asarray(direction, dtype=float)
     ik = 1j * k
     c4 = {name: dense_c4(t) for name, t in params.tensors().items()}
-    from micromorph.tensors import ModelVariant
-
     v = params.variant
-    rho = 0.0 if v is ModelVariant.QUASISTATIC else params.rho
-    j_mass = (
-        params.micro_inertia
-        if v in (ModelVariant.FULL_INERTIA, ModelVariant.ZERO_LENGTH_SCALE)
-        else 0.0
-    )
+    rho = params.rho if v.mass else 0.0
+    j_mass = params.micro_inertia if v.micro_mass else 0.0
     mul2 = params.mu * params.length_scale**2
 
     def curlop(s):
@@ -340,12 +334,14 @@ def strong_form_pencil(params, direction, k: float):
 
 def plane_wave_pencil(params, direction, k: float):
     """The 12 x 12 pencil (A, B) that ``dispersion_curves`` solves at one
-    wavenumber: its coefficient stacks evaluated at ``k``, so tests can set
-    it against :func:`strong_form_pencil`."""
-    from micromorph.analysis import _pencil_coefficients
+    wavenumber: the symbols of W1 and W2 evaluated at ``k``, so tests can
+    set it against :func:`strong_form_pencil`."""
+    from micromorph.analysis import _plane_wave_symbol
+    from micromorph.assembly import form_spec_w1, form_spec_w2
 
-    coeffs = _pencil_coefficients(params, np.asarray(direction, dtype=float))
-    return tuple(c[0] + k * c[1] + k * k * c[2] for c in coeffs)
+    d = np.asarray(direction, dtype=float)
+    symbols = (_plane_wave_symbol(f(params), d) for f in (form_spec_w1, form_spec_w2))
+    return tuple(s[0] + k * s[1] + k * k * s[2] for s in symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micromorph.analysis import (
+    _plane_wave_symbol,
     check_hypotheses,
     contraction_constant,
     detect_band_gaps,
@@ -17,11 +18,23 @@ from micromorph.analysis import (
     korn_curl_constant,
     well_posedness_report,
 )
-from micromorph.assembly import assemble_gram, assemble_w1, assemble_w2
-from micromorph.errors import DefinitenessError, HypothesisError
+from micromorph.assembly import (
+    FormSpec,
+    assemble_gram,
+    assemble_w1,
+    assemble_w2,
+    form_spec_gram,
+)
+from micromorph.errors import DefinitenessError, HypothesisError, NonConvergenceError
 from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh
-from micromorph.tensors import ConstitutiveTensor4, ModelVariant, isotropic_material
+from micromorph.tensors import (
+    ConstitutiveTensor4,
+    ModelVariant,
+    isotropic_curvature,
+    isotropic_elastic,
+    isotropic_material,
+)
 from oracles import plane_wave_pencil, strong_form_pencil
 
 
@@ -208,6 +221,17 @@ class TestKorn:
         assert korn_curl_constant(sys_2) == pytest.approx(1.8098504, rel=1e-5)
         assert korn_curl_constant(sys_3) == pytest.approx(1.9063104, rel=1e-5)
 
+    def test_solver_failure_is_not_a_singular_form(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        sys = build_fe_system(build_box_mesh((1, 1, 1), (4, 4, 4)))
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(NonConvergenceError, match="ARPACK"):
+            korn_curl_constant(sys)
+
     def test_translation_invariance(self):
         mesh = build_box_mesh((1, 1, 1), (2, 2, 2))
         a = korn_curl_constant(build_fe_system(mesh))
@@ -388,6 +412,58 @@ class TestPencilCoefficients:
         a_ref, b_ref = strong_form_pencil(params, d, k)
         for x, ref in ((a, a_ref), (b, b_ref)):
             assert np.abs(x - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+
+class TestPlaneWaveSymbol:
+    """Closed forms of the symbols of the Gram and Korn specs along a random
+    unit d: a field f contributes |f|^2, |grad u|^2 = k^2 |u|^2 and
+    |Curl P|^2 = k^2 sum_i P_i^T (I - d d^T) P_i."""
+
+    @pytest.fixture()
+    def d(self, rng):
+        d = rng.standard_normal(3)
+        return d / np.linalg.norm(d)
+
+    @staticmethod
+    def closed_form(d, mass_u, mass_p, grad_u):
+        s0 = np.zeros((12, 12))
+        s0[:3, :3] = mass_u * np.eye(3)
+        s0[3:, 3:] = mass_p
+        s2 = np.zeros((12, 12))
+        s2[:3, :3] = grad_u * np.eye(3)
+        s2[3:, 3:] = np.kron(np.eye(3), np.eye(3) - np.outer(d, d))
+        return np.stack([s0, np.zeros((12, 12)), s2])
+
+    def test_gram(self, d):
+        expected = self.closed_form(d, 1.0, np.eye(9), 1.0)
+        np.testing.assert_allclose(_plane_wave_symbol(form_spec_gram(), d), expected,
+                                   rtol=0, atol=1e-14)
+
+    def test_korn_forms(self, d):
+        curl = isotropic_curvature(1.0)
+        left = FormSpec(mass_p=1.0, curl=curl, curl_coeff=1.0)
+        right = FormSpec(sym_micro=isotropic_elastic(0.5, 0.0), curl=curl, curl_coeff=1.0)
+        transpose = np.eye(9).reshape(3, 3, 9).transpose(1, 0, 2).reshape(9, 9)
+        for spec, mass_p in ((left, np.eye(9)), (right, 0.5 * (np.eye(9) + transpose))):
+            np.testing.assert_allclose(_plane_wave_symbol(spec, d),
+                                       self.closed_form(d, 0.0, mass_p, 0.0),
+                                       rtol=0, atol=1e-14)
+
+
+class TestNestedLadder:
+    def test_constants_monotone_under_refinement(self, demo_material):
+        # nested meshes: the coarse spaces lie in the fine ones, so m1 can
+        # only drop and M2 and the Korn constant only grow
+        m1, m2, korn = [], [], []
+        for res in (1, 2, 4):
+            sys = build_fe_system(build_box_mesh((1, 1, 1), (res,) * 3))
+            gram = assemble_gram(sys)
+            m1.append(discrete_coercivity(assemble_w1(demo_material, sys), gram))
+            m2.append(discrete_boundedness(assemble_w2(demo_material, sys), gram))
+            korn.append(korn_curl_constant(sys))
+        assert m1[0] >= m1[1] >= m1[2] > 0
+        assert m2[0] <= m2[1] <= m2[2]
+        assert 1.0 <= korn[0] <= korn[1] <= korn[2]
 
 
 class TestBatchedDispersion:

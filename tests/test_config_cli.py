@@ -555,3 +555,24 @@ def test_simulate_rejects_sample_dof_beyond_the_system(tmp_path, capsys):
     assert "MICROMORPH-ERROR config" in err
     assert "[99999]" in err and "n_dofs = 81" in err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_simulate_rejects_sample_dofs_before_assembling(tmp_path, capsys, monkeypatch):
+    import micromorph.assembly
+
+    calls = []
+    original = micromorph.assembly.assemble_form
+
+    def counted(sys, spec):
+        calls.append(spec)
+        return original(sys, spec)
+
+    monkeypatch.setattr(micromorph.assembly, "assemble_form", counted)
+    p = tmp_path / "dofs.ini"
+    p.write_text("[mesh]\nresolution = 2 2 2\n\n[simulation]\nintegrator = newmark\n"
+                 "t_final = 0.1\nsample_dofs = 0 99999\n")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert ("MICROMORPH-ERROR config: sample_dofs [99999] out of range: "
+            "the system has n_dofs = 81") in err
+    assert calls == []

@@ -299,6 +299,34 @@ class TestNewmark:
         assert err <= 5e-3 * np.abs(picard.positions).max()
 
 
+    def test_picard_fixed_point_is_newmark_on_its_grid(self, sys_2, demo_material):
+        # a converged trapezoid sweep satisfies the average-acceleration
+        # update on the same nodes
+        from micromorph.analysis import well_posedness_report
+
+        w1 = assemble_w1(demo_material, sys_2)
+        w2 = assemble_w2(demo_material, sys_2)
+        gram = assemble_gram(sys_2)
+        c = well_posedness_report(demo_material, w1, w2, gram).contraction
+        rng = np.random.default_rng(0)
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0,
+            rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
+        )
+        load = load_assembler(LoadFunctional.constant(f=[0.0, 0.0, 1.0]), sys_2)
+        picard = picard_integrate(s0, w1, w2, load, 0.5, c, n_t=9, fixed_tol=1e-14,
+                                  gram=gram)
+        assert (picard.diagnostics["intervals"], picard.n_nodes) == (3, 25)
+        newmark = newmark_integrate(s0, w1, w2, load, 0.5 / 24, 24)
+
+        def norms(x):
+            return np.sqrt(np.einsum("ni,ni->n", x, (gram.matrix @ x.T).T))
+
+        for a, b in ((picard.positions, newmark.positions),
+                     (picard.velocities, newmark.velocities)):
+            assert norms(a - b).max() <= 1e-12 * norms(a[-1:])[0]
+
+
 class TestFactoredPath:
     @pytest.mark.parametrize("bad", [-1.0, 0.0])   # indefinite, singular
     def test_non_definite_w1_raises(self, bad):

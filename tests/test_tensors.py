@@ -199,6 +199,16 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             isotropic_material(variant=variant, **scalars)
 
+    def test_variant_inertia_terms(self):
+        # the paper's four models: which mass terms the rate energy keeps
+        kept = {v.value: (v.mass, v.micro_mass) for v in ModelVariant}
+        assert kept == {
+            "full": (True, True),
+            "simplified": (True, False),
+            "quasistatic": (False, False),
+            "zero-length-scale": (True, True),
+        }
+
     def test_simplified_allows_zero_micro_inertia(self):
         m = isotropic_material(
             variant=ModelVariant.SIMPLIFIED_INERTIA, micro_inertia=0.0
