@@ -87,7 +87,11 @@ class WellPosednessReport:
     boundedness: float | None = None       # M2
     contraction: float | None = None       # c
     interval: float | None = None          # delta = 1/(2 sqrt(c))
-    constant_map: bool = False
+
+    @property
+    def constant_map(self) -> bool:
+        """M2 = 0: the fixed-point map ignores its input (c = 0)."""
+        return self.boundedness == 0.0
 
     @property
     def hypotheses_satisfied(self) -> bool:
@@ -223,6 +227,13 @@ def discrete_boundedness(w2: SparseSymOperator, gram: SparseSymOperator) -> floa
     return abs(extreme_generalized_eigenvalues(w2, gram, which="magnitude"))
 
 
+def _contraction_interval(c: float) -> float:
+    """delta = 1/(2 sqrt(c)), on which one fixed-point sweep contracts by
+    delta^2 c = 1/4; c = 0 is a constant map, which contracts on any
+    interval: delta = inf."""
+    return math.inf if c == 0.0 else 1.0 / (2.0 * math.sqrt(c))
+
+
 def contraction_constant(m1: float, m2: float) -> tuple[float, float]:
     """(c, delta) from the proof's estimate chain: c = sqrt(2) M2 / m1 and
     delta = 1/(2 sqrt(c)); M2 = 0 flags a constant fixed-point map, reported
@@ -233,10 +244,8 @@ def contraction_constant(m1: float, m2: float) -> tuple[float, float]:
         )
     if m2 < 0:
         raise ValueError("boundedness constant cannot be negative")
-    if m2 == 0.0:
-        return 0.0, math.inf
     c = math.sqrt(2.0) * m2 / m1
-    return c, 1.0 / (2.0 * math.sqrt(c))
+    return c, _contraction_interval(c)
 
 
 def well_posedness_report(
@@ -256,7 +265,6 @@ def well_posedness_report(
         boundedness=m2,
         contraction=c,
         interval=delta,
-        constant_map=(m2 == 0.0),
     )
 
 

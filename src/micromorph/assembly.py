@@ -340,9 +340,10 @@ def assemble_gram(sys: FESystem) -> SparseSymOperator:
 class TimeField:
     """Spatially uniform, time-dependent field value.
 
-    kinds: 'zero'; 'constant' (fixed value); 'poly' (coefficients of powers
-    of t, constant first); 'table' (sample times and values, linear
-    interpolation, evaluation outside the table is a range error).
+    kinds: 'poly' (coefficients of powers of t, constant first); 'table'
+    (sample times and values, linear interpolation, evaluation outside the
+    table is a range error).  :meth:`zero` and :meth:`constant` build the
+    degree-0 polynomial.
     """
 
     kind: str
@@ -351,12 +352,11 @@ class TimeField:
 
     @classmethod
     def zero(cls, shape) -> "TimeField":
-        return cls("zero", tuple(shape))
+        return cls.polynomial([np.zeros(shape)])
 
     @classmethod
     def constant(cls, value) -> "TimeField":
-        value = np.asarray(value, dtype=float)
-        return cls("constant", value.shape, (value,))
+        return cls.polynomial([value])
 
     @classmethod
     def polynomial(cls, coefficients) -> "TimeField":
@@ -379,10 +379,6 @@ class TimeField:
         return cls("table", values[0].shape, (times, tuple(values)))
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(self.shape)
-        if self.kind == "constant":
-            return self.data[0]
         if self.kind == "poly":
             out = np.zeros(self.shape)
             for k, c in enumerate(self.data):

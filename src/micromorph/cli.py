@@ -7,7 +7,8 @@ check             hypothesis checklist + discrete constants; exit 3 on failure
 simulate          time integration, trajectory CSV
 dispersion        branch CSV over the sampled wavenumbers + band-gap list
 korn              Korn-type constant per refinement level
-contraction-demo  per-sweep fixed-point ratios against the theoretical bound
+contraction-demo  per-sweep fixed-point ratios on one subinterval against
+                  the bound delta^2 c, delta cut to the checked load window
 
 Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure, 4 solver
 failure.  Every CSV starts with comment lines carrying the resolved
@@ -136,7 +137,8 @@ def _operators(cfg: RunConfig):
 def _cmd_check(cfg: RunConfig, out: Path) -> int:
     params, sys_, w1, w2 = _operators(cfg)
     report = well_posedness_report(params, w1, w2, assemble_gram(sys_))
-    (out / "report.txt").write_text(_report_text(report))
+    text = _report_text(report)
+    (out / "report.txt").write_text(text)
     rows = [
         (name, r.classification.value, r.min_modulus, r.max_modulus)
         for name, r in report.tensor_reports.items()
@@ -147,7 +149,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
         out / "moduli.csv", cfg,
         ["tensor", "classification", "min_modulus", "max_modulus"], rows,
     )
-    print(_report_text(report), end="")
+    print(text, end="")
     return _EXIT_OK if report.well_posed else _EXIT_HYPOTHESIS
 
 
@@ -259,15 +261,15 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
             w1.layout, 0.0,
             rng.standard_normal(sys_.n_dofs), rng.standard_normal(sys_.n_dofs),
         )
-    # one subinterval of length delta; a constant map (c = 0, delta = inf)
-    # runs over t_final, where its bound delta^2 c is 0
-    delta = cfg.simulation.t_final if report.constant_map else report.interval
-    bound = delta**2 * report.contraction
+    # one subinterval of length delta, cut to the window whose loads
+    # parse_config checked; a constant map (delta = inf) runs over that window
     traj = picard_integrate(
-        state0, w1, w2, load_fn, delta, report.contraction,
-        n_t=cfg.simulation.nodes_per_interval, fixed_tol=cfg.simulation.fixed_tol,
-        gram=gram,
+        state0, w1, w2, load_fn, min(report.interval, cfg.simulation.load_end),
+        report.contraction, n_t=cfg.simulation.nodes_per_interval,
+        fixed_tol=cfg.simulation.fixed_tol, gram=gram,
     )
+    delta = traj.diagnostics["delta"]
+    bound = delta**2 * report.contraction
     ratios = traj.diagnostics["contraction_ratios"][0]
     rows = [(i + 1, r, bound) for i, r in enumerate(ratios)]
     _write_csv(out / "contraction.csv", cfg, ["sweep", "ratio", "bound"], rows)

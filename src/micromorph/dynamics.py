@@ -6,12 +6,13 @@ Two integrators over the same operator pair:
   subinterval the map sends a candidate trajectory to the solution of a
   stationary problem at each time node followed by a double time
   integration (composite trapezoid) from the initial data; the subinterval
-  length delta = 1/(2 sqrt(c)) makes the map a contraction with measured
-  per-sweep ratios bounded by delta^2 * c.  The subintervals are slices of
-  one uniform node grid over [0, T] and are glued by starting each from the
-  terminal state of the previous one; a single subinterval is the run with
-  t_final <= delta (or c = 0).  W1 is factored once per run and each sweep
-  solves the stationary problems of all its nodes as one block of
+  length delta = 1/(2 sqrt(c)), computed only by
+  ``analysis._contraction_interval``, makes the map a contraction with
+  measured per-sweep ratios bounded by delta^2 * c.  The subintervals are
+  slices of one uniform node grid over [0, T] and are glued by starting each
+  from the terminal state of the previous one; a single subinterval is the
+  run with t_final <= delta (or c = 0).  W1 is factored once per run and
+  each sweep solves the stationary problems of all its nodes as one block of
   right-hand sides.
 * :func:`newmark_integrate` - average-acceleration stepping (beta = 1/4,
   gamma = 1/2), unconditionally stable and energy conserving on the same
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import _contraction_interval
 from .assembly import BlockLayout, SparseSymOperator, combine_operators
 from .errors import NonConvergenceError, SolverError
 from .linalg import DefiniteSolver, definite_solver
@@ -253,19 +255,22 @@ def picard_integrate(
     uniform grid of n_t - 1 steps each, built once, whose last node is
     exactly t0 + T; loads are evaluated on it.  Each subinterval starts from
     the terminal state of the previous one, so glued states match bitwise at
-    the seams.  c_est = 0 flags a constant map (unbounded contraction
-    radius): a single subinterval is used.  A run that needs more than
-    ``MAX_INTERVALS`` subintervals raises :class:`SolverError`; delta is never
-    stretched past 1/(2 sqrt(c_est)).  A subinterval not converged within
-    ``_MAX_SWEEPS`` sweeps raises :class:`NonConvergenceError` carrying its
-    ratio history.  Sweeps are measured in the product norm of ``gram``.
+    the seams.  delta is the one :func:`analysis.contraction_constant`
+    reports for c_est, capped at T with one ``log.info``; c_est = 0 flags a
+    constant map (delta = inf), which runs as one subinterval.  A run that
+    needs more than ``MAX_INTERVALS`` subintervals raises
+    :class:`SolverError`; delta is never stretched past 1/(2 sqrt(c_est)).  A
+    subinterval not converged within ``_MAX_SWEEPS`` sweeps raises
+    :class:`NonConvergenceError` carrying its ratio history.  Sweeps are
+    measured in the product norm of ``gram``.
 
     W1 is factored once for all subintervals.  ``diagnostics`` carries per
     subinterval the sweep count (``picard_iterations``), the measured
     per-sweep contraction ratios (successive-difference quotients in the
     max-over-nodes Gram norm, ``contraction_ratios``) and the final residual;
     ``node_interval`` gives the subinterval of each node (node 0 belongs to
-    the first).
+    the first).  ``delta`` is the length T / ``intervals`` each subinterval
+    ran, so ``delta**2 * c_est`` is the bound on its ratios.
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
@@ -273,14 +278,10 @@ def picard_integrate(
         raise ValueError("c_est must be nonnegative")
     _check_time_nodes(n_t)
     _check_fixed_tol(fixed_tol)
-    if c_est == 0.0:
+    delta = _contraction_interval(c_est)
+    if delta > t_final:  # a constant map (c_est = 0) has delta = inf
+        log.info("contraction interval %.3g capped at t_final", delta)
         delta = t_final
-        log.info("constant-map flag: zero contraction constant, one interval")
-    else:
-        delta = 1.0 / (2.0 * math.sqrt(c_est))
-        if delta > t_final:
-            log.info("contraction interval %.3g capped at t_final", delta)
-            delta = t_final
     n_int = max(1, math.ceil(t_final / delta - 1e-12))
     if n_int > MAX_INTERVALS:
         raise SolverError(

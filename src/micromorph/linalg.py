@@ -165,12 +165,11 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
     pivot for sigma just under it (Sylvester).  A Krylov run can converge to
     lambda_2 first, a true eigenpair that no residual check rejects."""
     sigma = lam - _MINIMUM_GAP * max(abs(lam), 1.0)
-    _, below = _symmetric_lu(a_mat - sigma * b_mat)
-    if below != 0:  # None: a zero pivot, which no positive definite matrix meets
-        found = "a zero pivot" if below is None else f"{below} negative pivots"
+    try:
+        _definite_lu(a_mat - sigma * b_mat, "A - sigma B just under it")
+    except DefinitenessError as exc:
         raise NonConvergenceError(
-            f"eigenvalue(s) lie below the returned smallest {lam!r}: "
-            f"A - sigma B just under it met {found}"
+            f"eigenvalue(s) lie below the returned smallest {lam!r}: {exc}"
         )
 
 

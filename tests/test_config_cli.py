@@ -535,6 +535,52 @@ class TestLoadTimesCovered:
     def test_table_ending_at_the_last_load_time_parses(self, simulation):
         parse_config(f"[simulation]\n{simulation}\nload_f = table 0 1 2 3 | 1 1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "simulation, table_end",
+        [("t_final = 0.5", "0.5"),
+         ("t_final = 1.0\nintegrator = newmark\ndt = 0.3", "0.9")],  # 3 steps
+    )
+    def test_contraction_demo_stays_in_the_load_window(
+        self, simulation, table_end, tmp_path, monkeypatch
+    ):
+        # soft potential tensors: delta ~ 1.59, longer than the load window
+        text = (
+            "[material]\nc_e = isotropic 0.01 0\nc_c = isotropic 0.005\n"
+            "c_micro = isotropic 0.01 0.005\nl_aniso = isotropic 0.01\n"
+            f"[simulation]\n{simulation}\n"
+            f"load_f = table 0.0 0 0 0 | {table_end} 0 0 1\n"
+        )
+        from micromorph import cli
+
+        cfg = parse_config(text)
+        _, report = cli._certified(*cli._operators(cfg))
+        window = cfg.simulation.load_end
+        assert window < report.interval
+        original, runs = cli.picard_integrate, []
+
+        def recorded(*args, **kwargs):
+            runs.append(original(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "picard_integrate", recorded)
+        p = tmp_path / "soft.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["contraction-demo", "--config", str(p), "--out", str(out)]) == 0
+        [traj] = runs
+        assert traj.diagnostics["intervals"] == 1
+        assert traj.diagnostics["delta"] == window
+        bound = window**2 * report.contraction
+        assert bound < 0.25
+        rows = [
+            l.split(",") for l in (out / "contraction.csv").read_text().splitlines()
+            if l and not l.startswith("#") and not l.startswith("sweep")
+        ]
+        assert rows
+        for _, ratio, row_bound in rows:
+            assert float(row_bound) == bound
+            assert float(ratio) <= bound
+
 
 def test_readme_config_example_parses_and_checks(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

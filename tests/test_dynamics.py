@@ -128,6 +128,8 @@ class TestPicardInterval:
             rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
         )
         traj = picard_integrate(s0, w1, w2, None, delta, c, n_t=9, gram=gram)
+        assert traj.diagnostics["intervals"] == 1
+        assert traj.diagnostics["delta"] == delta   # bitwise: one interval of delta
         ratios = traj.diagnostics["contraction_ratios"][0]
         assert ratios, "expected at least one measured ratio"
         assert max(ratios) <= delta**2 * c
