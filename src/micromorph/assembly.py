@@ -15,6 +15,8 @@ matrix is built from a few per-cell moments (see :func:`_element_blocks`);
 each batch of cells adds its upper-triangular entries into the pattern that
 the FE system caches (``FESystem.pair_keys``), and the operator is completed
 as U + U^T, so it is exactly symmetric.
+Loads scatter through the same dof table, ``FESystem.cell_dofs``, and the
+same edge functions (:func:`_edge_functions`) as the forms.
 """
 
 from __future__ import annotations
@@ -221,6 +223,16 @@ def _contract(moments: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out.transpose(0, 1, 3, 2, 4)
 
 
+def _edge_functions(sys: FESystem, cells: np.ndarray) -> np.ndarray:
+    """Edge functions s_e (lam_a g_b - lam_b g_a) of ``cells`` at the
+    quadrature points, (nc, nq, 6, 3)."""
+    lam = QUADRATURE_POINTS                               # (nq, 4)
+    g = sys.grad_hats[cells]
+    ga, gb = g[:, None, _EDGE_A], g[:, None, _EDGE_B]     # (nc, 1, 6, 3)
+    sign = sys.mesh.cell_edge_signs[cells][:, None, :, None]
+    return (lam[:, _EDGE_A, None] * gb - lam[:, _EDGE_B, None] * ga) * sign
+
+
 def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     """uu (nc, 12, 12), uP (nc, 12, 18) and PP (nc, 18, 18) element blocks,
     built from per-cell moments; an all-zero uu or uP block is None.
@@ -243,10 +255,7 @@ def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
     weight = vol[:, None] * (6.0 * QUADRATURE_WEIGHTS)    # (nc, nq)
     cell_vol = vol[:, None, None, None, None]
 
-    # edge functions s_e (lam_a g_b - lam_b g_a) at the quadrature points
-    w = (
-        lam[:, _EDGE_A, None] * gb[:, None] - lam[:, _EDGE_B, None] * ga[:, None]
-    ) * sign[:, None]                                     # (nc, nq, 6, 3)
+    w = _edge_functions(sys, cells)                       # (nc, nq, 6, 3)
     w_flat = w.reshape(nc, -1, 18)
     ww = np.matmul(w_flat.transpose(0, 2, 1) * weight[:, None, :], w_flat)
     ww = ww.reshape(nc, 6, 3, 6, 3).transpose(0, 1, 3, 2, 4)
@@ -409,52 +418,29 @@ class LoadFunctional:
         return cls(bf, df)
 
 
-def _hat_integrals(sys: FESystem) -> np.ndarray:
-    """Integral of each interior vertex hat function over the domain."""
-    out = np.zeros(max(sys.n_u_dofs // 3, 1))
-    rank = sys.u_map.entity_rank[sys.mesh.cells]   # (nc, 4)
-    contrib = sys.mesh.cell_volumes / 4.0          # exact for linear hats
-    for a in range(4):
-        r = rank[:, a]
-        np.add.at(out, r[r >= 0], contrib[r >= 0])
-    return out
-
-
-def _edge_integrals(sys: FESystem) -> np.ndarray:
-    """(n_interior_edges, 3) integrals of each oriented edge function."""
-    n_int = max(sys.n_p_dofs // 3, 1)
-    out = np.zeros((n_int, 3))
-    g = sys.grad_hats
-    signs = sys.mesh.cell_edge_signs
-    rank = sys.p_map.entity_rank[sys.mesh.cell_edges]
-    lam_bar = QUADRATURE_POINTS.mean(axis=0)  # equal weights: mean is exact for linears
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        w_int = (
-            (lam_bar[a] * g[:, b, :] - lam_bar[b] * g[:, a, :])
-            * signs[:, e, None]
-            * sys.mesh.cell_volumes[:, None]
-        )
-        r = rank[:, e]
-        np.add.at(out, r[r >= 0], w_int[r >= 0])
-    return out
-
-
 def load_assembler(load: LoadFunctional, sys: FESystem):
-    """``t -> assemble_load(load, sys, t)`` with the hat and edge integrals
-    computed once, for loads evaluated at many times."""
-    hats = _hat_integrals(sys) if sys.n_u_dofs else None
-    w_int = _edge_integrals(sys) if sys.n_p_dofs else None    # (n_int, 3)
+    """``t -> assemble_load(load, sys, t)`` for loads evaluated at many times.
+
+    Column k of the (n_dofs, 12) matrix built once is the dual vector of the
+    k-th entry of (f, vec m): V/4 scattered to each u-dof (a, i), and row i
+    of m dotted with the integral of w_e to each P-dof (e, i).
+    """
+    vol = sys.mesh.cell_volumes
+    weight = vol[:, None] * (6.0 * QUADRATURE_WEIGHTS)
+    w = _edge_functions(sys, np.arange(sys.mesh.n_cells))
+    w_int = np.einsum("cq,cqek->cek", weight, w)          # (nc, 6, 3)
+    unit_duals = np.zeros((sys.n_dofs, 12))
+    for j, dofs in enumerate(sys.cell_dofs.T):  # one local dof: cells sum in order
+        free = dofs >= 0
+        if j < 12:
+            np.add.at(unit_duals[:, j % 3], dofs[free], vol[free] / 4.0)
+        else:
+            e, i = divmod(j - 12, 3)
+            np.add.at(unit_duals[:, 3 + 3 * i: 6 + 3 * i], dofs[free], w_int[free, e])
 
     def at(t: float) -> np.ndarray:
-        f = load.body_force(t)
-        m = load.double_force(t)
-        out = np.zeros(sys.n_dofs)
-        if hats is not None:
-            out[: sys.n_u_dofs] = (hats[:, None] * f[None, :]).ravel()
-        if w_int is not None:
-            p = np.einsum("rj,ej->re", m, w_int)   # (row, edge)
-            out[sys.n_u_dofs:] = p.reshape(sys.n_p_dofs)
-        return out
+        f, m = load.body_force(t), load.double_force(t)
+        return unit_duals @ np.concatenate([f, m.ravel()])
 
     return at
 

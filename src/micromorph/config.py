@@ -11,7 +11,7 @@ are a kind followed by numbers, or by ``|``-separated groups of numbers for
 ``table t <numbers> | t <numbers> | ...``; initial data take ``zero``,
 ``constant <numbers>`` or ``sine <amplitude>``, a product-of-sines bump that
 vanishes on the boundary.  Each field key fixes the shape of its value
-(``_FIELD_SHAPES``: 3 numbers or 9).
+(``_FIELD_SHAPES``: 3 numbers or 9).  Every number must be finite.
 
 The parser reads only this syntax.  Whether a value can be built (a tensor's
 arity, a field's kind and arity) is decided by the constructor the run uses
@@ -42,7 +42,7 @@ import numpy as np
 
 from .analysis import _unit_direction, _wavenumbers
 from .assembly import LoadFunctional, TimeField
-from .dynamics import _check_fixed_tol, _check_time_nodes
+from .dynamics import _check_positive_finite, _check_time_nodes
 from .errors import ConfigError
 from .mesh import BoxMesh, _box_dims, _box_resolution, build_box_mesh
 from .tensors import (
@@ -135,7 +135,7 @@ _VALUE_CHECKS = {
     ("mesh", "dims"): _box_dims,
     ("mesh", "resolution"): _box_resolution,
     ("simulation", "nodes_per_interval"): _check_time_nodes,
-    ("simulation", "fixed_tol"): _check_fixed_tol,
+    ("simulation", "fixed_tol"): lambda tol: _check_positive_finite("fixed_tol", tol),
     ("analysis", "direction"): _unit_direction,
     ("analysis", "k_samples"): _wavenumbers,
     ("output", "precision"): _check_precision,
@@ -229,8 +229,15 @@ def _split_kind(value: str, what: str) -> tuple[str, str]:
     return toks[0], toks[1] if len(toks) > 1 else ""
 
 
+def _parse_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text!r} is not finite")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split())
+    return tuple(_parse_number(tok) for tok in text.split())
 
 
 def _parse_tensor(value: str, symmetry_class: SymmetryClass) -> TensorSpec:
@@ -299,11 +306,11 @@ def parse_config(text: str) -> RunConfig:
                 elif isinstance(default, int):
                     parsed = int(value)
                 elif isinstance(default, float):
-                    parsed = float(value)
+                    parsed = _parse_number(value)
                 elif isinstance(default, str):
                     parsed = value
                 else:  # tuple
-                    elem = type(default[0]) if default else float
+                    elem = int if isinstance(default[0], int) else _parse_number
                     parsed = tuple(elem(tok) for tok in value.split())
             except (ValueError, TypeError) as exc:
                 issues.append((lineno, key, str(exc)))
@@ -317,17 +324,17 @@ def parse_config(text: str) -> RunConfig:
         return sections.get(section, {}).get(key, (0, ""))[0]
 
     sim = cfg.simulation
-    times_ok = sim.integrator in ("picard", "newmark")
-    if not 0 < sim.t_final < math.inf:
-        issues.append((line_of("simulation", "t_final"), "t_final",
-                       "must be positive and finite"))
-        times_ok = False
-    if sim.integrator == "newmark" and not (
-        0 < sim.dt < math.inf and sim.t_final / sim.dt < math.inf
-    ):
+    newmark = sim.integrator == "newmark"
+    times_ok = newmark or sim.integrator == "picard"
+    for key in ("t_final", "dt") if newmark else ("t_final",):  # picard ignores dt
+        try:
+            _check_positive_finite(key, getattr(sim, key))
+        except ValueError as exc:
+            issues.append((line_of("simulation", key), key, str(exc)))
+            times_ok = False
+    if times_ok and newmark and not sim.t_final / sim.dt < math.inf:
         issues.append((line_of("simulation", "dt"), "dt",
-                       "the newmark step must be positive, finite and give "
-                       "a finite step count"))
+                       "t_final / dt must give a finite step count"))
         times_ok = False
 
     for key, shape in _FIELD_SHAPES.items():  # built once, as the run builds it

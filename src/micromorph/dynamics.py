@@ -232,9 +232,9 @@ def _check_time_nodes(n_t: int) -> None:
         raise ValueError("need at least three time nodes")
 
 
-def _check_fixed_tol(fixed_tol: float) -> None:
-    if not 0 < fixed_tol < math.inf:
-        raise ValueError("fixed_tol must be positive and finite")
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def picard_integrate(
@@ -272,12 +272,11 @@ def picard_integrate(
     the first).  ``delta`` is the length T / ``intervals`` each subinterval
     ran, so ``delta**2 * c_est`` is the bound on its ratios.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if c_est < 0:
-        raise ValueError("c_est must be nonnegative")
+    _check_positive_finite("t_final", t_final)
+    if not 0 <= c_est < math.inf:
+        raise ValueError("c_est must be nonnegative and finite")
     _check_time_nodes(n_t)
-    _check_fixed_tol(fixed_tol)
+    _check_positive_finite("fixed_tol", fixed_tol)
     delta = _contraction_interval(c_est)
     if delta > t_final:  # a constant map (c_est = 0) has delta = inf
         log.info("contraction interval %.3g capped at t_final", delta)
@@ -344,8 +343,7 @@ def newmark_integrate(
     initial acceleration and released; then the effective operator
     W1 + beta dt^2 W2 is factored once and every step is one solve with it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive_finite("dt", dt)
     if n_steps < 1:
         raise ValueError("need at least one step")
     eff = combine_operators(1.0, w1, _BETA * dt * dt, w2)

@@ -62,7 +62,7 @@ class BoxMesh:
     def dump_text(self, stream) -> None:
         """Plain-text debug dump: 'v x y z', 'c a b c d', 'e a b flag' lines."""
         for x, y, z in self.vertices:
-            stream.write(f"v {x!r} {y!r} {z!r}\n")
+            stream.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
         for a, b, c, d in self.cells:
             stream.write(f"c {a} {b} {c} {d}\n")
         for (a, b), flag in zip(self.edges, self.boundary_edge):
@@ -175,7 +175,7 @@ def validate_mesh(mesh: BoxMesh) -> MeshDiagnostics:
     min_vol = float(vols.min()) if vols.size else 0.0
     if np.any(vols <= 0):
         bad = int(np.argmax(vols <= 0))
-        violations.append(f"cell {bad} has non-positive volume {vols[bad]!r}")
+        violations.append(f"cell {bad} has non-positive volume {float(vols[bad])!r}")
 
     vol_sum = float(vols.sum())
     box_vol = float(np.prod(mesh.dims))

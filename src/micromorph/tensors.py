@@ -115,6 +115,8 @@ class ConstitutiveTensor4:
                 f"got {m.shape}"
             )
         m = 0.5 * (m + m.T)
+        if not np.isfinite(m).all():
+            raise ValueError(f"{self.symmetry_class.value} tensor must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

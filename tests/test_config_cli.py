@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -355,11 +356,22 @@ class TestRejectedValues:
          ("[material]\nrho = nan\n", "rho", 2),
          ("[material]\nmu = 0\n", "mu", 2),
          ("[material]\nvariant = full\nlc = 0\n", "lc", 3),
-         ("[material]\nvariant = full\nj = 0\n", "j", 3)],
+         ("[material]\nvariant = full\nj = 0\n", "j", 3),
+         ("[material]\nrho = inf\n", "rho", 2),
+         ("[material]\nmu = inf\n", "mu", 2),
+         ("[material]\nrho = 1e400\n", "rho", 2),
+         ("[material]\nc_e = isotropic inf 0\n", "c_e", 2),
+         ("[material]\nc_e = isotropic nan 0\n", "c_e", 2),
+         ("[material]\nc_e = isotropic 1e308 1e308\n", "c_e", 2),
+         ("[simulation]\nload_f = constant nan 0 0\n", "load_f", 2),
+         ("[simulation]\ninitial_u = sine inf\n", "initial_u", 2),
+         ("[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n", "load_f", 2)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
-        with pytest.raises(ConfigError) as err:
-            parse_config(text)
+        # the overflowing modulus warns while its tensor is built
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
         assert [(ln, k) for ln, k, _ in err.value.issues] == [(line, key)]
 
     def test_unknown_variant_keeps_variant_free_scalar_checks(self):
@@ -389,13 +401,25 @@ class TestRejectedValues:
          ("simulate", "[material]\nrho = nan\n"),
          ("korn", "[material]\nmu = 0\n"),
          ("dispersion", "[material]\nvariant = full\nlc = 0\n"),
-         ("check", "[material]\nvariant = full\nj = 0\n")],
+         ("check", "[material]\nvariant = full\nj = 0\n"),
+         ("check", "[material]\nrho = inf\n"),
+         ("check", "[material]\nmu = inf\n"),
+         ("check", "[material]\nrho = 1e400\n"),
+         ("check", "[material]\nc_e = isotropic inf 0\n"),
+         ("check", "[material]\nc_e = isotropic 1e308 1e308\n"),
+         ("dispersion", "[material]\nc_e = isotropic nan 0\n"),
+         ("simulate", "[simulation]\nload_f = constant nan 0 0\n"),
+         ("simulate", "[simulation]\ninitial_u = sine inf\n"),
+         ("check", "[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n"),
+         ("simulate", "[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n")],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"
         p.write_text(text)
         out = tmp_path / "o"
-        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", str(p), "--out", str(out)])
+        assert code == 2
         assert "MICROMORPH-ERROR config" in capsys.readouterr().err
         assert not out.exists()
 

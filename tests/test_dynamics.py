@@ -151,6 +151,12 @@ class TestPicardInterval:
                 picard_integrate(
                     s0, w1, w2, None, 0.1, 0.0, fixed_tol=fixed_tol, gram=euclid(w1)
                 )
+        for t_final in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="t_final"):
+                picard_integrate(s0, w1, w2, None, t_final, 1.0, gram=euclid(w1))
+        for c_est in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="c_est"):
+                picard_integrate(s0, w1, w2, None, 1.0, c_est, gram=euclid(w1))
 
 
 class TestLateStart:
@@ -260,6 +266,14 @@ class TestNewmark:
         traj = newmark_integrate(s0, w1, w2, None, 0.05, 50)
         assert np.all(traj.positions == 0.0)
         assert np.all(traj.velocities == 0.0)
+
+    def test_rejects_bad_arguments(self, oscillator):
+        w1, w2, s0, _ = oscillator
+        for dt in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="dt"):
+                newmark_integrate(s0, w1, w2, None, dt, 5)
+        with pytest.raises(ValueError, match="step"):
+            newmark_integrate(s0, w1, w2, None, 0.1, 0)
 
     def test_static_limit_time_average(self):
         # constant load on a 2-dof system with SPD W2: long-time average of

@@ -108,12 +108,20 @@ class TestParameters:
 
 
 class TestDump:
-    def test_dump_round_numbers(self, unit_mesh_1, tmp_path):
+    def test_dump_round_numbers(self, unit_mesh_1):
         import io
 
-        buf = io.StringIO()
-        unit_mesh_1.dump_text(buf)
-        lines = buf.getvalue().splitlines()
-        assert sum(1 for l in lines if l.startswith("v ")) == 8
-        assert sum(1 for l in lines if l.startswith("c ")) == 6
-        assert sum(1 for l in lines if l.startswith("e ")) == 19
+        # every 'v x y z', 'c a b c d' and 'e a b flag' record reads back exactly
+        for mesh in (unit_mesh_1, build_box_mesh((1.0, 0.7, 1.3), (2, 1, 3))):
+            buf = io.StringIO()
+            mesh.dump_text(buf)
+            records = {"v": [], "c": [], "e": []}
+            for line in buf.getvalue().splitlines():
+                tag, *values = line.split()
+                records[tag].append(values)
+            assert records["v"] == [[repr(float(x)) for x in v] for v in mesh.vertices]
+            cells = np.array(records["c"], dtype=int)
+            edges = np.array(records["e"], dtype=int)
+            np.testing.assert_array_equal(cells, mesh.cells)
+            np.testing.assert_array_equal(edges[:, :2], mesh.edges)
+            np.testing.assert_array_equal(edges[:, 2], mesh.boundary_edge)
