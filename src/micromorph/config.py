@@ -23,10 +23,11 @@ is rejected there too.  Likewise every value in ``_VALUE_CHECKS`` is
 checked whichever command the run executes: mesh dims and resolution, Picard
 nodes and tolerance, and the dispersion direction and wavenumbers by the
 function the library applies where it uses them, and the output precision,
-which only the CLI reads, here.  The material scalars ``rho``, ``j``, ``mu``
-and ``lc`` are checked for the configured variant by the rule that
-:class:`MaterialParams` applies on construction; under an unknown variant
-the parts of that rule that hold in every variant still run.
+which only the CLI reads, here; so are the cell volume of valid dims and
+resolution (on ``dims``) and the Newmark step.  The material scalars
+``rho``, ``j``, ``mu`` and ``lc`` are checked for the configured variant by
+the rule that :class:`MaterialParams` applies on construction; under an
+unknown variant the parts of that rule that hold in every variant still run.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -42,9 +43,9 @@ import numpy as np
 
 from .analysis import _unit_direction, _wavenumbers
 from .assembly import LoadFunctional, TimeField
-from .dynamics import _check_positive_finite, _check_time_nodes
+from .dynamics import _check_positive_finite, _check_time_nodes, _newmark_shift
 from .errors import ConfigError
-from .mesh import BoxMesh, _box_dims, _box_resolution, build_box_mesh
+from .mesh import BoxMesh, _box_dims, _box_resolution, _cell_volume, build_box_mesh
 from .tensors import (
     _TENSOR_CLASSES,
     ConstitutiveTensor4,
@@ -326,9 +327,12 @@ def parse_config(text: str) -> RunConfig:
     sim = cfg.simulation
     newmark = sim.integrator == "newmark"
     times_ok = newmark or sim.integrator == "picard"
-    for key in ("t_final", "dt") if newmark else ("t_final",):  # picard ignores dt
+    time_checks = {"t_final": lambda t: _check_positive_finite("t_final", t)}
+    if newmark:  # picard ignores dt
+        time_checks["dt"] = _newmark_shift
+    for key, check in time_checks.items():
         try:
-            _check_positive_finite(key, getattr(sim, key))
+            check(getattr(sim, key))
         except ValueError as exc:
             issues.append((line_of("simulation", key), key, str(exc)))
             times_ok = False
@@ -355,6 +359,11 @@ def parse_config(text: str) -> RunConfig:
             check(getattr(getattr(cfg, section), key))
         except ValueError as exc:
             issues.append((line_of(section, key), key, str(exc)))
+    if not {"dims", "resolution"} & {key for _, key, _ in issues}:  # both valid
+        try:
+            _cell_volume(cfg.mesh.dims, cfg.mesh.resolution)
+        except ValueError as exc:
+            issues.append((line_of("mesh", "dims"), "dims", str(exc)))
 
     mat = cfg.material
     variant = _VARIANTS.get(mat.variant)

@@ -17,7 +17,9 @@ Two integrators over the same operator pair:
 * :func:`newmark_integrate` - average-acceleration stepping (beta = 1/4,
   gamma = 1/2), unconditionally stable and energy conserving on the same
   linear system; used for cross-validation.  The effective operator
-  W1 + beta dt^2 W2 is factored once and every step is one solve.
+  W1 + beta dt^2 W2 is factored once and every step is one solve; each
+  step evaluates its load as it takes the step, so no load vector outlives
+  its solve.
 
 Loads are callables t -> dual vector (or None).  The operators solved with
 must be positive definite: :func:`linalg.definite_solver` certifies that by
@@ -152,11 +154,20 @@ def _gram_norms(gram: SparseSymOperator, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(_quadratic_rows(gram, rows), 0.0))
 
 
-def _energies(
-    w1: SparseSymOperator, w2: SparseSymOperator, positions, velocities
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kinetic and potential energy at every node."""
-    return 0.5 * _quadratic_rows(w1, velocities), 0.5 * _quadratic_rows(w2, positions)
+def _node_arrays(state0: DynamicState, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity arrays over ``n_nodes`` nodes, node 0 set from
+    ``state0``."""
+    positions = np.empty((n_nodes,) + state0.position.shape)
+    velocities = np.empty_like(positions)
+    positions[0], velocities[0] = state0.position, state0.velocity
+    return positions, velocities
+
+
+def _trajectory(times, positions, velocities, w1, w2, diagnostics: dict) -> Trajectory:
+    """The trajectory with its kinetic and potential energy at every node."""
+    kinetic = 0.5 * _quadratic_rows(w1, velocities)
+    potential = 0.5 * _quadratic_rows(w2, positions)
+    return Trajectory(times, positions, velocities, kinetic, potential, diagnostics)
 
 
 def _double_trapezoid(
@@ -175,10 +186,8 @@ def _double_trapezoid(
     return pos, vel
 
 
-def _load_at(load, times: np.ndarray) -> list[np.ndarray | None]:
-    if load is None:
-        return [None] * times.size
-    return [np.asarray(load(float(t)), dtype=float) for t in times]
+def _load_vec(load, t) -> np.ndarray | None:
+    return None if load is None else np.asarray(load(float(t)), dtype=float)
 
 
 def _fixed_point(
@@ -201,20 +210,21 @@ def _fixed_point(
     measured contraction ratios and the final successive-difference Gram
     norm.
     """
-    loads = None if load is None else np.column_stack(_load_at(load, times))
+    loads = None if load is None else np.column_stack(
+        [_load_vec(load, t) for t in times]
+    )
     seed_scale = 1.0 + _gram_norms(gram, w0[None, :])[0]
-    positions = np.tile(w0, (times.size, 1))
-    velocities = np.tile(wt0, (times.size, 1))
+    positions = np.tile(w0, (times.size, 1))  # the constant seed trajectory
     ratios: list[float] = []
     prev_diff = None
 
     for sweep in range(_MAX_SWEEPS):
         acc = stationary_solve(solve, w2, positions.T, loads).T
-        new_pos, new_vel = _double_trapezoid(h, acc, w0, wt0)
+        new_pos, velocities = _double_trapezoid(h, acc, w0, wt0)
         diff = float(_gram_norms(gram, new_pos - positions).max())
         if prev_diff is not None and prev_diff > 0:
             ratios.append(diff / prev_diff)
-        positions, velocities = new_pos, new_vel
+        positions = new_pos
         if diff <= fixed_tol * seed_scale:
             return positions, velocities, sweep + 1, ratios, diff
         prev_diff = diff
@@ -235,6 +245,16 @@ def _check_time_nodes(n_t: int) -> None:
 def _check_positive_finite(name: str, value: float) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
+
+
+def _newmark_shift(dt: float) -> float:
+    """beta dt^2, the weight of W2 in the effective operator; dt must be
+    positive and keep it finite."""
+    _check_positive_finite("dt", dt)
+    shift = _BETA * dt * dt
+    if shift == math.inf:
+        raise ValueError(f"dt={dt!r} overflows beta dt^2")
+    return shift
 
 
 def picard_integrate(
@@ -284,16 +304,14 @@ def picard_integrate(
     n_int = max(1, math.ceil(t_final / delta - 1e-12))
     if n_int > MAX_INTERVALS:
         raise SolverError(
-            f"contraction interval {delta!r} needs {n_int} subintervals over "
+            f"contraction interval {delta!r} needs {n_int:.3g} subintervals over "
             f"t_final={t_final!r}, more than MAX_INTERVALS={MAX_INTERVALS}"
         )
 
     solve = definite_solver(w1)
     h = t_final / (n_int * (n_t - 1))
     times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
-    positions = np.empty((times.size, w1.dimension))
-    velocities = np.empty_like(positions)
-    positions[0], velocities[0] = state0.position, state0.velocity
+    positions, velocities = _node_arrays(state0, times.size)
     iterations: list[int] = []
     all_ratios: list[list[float]] = []
     residuals: list[float] = []
@@ -309,24 +327,16 @@ def picard_integrate(
         all_ratios.append(ratios)
         residuals.append(residual)
 
-    kinetic, potential = _energies(w1, w2, positions, velocities)
-    return Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        kinetic=kinetic,
-        potential=potential,
-        diagnostics={
-            "picard_iterations": iterations,
-            "contraction_ratios": all_ratios,
-            "residuals": residuals,
-            "delta": t_final / n_int,
-            "intervals": n_int,
-            "c_est": c_est,
-            "node_interval": [0] + [k for k in range(n_int) for _ in range(n_t - 1)],
-            **_solver_counters(solve),
-        },
-    )
+    return _trajectory(times, positions, velocities, w1, w2, {
+        "picard_iterations": iterations,
+        "contraction_ratios": all_ratios,
+        "residuals": residuals,
+        "delta": t_final / n_int,
+        "intervals": n_int,
+        "c_est": c_est,
+        "node_interval": [0] + [k for k in range(n_int) for _ in range(n_t - 1)],
+        **_solver_counters(solve),
+    })
 
 
 def newmark_integrate(
@@ -342,40 +352,29 @@ def newmark_integrate(
     Average acceleration: beta = 1/4, gamma = 1/2.  W1 is factored for the
     initial acceleration and released; then the effective operator
     W1 + beta dt^2 W2 is factored once and every step is one solve with it.
+    ``load`` is called once per node, in time order: at t0 for the initial
+    acceleration, then at t_{k+1} inside step k.  dt must keep beta dt^2
+    finite.
     """
-    _check_positive_finite("dt", dt)
+    shift = _newmark_shift(dt)
     if n_steps < 1:
         raise ValueError("need at least one step")
-    eff = combine_operators(1.0, w1, _BETA * dt * dt, w2)
+    eff = combine_operators(1.0, w1, shift, w2)
     times = state0.t + dt * np.arange(n_steps + 1)
-    loads = _load_at(load, times)
-
-    n = w1.dimension
-    positions = np.empty((n_steps + 1, n))
-    velocities = np.empty((n_steps + 1, n))
-    positions[0] = state0.position
-    velocities[0] = state0.velocity
+    positions, velocities = _node_arrays(state0, n_steps + 1)
 
     initial = definite_solver(w1)
-    a = stationary_solve(initial, w2, positions[0], loads[0])
+    a = stationary_solve(initial, w2, positions[0], _load_vec(load, times[0]))
     initial.close()  # one factor alive at a time
     step = definite_solver(eff)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a
-        a = stationary_solve(step, w2, u_pred, loads[k + 1])
-        positions[k + 1] = u_pred + _BETA * dt * dt * a
+        a = stationary_solve(step, w2, u_pred, _load_vec(load, times[k + 1]))
+        positions[k + 1] = u_pred + shift * a
         velocities[k + 1] = v_pred + _GAMMA * dt * a
 
-    kinetic, potential = _energies(w1, w2, positions, velocities)
-    return Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        kinetic=kinetic,
-        potential=potential,
-        diagnostics={
-            "integrator": "newmark", "beta": _BETA, "gamma": _GAMMA,
-            **_solver_counters(initial, step),
-        },
-    )
+    return _trajectory(times, positions, velocities, w1, w2, {
+        "integrator": "newmark", "beta": _BETA, "gamma": _GAMMA,
+        **_solver_counters(initial, step),
+    })

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,10 +88,20 @@ def _box_resolution(resolution) -> tuple[int, int, int]:
     return resolution
 
 
+def _cell_volume(dims, resolution) -> float:
+    """The volume of each Kuhn tetrahedron, which must be a normal double: a
+    cell's determinant then neither overflows nor underflows."""
+    volume = math.prod(d / n for d, n in zip(dims, resolution)) / 6.0
+    if not sys.float_info.min <= volume < math.inf:
+        raise ValueError(f"dims give cells of volume {volume!r}, not a normal double")
+    return volume
+
+
 def build_box_mesh(dims, resolution) -> BoxMesh:
     """Mesh the box with resolution[i] cubes per axis, 6 tets per cube."""
     dims = _box_dims(dims)
     resolution = _box_resolution(resolution)
+    _cell_volume(dims, resolution)
 
     nx, ny, nz = resolution
     h = np.array(dims) / np.array(resolution)

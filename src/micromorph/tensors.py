@@ -114,7 +114,8 @@ class ConstitutiveTensor4:
                 f"{self.symmetry_class.value} tensor needs a {d}x{d} matrix, "
                 f"got {m.shape}"
             )
-        m = 0.5 * (m + m.T)
+        with np.errstate(over="ignore"):  # an overflow is rejected next
+            m = 0.5 * (m + m.T)
         if not np.isfinite(m).all():
             raise ValueError(f"{self.symmetry_class.value} tensor must be finite")
         m.setflags(write=False)
@@ -152,6 +153,7 @@ class ConstitutiveTensor4:
         return (x.reshape(*x.shape[:-2], 9) @ self.action.T).reshape(x.shape)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the tensor rejects inf and nan
 def make_isotropic(symmetry_class: SymmetryClass, *moduli: float) -> ConstitutiveTensor4:
     """Isotropic tensor of the given class.
 

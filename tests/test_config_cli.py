@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from micromorph.config import (
 )
 from micromorph.errors import ConfigError
 
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 [material]
@@ -365,7 +369,11 @@ class TestRejectedValues:
          ("[material]\nc_e = isotropic 1e308 1e308\n", "c_e", 2),
          ("[simulation]\nload_f = constant nan 0 0\n", "load_f", 2),
          ("[simulation]\ninitial_u = sine inf\n", "initial_u", 2),
-         ("[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n", "load_f", 2)],
+         ("[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n", "load_f", 2),
+         ("[mesh]\ndims = 1e-110 1e-110 1e-110\n", "dims", 2),
+         ("[mesh]\ndims = 1e120 1e120 1e120\n", "dims", 2),
+         ("[simulation]\nintegrator = newmark\ndt = 1e160\nt_final = 2e160\n",
+          "dt", 3)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         # the overflowing modulus warns while its tensor is built
@@ -411,7 +419,11 @@ class TestRejectedValues:
          ("simulate", "[simulation]\nload_f = constant nan 0 0\n"),
          ("simulate", "[simulation]\ninitial_u = sine inf\n"),
          ("check", "[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n"),
-         ("simulate", "[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n")],
+         ("simulate", "[simulation]\nload_f = table 0 0 0 0 | nan 0 0 0\n"),
+         ("check", "[mesh]\ndims = 1e-110 1e-110 1e-110\n"),
+         ("check", "[mesh]\ndims = 1e120 1e120 1e120\n"),
+         ("simulate",
+          "[simulation]\nintegrator = newmark\ndt = 1e160\nt_final = 2e160\n")],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -422,6 +434,33 @@ class TestRejectedValues:
         assert code == 2
         assert "MICROMORPH-ERROR config" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("c_e", "isotropic 1e308 1e308"),
+         ("c_c", "isotropic 1e308"),
+         ("l_aniso", "components " + " ".join(["1e308"] * 45))],
+    )
+    def test_overflowing_tensor_is_rejected_without_warnings(self, key, value,
+                                                             tmp_path):
+        text = f"[material]\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as err:  # a warning would be an error
+            parse_config(text)
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [(2, key)]
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "micromorph", "check", "--config", str(p),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("MICROMORPH-ERROR config:")
 
 
 FIELD_SIZES = {"load_f": 3, "load_m": 9, "initial_u": 3, "initial_ut": 3,

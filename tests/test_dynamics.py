@@ -223,6 +223,12 @@ class TestPicardIntegrate:
         with pytest.raises(SolverError, match="MAX_INTERVALS"):
             picard_integrate(s0, w1, w2, None, 1.0, c_est, n_t=5, gram=euclid(w1))
 
+    def test_interval_budget_message_is_short_for_huge_t_final(self, oscillator):
+        w1, w2, s0, _ = oscillator
+        with pytest.raises(SolverError, match=r"needs 4e\+300 subintervals") as err:
+            picard_integrate(s0, w1, w2, None, 1e300, 4.0, n_t=5, gram=euclid(w1))
+        assert len(str(err.value)) < 200
+
     def test_linearity_in_data(self, oscillator):
         w1, w2, s0, omega = oscillator
         c = omega**2 * np.sqrt(2)
@@ -269,11 +275,22 @@ class TestNewmark:
 
     def test_rejects_bad_arguments(self, oscillator):
         w1, w2, s0, _ = oscillator
-        for dt in (0.0, -1.0, float("inf"), float("nan")):
+        for dt in (0.0, -1.0, float("inf"), float("nan"), 1e160):  # 1e160: beta dt^2
             with pytest.raises(ValueError, match="dt"):
                 newmark_integrate(s0, w1, w2, None, dt, 5)
         with pytest.raises(ValueError, match="step"):
             newmark_integrate(s0, w1, w2, None, 0.1, 0)
+
+    def test_load_called_once_per_node_in_time_order(self, oscillator):
+        w1, w2, s0, _ = oscillator
+        calls = []
+
+        def load(t):
+            calls.append(t)
+            return np.array([np.sin(t)])
+
+        traj = newmark_integrate(s0, w1, w2, load, 0.1, 7)
+        assert calls == [float(t) for t in traj.times]
 
     def test_static_limit_time_average(self):
         # constant load on a 2-dof system with SPD W2: long-time average of

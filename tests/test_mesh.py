@@ -106,6 +106,12 @@ class TestParameters:
         with pytest.raises(ValueError):
             build_box_mesh((1, 1), (1, 1, 1))
 
+    @pytest.mark.parametrize("side", [1e-110, 1e120])
+    def test_rejects_cell_volume_outside_normal_doubles(self, side):
+        # the volume (side / 2)^3 / 6 underflows to 0 or overflows to inf
+        with pytest.raises(ValueError, match="dims"):
+            build_box_mesh((side, side, side), (2, 2, 2))
+
 
 class TestDump:
     def test_dump_round_numbers(self, unit_mesh_1):
