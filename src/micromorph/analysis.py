@@ -388,13 +388,19 @@ def dispersion_curves(
     Negative squared frequencies within 1e-10 (relative) of zero are
     round-off and clamped to zero; anything more negative is reported as an
     unstable branch.  A rate-energy pencil that is not positive definite
-    violates the inertia hypotheses and raises :class:`HypothesisError`.
+    violates the inertia hypotheses and raises :class:`HypothesisError`; a
+    pencil that is not finite (k^2 overflows) raises ``ValueError``.
     """
     d = _unit_direction(direction)
     ks = _wavenumbers(k_samples)
-    powers = ks[:, None] ** np.arange(3)
     specs = (form_spec_w1(params), form_spec_w2(params))
-    a, b = (np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = ks[:, None] ** np.arange(3)
+        a, b = (np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        k = float(ks[np.argmin(finite)])
+        raise ValueError(f"k_samples: the plane-wave pencil at k={k!r} is not finite")
     a_min = np.linalg.eigvalsh(a)[:, 0]
     bad = np.flatnonzero(a_min <= 0)
     if bad.size:

@@ -388,20 +388,28 @@ class TimeField:
         return cls("table", values[0].shape, (times, tuple(values)))
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "poly":
-            out = np.zeros(self.shape)
-            for k, c in enumerate(self.data):
-                out = out + c * t**k
-            return out
-        times, values = self.data
-        if t < times[0] or t > times[-1]:
-            raise ValueError(
-                f"time {float(t)!r} outside the sampled table "
-                f"[{float(times[0])!r}, {float(times[-1])!r}]"
-            )
-        j = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
-        s = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - s) * values[j] + s * values[j + 1]
+        """The value at ``t``; a ValueError names ``t`` outside a table or
+        where the value is not finite (a power or a product overflowed)."""
+        t = np.float64(t)  # powers overflow to inf instead of raising
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "poly":
+                out = np.zeros(self.shape)
+                for k, c in enumerate(self.data):
+                    out = out + c * t**k
+            else:
+                times, values = self.data
+                if t < times[0] or t > times[-1]:
+                    raise ValueError(
+                        f"time {float(t)!r} outside the sampled table "
+                        f"[{float(times[0])!r}, {float(times[-1])!r}]"
+                    )
+                j = int(np.clip(np.searchsorted(times, t, side="right") - 1,
+                                0, times.size - 2))
+                s = (t - times[j]) / (times[j + 1] - times[j])
+                out = (1.0 - s) * values[j] + s * values[j + 1]
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"value at time {float(t)!r} is not finite")
+        return out
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,9 @@ from . import __version__
 from .analysis import dispersion_curves, korn_curl_constant, well_posedness_report
 from .assembly import assemble_gram, assemble_w1, assemble_w2, load_assembler
 from .config import (
-    _FIELD_SHAPES,
     RunConfig,
     config_digest,
-    initial_field_callable,
+    initial_state_from_config,
     load_from_config,
     material_from_config,
     mesh_from_config,
@@ -41,7 +40,7 @@ from .config import (
 )
 from .dynamics import DynamicState, newmark_integrate, picard_integrate
 from .errors import ConfigError, HypothesisError, MicromorphError, SolverError
-from .fespace import build_fe_system, interpolate_p, interpolate_u
+from .fespace import build_fe_system
 from .mesh import build_box_mesh
 
 COMMANDS = ("check", "simulate", "dispersion", "korn", "contraction-demo")
@@ -75,24 +74,6 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
             for v in row
         ) + "\n"
     path.write_text(text)
-
-
-def _initial_state(cfg: RunConfig, sys_) -> DynamicState:
-    sim = cfg.simulation
-
-    def part(key, interpolate, size):
-        f = initial_field_callable(getattr(sim, key), cfg.mesh.dims, _FIELD_SHAPES[key])
-        return np.zeros(size) if f is None else interpolate(sys_, f)
-
-    def vector(u_key, p_key):
-        return np.concatenate([
-            part(u_key, interpolate_u, sys_.n_u_dofs),
-            part(p_key, interpolate_p, sys_.n_p_dofs),
-        ])
-
-    return DynamicState(
-        0.0, vector("initial_u", "initial_p"), vector("initial_ut", "initial_pt")
-    )
 
 
 def _report_text(report) -> str:
@@ -169,7 +150,7 @@ def _certified(params, sys_, w1, w2):
 def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
     sim = cfg.simulation
     load_fn = load_assembler(load_from_config(cfg), sys_)
-    state0 = _initial_state(cfg, sys_)
+    state0 = initial_state_from_config(cfg, sys_)
     if sim.integrator == "newmark":
         return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
     gram, report = _certified(params, sys_, w1, w2)
@@ -253,7 +234,7 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     params, sys_, w1, w2 = _operators(cfg)
     gram, report = _certified(params, sys_, w1, w2)
     load_fn = load_assembler(load_from_config(cfg), sys_)
-    state0 = _initial_state(cfg, sys_)
+    state0 = initial_state_from_config(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):
         # a visible fixed point even for an all-zero config
         rng = np.random.default_rng(2024)
@@ -331,8 +312,9 @@ def main(argv=None) -> int:
         print(f"MICROMORPH-ERROR internal: {exc}", file=_sys.stderr)
         return _EXIT_SOLVER
     except ValueError as exc:
-        # parameter/range errors surfacing from the library (bad table range,
-        # invalid dimensions) trace back to the configuration
+        # parameter/range errors surfacing from the library (a load outside
+        # its table or not finite, an overflowing wavenumber, invalid
+        # dimensions) trace back to the configuration
         print(f"MICROMORPH-ERROR config: {exc}", file=_sys.stderr)
         return _EXIT_CONFIG
 

@@ -2,32 +2,34 @@
 serialization, and builders for the objects a run needs.
 
 Format: ``[section]`` headers and flat ``key = value`` pairs, ``#`` or ``;``
-comments.  Unknown sections or keys are rejected with their line numbers.
-Tensor values are either ``isotropic <moduli...>`` or ``components <upper
-triangle of the canonical matrix representation, row-major>``.  Field values
-are a kind followed by numbers, or by ``|``-separated groups of numbers for
-``poly`` and ``table``.  Loads take ``zero``, ``constant <numbers>``,
+comments.  Unknown sections or keys are rejected with their line numbers;
+every key is unique across sections.  Tensor and field values share one spec
+type, :class:`ValueSpec`: a kind followed by numbers, or by ``|``-separated
+groups of numbers for ``poly`` and ``table``.  Tensors take ``isotropic
+<moduli...>`` or ``components <upper triangle of the canonical matrix
+representation, row-major>``.  Loads take ``zero``, ``constant <numbers>``,
 ``poly <numbers> | <numbers> | ...`` (coefficients of powers of t) or
 ``table t <numbers> | t <numbers> | ...``; initial data take ``zero``,
 ``constant <numbers>`` or ``sine <amplitude>``, a product-of-sines bump that
 vanishes on the boundary.  Each field key fixes the shape of its value
 (``_FIELD_SHAPES``: 3 numbers or 9).  Every number must be finite.
 
-The parser reads only this syntax.  Whether a value can be built (a tensor's
-arity, a field's kind and arity) is decided by the constructor the run uses
-later, called once at parse time; its ``ValueError`` becomes a
-:class:`ConfigError` entry carrying the value's line and key.  Each built
-load is also evaluated at 0 and at ``SimulationConfig.load_end``, the last
-time the integrator evaluates it, so a ``table`` that does not cover the run
-is rejected there too.  Likewise every value in ``_VALUE_CHECKS`` is
-checked whichever command the run executes: mesh dims and resolution, Picard
-nodes and tolerance, and the dispersion direction and wavenumbers by the
-function the library applies where it uses them, and the output precision,
-which only the CLI reads, here; so are the cell volume of valid dims and
-resolution (on ``dims``) and the Newmark step.  The material scalars
-``rho``, ``j``, ``mu`` and ``lc`` are checked for the configured variant by
-the rule that :class:`MaterialParams` applies on construction; under an
-unknown variant the parts of that rule that hold in every variant still run.
+The parser reads only this syntax.  Every rule on a single value is one
+entry of the rule table ``_VALUE_CHECKS``, applied right after the value is
+read: mesh dims and resolution, Picard nodes and tolerance, and the
+dispersion direction and wavenumbers by the function the library applies
+where it uses them; each tensor by the constructor the run builds it with;
+the variant, ``t_final``, the integrator, ``sample_dofs``, ``korn_levels``
+and the output precision by rules kept here.  Rules across values run once
+every value is read: the Newmark step with its step count; each field,
+built as the run builds it, a load also evaluated at 0 and at
+``SimulationConfig.load_end`` (so a ``table`` that does not cover the run,
+or a value that overflows there, is rejected); the cell volume of valid
+dims and resolution (on ``dims``); and the material scalars ``rho``, ``j``,
+``mu`` and ``lc`` by the rule :class:`MaterialParams` applies for the
+variant (under an unknown variant only the parts of that rule that hold in
+every variant).  Each broken rule is a :class:`ConfigError` entry carrying
+the value's line and key, and the entries are listed in line order.
 
 Every run embeds its fully resolved configuration in the output header, so
 outputs are reproducible from the artifact alone.
@@ -37,14 +39,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .analysis import _unit_direction, _wavenumbers
 from .assembly import LoadFunctional, TimeField
-from .dynamics import _check_positive_finite, _check_time_nodes, _newmark_shift
+from .dynamics import (
+    DynamicState,
+    _check_positive_finite,
+    _check_time_nodes,
+    _newmark_shift,
+)
 from .errors import ConfigError
+from .fespace import FESystem, interpolate_p, interpolate_u
 from .mesh import BoxMesh, _box_dims, _box_resolution, _cell_volume, build_box_mesh
 from .tensors import (
     _TENSOR_CLASSES,
@@ -57,8 +66,7 @@ from .tensors import (
 )
 
 __all__ = [
-    "TensorSpec",
-    "FieldSpec",
+    "ValueSpec",
     "RunConfig",
     "parse_config",
     "serialize_config",
@@ -66,9 +74,8 @@ __all__ = [
     "material_from_config",
     "mesh_from_config",
     "load_from_config",
+    "initial_state_from_config",
 ]
-
-_VARIANTS = {v.value: v for v in ModelVariant}
 
 _SCALAR_KEYS = {  # ini key -> MaterialParams attribute
     "rho": "rho",
@@ -99,48 +106,144 @@ _FIELD_SHAPES = {  # field key -> shape of its value
 
 
 @dataclass(frozen=True)
-class TensorSpec:
-    kind: str                 # 'isotropic' | 'components'
-    values: tuple[float, ...]
+class ValueSpec:
+    """A tensor or field value as written: its kind and its numbers, one
+    tuple per ``|``-separated group for ``poly`` and ``table``."""
 
-    def build(self, symmetry_class: SymmetryClass) -> ConstitutiveTensor4:
-        if self.kind == "isotropic":
-            return make_isotropic(symmetry_class, *self.values)
-        return ConstitutiveTensor4.from_components(symmetry_class, self.values)
-
-    def serialize(self) -> str:
-        return f"{self.kind} " + " ".join(f"{v!r}" for v in self.values)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str                              # zero|constant|poly|table|sine
+    kind: str
     values: tuple = ()
 
     def serialize(self) -> str:
-        if self.kind == "zero":
-            return "zero"
-        if self.kind in ("constant", "sine"):
-            return f"{self.kind} " + " ".join(f"{v!r}" for v in self.values)
-        parts = [" ".join(f"{v!r}" for v in group) for group in self.values]
-        return f"{self.kind} " + " | ".join(parts)
+        if self.kind in ("poly", "table"):
+            parts = [" ".join(f"{v!r}" for v in group) for group in self.values]
+            return f"{self.kind} " + " | ".join(parts)
+        return " ".join([self.kind] + [f"{v!r}" for v in self.values])
 
 
-def _check_precision(precision: int) -> None:
-    if precision < 1:
-        raise ValueError("needs at least one significant digit")
+def _shaped(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    size = int(np.prod(shape))
+    if len(values) != size:
+        raise ValueError(f"{what} needs {size} numbers, got {len(values)}")
+    return np.reshape(values, shape)
 
 
-# (section, key) -> the one check of that value, shared with the library
+def _tensor(spec: ValueSpec, symmetry_class: SymmetryClass) -> ConstitutiveTensor4:
+    if spec.kind == "isotropic":
+        return make_isotropic(symmetry_class, *spec.values)
+    if spec.kind == "components":
+        return ConstitutiveTensor4.from_components(symmetry_class, spec.values)
+    raise ValueError(f"unknown tensor kind {spec.kind!r}")
+
+
+def _time_field(spec: ValueSpec, shape: tuple[int, ...]) -> TimeField:
+    if spec.kind == "zero":
+        _shaped(spec.values, (0,), "zero")
+        return TimeField.zero(shape)
+    if spec.kind == "constant":
+        return TimeField.constant(_shaped(spec.values, shape, "constant"))
+    if spec.kind == "poly":
+        return TimeField.polynomial(
+            [_shaped(g, shape, "each poly coefficient") for g in spec.values]
+        )
+    if spec.kind == "table":
+        values = [_shaped(g[1:], shape, "each table row after its time")
+                  for g in spec.values]
+        return TimeField.table([g[0] for g in spec.values], values)
+    raise ValueError(f"unsupported load kind {spec.kind!r}")
+
+
+def initial_field_callable(spec: ValueSpec, dims, shape: tuple[int, ...]):
+    """Closed-form initial field: None for zero, else x -> array of ``shape``.
+
+    ``sine A`` is A * prod_i sin(pi x_i / L_i) in every component, which
+    vanishes on the whole box boundary.
+    """
+    if spec.kind == "zero":
+        _shaped(spec.values, (0,), "zero")
+        return None
+    if spec.kind == "constant":
+        value = _shaped(spec.values, shape, "constant")
+        return lambda x: value
+    if spec.kind == "sine":
+        if len(spec.values) != 1:
+            raise ValueError("sine takes one amplitude")
+        amp = spec.values[0]
+        dims = np.asarray(dims, dtype=float)
+
+        def bump(x):
+            s = amp * float(np.prod(np.sin(np.pi * np.asarray(x) / dims)))
+            return np.full(shape, s)
+
+        return bump
+    raise ValueError(f"unsupported initial kind {spec.kind!r}")
+
+
+def _variant(name: str) -> ModelVariant:
+    try:
+        return ModelVariant(name)
+    except ValueError:
+        raise ValueError(
+            f"unknown variant {name!r}; expected one of "
+            + ", ".join(sorted(v.value for v in ModelVariant))
+        ) from None
+
+
+def _rule(*tests):
+    """A check raising the reason of the first (test, reason) pair whose
+    test its value fails."""
+
+    def check(value) -> None:
+        for test, reason in tests:
+            if not test(value):
+                raise ValueError(reason)
+
+    return check
+
+
+# config key -> the one rule on that value alone, shared with the library
+# where the library has one (keys are unique across sections)
 _VALUE_CHECKS = {
-    ("mesh", "dims"): _box_dims,
-    ("mesh", "resolution"): _box_resolution,
-    ("simulation", "nodes_per_interval"): _check_time_nodes,
-    ("simulation", "fixed_tol"): lambda tol: _check_positive_finite("fixed_tol", tol),
-    ("analysis", "direction"): _unit_direction,
-    ("analysis", "k_samples"): _wavenumbers,
-    ("output", "precision"): _check_precision,
+    "variant": _variant,
+    **{key: partial(_tensor, symmetry_class=_TENSOR_CLASSES[attr])
+       for key, attr in _TENSOR_KEYS.items()},
+    "dims": _box_dims,
+    "resolution": _box_resolution,
+    "t_final": partial(_check_positive_finite, "t_final"),
+    "integrator": _rule((lambda name: name in ("picard", "newmark"),
+                         "expected 'picard' or 'newmark'")),
+    "nodes_per_interval": _check_time_nodes,
+    "fixed_tol": partial(_check_positive_finite, "fixed_tol"),
+    "sample_dofs": _rule(
+        (lambda dofs: all(d >= 0 for d in dofs), "dof indices must be non-negative"),
+        (lambda dofs: len(set(dofs)) == len(dofs), "dof indices must not repeat"),
+    ),
+    "direction": _unit_direction,
+    "k_samples": _wavenumbers,
+    "korn_levels": _rule((lambda n: n >= 1, "needs at least one level")),
+    "precision": _rule((lambda p: p >= 1, "needs at least one significant digit")),
 }
+
+
+def _newmark_step(t_final: float, dt: float) -> None:
+    """The Newmark rule on ``dt``: beta dt^2 and t_final / dt finite."""
+    _newmark_shift(dt)
+    if not t_final / dt < math.inf:
+        raise ValueError("t_final / dt must give a finite step count")
+
+
+def _load_over(spec: ValueSpec, shape: tuple[int, ...], times) -> None:
+    """Build a load as the run builds it and evaluate it at ``times``."""
+    load = _time_field(spec, shape)
+    for t in times:
+        load(t)
+
+
+def _scalar_rule(variant: ModelVariant | None, scalars: dict, attr: str) -> None:
+    """The reason :class:`MaterialParams` under ``variant`` rejects the
+    scalar ``attr`` for (see :func:`tensors._scalar_problems`), raised."""
+    for name, reason in _scalar_problems(variant, **scalars):
+        if name == attr:
+            raise ValueError(reason)
 
 
 @dataclass(frozen=True)
@@ -150,14 +253,14 @@ class MaterialConfig:
     j: float = 1.0
     mu: float = 1.0
     lc: float = 1.0
-    c_e: TensorSpec = TensorSpec("isotropic", (1.0, 0.5))
-    c_c: TensorSpec = TensorSpec("isotropic", (0.5,))
-    c_micro: TensorSpec = TensorSpec("isotropic", (1.0, 0.5))
-    l_aniso: TensorSpec = TensorSpec("isotropic", (1.0,))
-    ct_e: TensorSpec = TensorSpec("isotropic", (1.0, 0.0))
-    ct_c: TensorSpec = TensorSpec("isotropic", (0.0,))
-    ct_micro: TensorSpec = TensorSpec("isotropic", (1.0, 0.0))
-    lt_aniso: TensorSpec = TensorSpec("isotropic", (1.0,))
+    c_e: ValueSpec = ValueSpec("isotropic", (1.0, 0.5))
+    c_c: ValueSpec = ValueSpec("isotropic", (0.5,))
+    c_micro: ValueSpec = ValueSpec("isotropic", (1.0, 0.5))
+    l_aniso: ValueSpec = ValueSpec("isotropic", (1.0,))
+    ct_e: ValueSpec = ValueSpec("isotropic", (1.0, 0.0))
+    ct_c: ValueSpec = ValueSpec("isotropic", (0.0,))
+    ct_micro: ValueSpec = ValueSpec("isotropic", (1.0, 0.0))
+    lt_aniso: ValueSpec = ValueSpec("isotropic", (1.0,))
 
 
 @dataclass(frozen=True)
@@ -173,12 +276,12 @@ class SimulationConfig:
     dt: float = 0.05                       # newmark step
     nodes_per_interval: int = 17           # picard nodes per subinterval
     fixed_tol: float = 1e-10
-    load_f: FieldSpec = FieldSpec("zero")
-    load_m: FieldSpec = FieldSpec("zero")
-    initial_u: FieldSpec = FieldSpec("zero")
-    initial_ut: FieldSpec = FieldSpec("zero")
-    initial_p: FieldSpec = FieldSpec("zero")
-    initial_pt: FieldSpec = FieldSpec("zero")
+    load_f: ValueSpec = ValueSpec("zero")
+    load_m: ValueSpec = ValueSpec("zero")
+    initial_u: ValueSpec = ValueSpec("zero")
+    initial_ut: ValueSpec = ValueSpec("zero")
+    initial_p: ValueSpec = ValueSpec("zero")
+    initial_pt: ValueSpec = ValueSpec("zero")
     sample_dofs: tuple[int, ...] = (0, 1, 2, 3)
 
     @property
@@ -222,6 +325,10 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
+_KEYS = {  # config key -> (its section, its default)
+    f.name: (name, f.default) for name, cls in _SECTIONS.items() for f in fields(cls)
+}
+
 
 def _split_kind(value: str, what: str) -> tuple[str, str]:
     toks = value.split(None, 1)
@@ -241,26 +348,29 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_number(tok) for tok in text.split())
 
 
-def _parse_tensor(value: str, symmetry_class: SymmetryClass) -> TensorSpec:
-    kind, rest = _split_kind(value, "tensor")
-    if kind not in ("isotropic", "components"):
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    spec = TensorSpec(kind, _parse_floats(rest))
-    spec.build(symmetry_class)  # the constructor owns the arity
-    return spec
-
-
-def _parse_field(value: str) -> FieldSpec:
-    kind, rest = _split_kind(value, "field")
-    if kind in ("poly", "table"):
-        return FieldSpec(kind, tuple(_parse_floats(g) for g in rest.split("|")))
-    return FieldSpec(kind, _parse_floats(rest))
+def _parse_value(key: str, text: str):
+    """``text`` read as the type of ``key``'s default; syntax only."""
+    default = _KEYS[key][1]
+    if isinstance(default, ValueSpec):
+        kind, rest = _split_kind(text, "tensor" if key in _TENSOR_KEYS else "field")
+        if kind in ("poly", "table"):
+            return ValueSpec(kind, tuple(_parse_floats(g) for g in rest.split("|")))
+        return ValueSpec(kind, _parse_floats(rest))
+    if isinstance(default, int):
+        return int(text)
+    if isinstance(default, float):
+        return _parse_number(text)
+    if isinstance(default, str):
+        return text
+    elem = int if isinstance(default[0], int) else _parse_number  # a tuple
+    return tuple(elem(tok) for tok in text.split())
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises :class:`ConfigError` listing every issue."""
     issues: list[tuple[int, str, str]] = []
-    sections: dict[str, dict[str, tuple[int, str]]] = {}
+    lines: dict[str, int] = {}                     # key -> line of its value
+    values: dict[str, dict] = {name: {} for name in _SECTIONS}
     current: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -269,12 +379,9 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            current = name if name in _SECTIONS else None
+            if current is None:
                 issues.append((lineno, name, "unknown section"))
-                current = None
-            else:
-                current = name
-                sections.setdefault(name, {})
             continue
         if "=" not in line:
             issues.append((lineno, line, "expected 'key = value'"))
@@ -285,113 +392,56 @@ def parse_config(text: str) -> RunConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        known = {f.name for f in fields(_SECTIONS[current])}
-        if key not in known:
+        if key not in _KEYS or _KEYS[key][0] != current:
             issues.append((lineno, key, f"unknown key in [{current}]"))
             continue
-        if key in sections[current]:
+        if key in lines:
             issues.append((lineno, key, f"duplicate key in [{current}]"))
             continue
-        sections[current][key] = (lineno, value)
-
-    def build(section: str, cls):
-        out = cls()
-        for key, (lineno, value) in sections.get(section, {}).items():
-            default = getattr(out, key)
-            try:
-                if key in _TENSOR_KEYS:
-                    parsed = _parse_tensor(value, _TENSOR_CLASSES[_TENSOR_KEYS[key]])
-                elif isinstance(default, FieldSpec):
-                    parsed = _parse_field(value)
-                elif isinstance(default, int):
-                    parsed = int(value)
-                elif isinstance(default, float):
-                    parsed = _parse_number(value)
-                elif isinstance(default, str):
-                    parsed = value
-                else:  # tuple
-                    elem = int if isinstance(default[0], int) else _parse_number
-                    parsed = tuple(elem(tok) for tok in value.split())
-            except (ValueError, TypeError) as exc:
-                issues.append((lineno, key, str(exc)))
-                continue
-            out = replace(out, **{key: parsed})
-        return out
-
-    cfg = RunConfig(**{name: build(name, cls) for name, cls in _SECTIONS.items()})
-
-    def line_of(section: str, key: str) -> int:
-        return sections.get(section, {}).get(key, (0, ""))[0]
-
-    sim = cfg.simulation
-    newmark = sim.integrator == "newmark"
-    times_ok = newmark or sim.integrator == "picard"
-    time_checks = {"t_final": lambda t: _check_positive_finite("t_final", t)}
-    if newmark:  # picard ignores dt
-        time_checks["dt"] = _newmark_shift
-    for key, check in time_checks.items():
+        lines[key] = lineno
         try:
-            check(getattr(sim, key))
-        except ValueError as exc:
-            issues.append((line_of("simulation", key), key, str(exc)))
-            times_ok = False
-    if times_ok and newmark and not sim.t_final / sim.dt < math.inf:
-        issues.append((line_of("simulation", "dt"), "dt",
-                       "t_final / dt must give a finite step count"))
-        times_ok = False
+            parsed = _parse_value(key, value.strip())
+            if key in _VALUE_CHECKS:
+                _VALUE_CHECKS[key](parsed)
+        except (ValueError, TypeError) as exc:
+            issues.append((lineno, key, str(exc)))
+            continue
+        values[current][key] = parsed
 
+    # a value that broke its rule is not set, so the rules across values
+    # below skip it or see the default in its place
+    cfg = RunConfig(**{name: cls(**values[name]) for name, cls in _SECTIONS.items()})
+    broken = set(lines).difference(*values.values())
+
+    def report(key: str, check, *args) -> bool:
+        """Apply one rule across values; its ValueError is an issue on key."""
+        try:
+            check(*args)
+        except ValueError as exc:
+            issues.append((lines.get(key, 0), key, str(exc)))
+            return False
+        return True
+
+    sim, mat = cfg.simulation, cfg.material
+    times_ok = not {"t_final", "integrator", "dt"} & broken
+    if sim.integrator == "newmark":  # picard ignores dt
+        times_ok = report("dt", _newmark_step, sim.t_final, sim.dt) and times_ok
+    window = (0.0, sim.load_end) if times_ok else ()  # the loads must cover it
     for key, shape in _FIELD_SHAPES.items():  # built once, as the run builds it
         spec = getattr(sim, key)
-        try:
-            if key.startswith("load"):
-                load = _time_field(spec, shape)
-                if times_ok:  # a table must cover the integrator's load times
-                    load(0.0)
-                    load(sim.load_end)
-            else:
-                initial_field_callable(spec, cfg.mesh.dims, shape)
-        except ValueError as exc:
-            issues.append((line_of("simulation", key), key, str(exc)))
-
-    for (section, key), check in _VALUE_CHECKS.items():
-        try:
-            check(getattr(getattr(cfg, section), key))
-        except ValueError as exc:
-            issues.append((line_of(section, key), key, str(exc)))
-    if not {"dims", "resolution"} & {key for _, key, _ in issues}:  # both valid
-        try:
-            _cell_volume(cfg.mesh.dims, cfg.mesh.resolution)
-        except ValueError as exc:
-            issues.append((line_of("mesh", "dims"), "dims", str(exc)))
-
-    mat = cfg.material
-    variant = _VARIANTS.get(mat.variant)
-    if variant is None:  # only the variant-free scalar rules can run
-        issues.append(
-            (line_of("material", "variant"), "variant",
-             f"unknown variant {mat.variant!r}; expected one of "
-             + ", ".join(sorted(_VARIANTS)))
-        )
-    key_of = {attr: key for key, attr in _SCALAR_KEYS.items()}
+        if key.startswith("load"):
+            report(key, _load_over, spec, shape, window)
+        else:
+            report(key, initial_field_callable, spec, cfg.mesh.dims, shape)
+    if not {"dims", "resolution"} & broken:
+        report("dims", _cell_volume, cfg.mesh.dims, cfg.mesh.resolution)
+    variant = None if "variant" in broken else ModelVariant(mat.variant)
     scalars = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
-    for attr, reason in _scalar_problems(variant, **scalars):
-        issues.append((line_of("material", key_of[attr]), key_of[attr], reason))
-    if sim.integrator not in ("picard", "newmark"):
-        issues.append((line_of("simulation", "integrator"), "integrator",
-                       "expected 'picard' or 'newmark'"))
-    if any(d < 0 for d in sim.sample_dofs):
-        issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
-                       "dof indices must be non-negative"))
-    if len(set(sim.sample_dofs)) < len(sim.sample_dofs):
-        issues.append((line_of("simulation", "sample_dofs"), "sample_dofs",
-                       "dof indices must not repeat"))
-    if cfg.analysis.korn_levels < 1:
-        issues.append((line_of("analysis", "korn_levels"), "korn_levels",
-                       "needs at least one level"))
+    for key, attr in _SCALAR_KEYS.items():
+        report(key, _scalar_rule, variant, scalars, attr)
 
     if issues:
-        raise ConfigError(issues)
+        raise ConfigError(sorted(issues, key=lambda issue: issue[0]))
     return cfg
 
 
@@ -403,7 +453,7 @@ def serialize_config(cfg: RunConfig) -> str:
         section = getattr(cfg, name)
         for f in fields(cls):
             v = getattr(section, f.name)
-            if isinstance(v, (TensorSpec, FieldSpec)):
+            if isinstance(v, ValueSpec):
                 text = v.serialize()
             elif isinstance(v, tuple):
                 text = " ".join(
@@ -425,38 +475,14 @@ def config_digest(cfg: RunConfig) -> str:
 def material_from_config(cfg: RunConfig) -> MaterialParams:
     mat = cfg.material
     kwargs = {attr: getattr(mat, key) for key, attr in _SCALAR_KEYS.items()}
-    kwargs["variant"] = _VARIANTS[mat.variant]
+    kwargs["variant"] = ModelVariant(mat.variant)
     for key, attr in _TENSOR_KEYS.items():
-        kwargs[attr] = getattr(mat, key).build(_TENSOR_CLASSES[attr])
+        kwargs[attr] = _tensor(getattr(mat, key), _TENSOR_CLASSES[attr])
     return MaterialParams(**kwargs)
 
 
 def mesh_from_config(cfg: RunConfig) -> BoxMesh:
     return build_box_mesh(cfg.mesh.dims, cfg.mesh.resolution)
-
-
-def _shaped(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    size = int(np.prod(shape))
-    if len(values) != size:
-        raise ValueError(f"{what} needs {size} numbers, got {len(values)}")
-    return np.reshape(values, shape)
-
-
-def _time_field(spec: FieldSpec, shape: tuple[int, ...]) -> TimeField:
-    if spec.kind == "zero":
-        _shaped(spec.values, (0,), "zero")
-        return TimeField.zero(shape)
-    if spec.kind == "constant":
-        return TimeField.constant(_shaped(spec.values, shape, "constant"))
-    if spec.kind == "poly":
-        return TimeField.polynomial(
-            [_shaped(g, shape, "each poly coefficient") for g in spec.values]
-        )
-    if spec.kind == "table":
-        values = [_shaped(g[1:], shape, "each table row after its time")
-                  for g in spec.values]
-        return TimeField.table([g[0] for g in spec.values], values)
-    raise ValueError(f"unsupported load kind {spec.kind!r}")
 
 
 def load_from_config(cfg: RunConfig) -> LoadFunctional:
@@ -467,27 +493,21 @@ def load_from_config(cfg: RunConfig) -> LoadFunctional:
     )
 
 
-def initial_field_callable(spec: FieldSpec, dims, shape: tuple[int, ...]):
-    """Closed-form initial field: None for zero, else x -> array of ``shape``.
+def initial_state_from_config(cfg: RunConfig, sys: FESystem) -> DynamicState:
+    """The state at t = 0: each initial field interpolated into its space,
+    a ``zero`` field as zeros without interpolation."""
+    sim = cfg.simulation
 
-    ``sine A`` is A * prod_i sin(pi x_i / L_i) in every component, which
-    vanishes on the whole box boundary.
-    """
-    if spec.kind == "zero":
-        _shaped(spec.values, (0,), "zero")
-        return None
-    if spec.kind == "constant":
-        value = _shaped(spec.values, shape, "constant")
-        return lambda x: value
-    if spec.kind == "sine":
-        if len(spec.values) != 1:
-            raise ValueError("sine takes one amplitude")
-        amp = spec.values[0]
-        dims = np.asarray(dims, dtype=float)
+    def part(key, interpolate, size):
+        f = initial_field_callable(getattr(sim, key), cfg.mesh.dims, _FIELD_SHAPES[key])
+        return np.zeros(size) if f is None else interpolate(sys, f)
 
-        def bump(x):
-            s = amp * float(np.prod(np.sin(np.pi * np.asarray(x) / dims)))
-            return np.full(shape, s)
+    def vector(u_key, p_key):
+        return np.concatenate([
+            part(u_key, interpolate_u, sys.n_u_dofs),
+            part(p_key, interpolate_p, sys.n_p_dofs),
+        ])
 
-        return bump
-    raise ValueError(f"unsupported initial kind {spec.kind!r}")
+    return DynamicState(
+        0.0, vector("initial_u", "initial_p"), vector("initial_ut", "initial_pt")
+    )

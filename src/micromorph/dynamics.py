@@ -301,12 +301,13 @@ def picard_integrate(
     if delta > t_final:  # a constant map (c_est = 0) has delta = inf
         log.info("contraction interval %.3g capped at t_final", delta)
         delta = t_final
-    n_int = max(1, math.ceil(t_final / delta - 1e-12))
-    if n_int > MAX_INTERVALS:
+    intervals = t_final / delta  # inf when the quotient overflows
+    if intervals - 1e-12 > MAX_INTERVALS:
         raise SolverError(
-            f"contraction interval {delta!r} needs {n_int:.3g} subintervals over "
+            f"contraction interval {delta!r} needs {intervals:.3g} subintervals over "
             f"t_final={t_final!r}, more than MAX_INTERVALS={MAX_INTERVALS}"
         )
+    n_int = max(1, math.ceil(intervals - 1e-12))
 
     solve = definite_solver(w1)
     h = t_final / (n_int * (n_t - 1))

@@ -326,6 +326,11 @@ class TestDispersion:
         with pytest.raises(ValueError):
             dispersion_curves(demo_material, (1, 0, 0), [-1.0])
 
+    def test_overflowing_wavenumber_names_k_samples(self, demo_material):
+        # k^2 overflows: no numpy warning and no LinAlgError, but the sample
+        with pytest.raises(ValueError, match=r"k_samples: .* at k=1e\+200 "):
+            dispersion_curves(demo_material, (1, 0, 0), [0.0, 1.0, 1e200, 1e300])
+
 
 class TestBandGaps:
     def test_synthetic_gap(self, demo_material):

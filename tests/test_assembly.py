@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,20 @@ class TestLoads:
     def test_poly_evaluation(self):
         tf = TimeField.polynomial([np.zeros(3), np.array([0.0, 0.0, 2.0])])
         np.testing.assert_allclose(tf(1.5), [0, 0, 3.0])
+
+    @pytest.mark.parametrize(
+        "coefficients, t",
+        [([np.zeros(3), np.array([1e308, 0.0, 0.0])], 10.0),   # a product overflows
+         ([np.zeros(3), np.zeros(3), np.ones(3)], 1e200)],      # a power overflows
+    )
+    def test_value_that_is_not_finite_names_its_time(self, coefficients, t):
+        # without a warning, which the test configuration turns into an error
+        tf = TimeField.polynomial(coefficients)
+        with pytest.raises(ValueError, match=re.escape(f"value at time {t!r} is not finite")):
+            tf(t)
+        with pytest.raises(ValueError, match="is not finite"):
+            tf(np.float64(t))
+        assert np.isfinite(tf(1.0)).all()
 
 
 class TestOperators:

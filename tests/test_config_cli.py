@@ -324,8 +324,65 @@ def test_factorizations_per_command(command, simulation, calls, tmp_path,
     assert len(factored) == calls
 
 
+# loads whose value overflows at the end of the run (t_final)
+OVERFLOWING_LOAD_F = "[simulation]\nt_final = 10\nload_f = poly 0 0 0 | 1e308 0 0\n"
+OVERFLOWING_LOAD_F_NEWMARK = (
+    "[simulation]\nt_final = 10\nintegrator = newmark\ndt = 0.5\n"
+    "load_f = poly 0 0 0 | 1e308 0 0\n"
+)
+OVERFLOWING_LOAD_M = (
+    "[simulation]\nt_final = 2\nload_m = poly ZEROS | ZEROS | 1e308 0 0 0 0 0 0 0 0\n"
+).replace("ZEROS", " ".join(["0"] * 9))
+OVERFLOWING_POWER = "[simulation]\nt_final = 1e200\nload_f = poly 0 0 0 | 0 0 0 | 1 0 0\n"
+
+
+def _cli_subprocess(command: str, text: str, tmp_path):
+    """``micromorph command`` on ``text`` in a fresh interpreter, so that
+    every line a warning prints reaches its stderr."""
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "micromorph", command, "--config", str(p),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestRejectedValues:
     """Values that used to crash a command or pass silently exit 2 instead."""
+
+    def test_issues_are_listed_in_line_order(self):
+        text = ("[simulation]\nt_final = -1\nsample_dofs = -1 0\nintegrator = euler\n"
+                "[analysis]\nkorn_levels = 0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [
+            (2, "t_final"), (3, "sample_dofs"), (4, "integrator"), (6, "korn_levels")
+        ]
+        assert str(err.value).startswith("line 2: t_final: ")
+
+    @pytest.mark.parametrize(
+        "command, text, prefix",
+        [("check", OVERFLOWING_LOAD_F, "line 3: load_f: value at time 10.0 is not finite"),
+         ("simulate", OVERFLOWING_LOAD_F_NEWMARK, "line 5: load_f: value at time 10.0"),
+         ("korn", OVERFLOWING_LOAD_M, "line 3: load_m: value at time 2.0"),
+         ("dispersion", OVERFLOWING_POWER, "line 3: load_f: value at time 1e+200")],
+    )
+    def test_overflowing_load_is_one_stderr_line(self, command, text, prefix, tmp_path):
+        proc = _cli_subprocess(command, text, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"MICROMORPH-ERROR config: {prefix}")
+
+    def test_overflowing_wavenumber_is_one_stderr_line(self, tmp_path):
+        proc = _cli_subprocess("dispersion", "[analysis]\nk_samples = 0 1e200\n", tmp_path)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("MICROMORPH-ERROR config: ") and "k_samples" in line
 
     @pytest.mark.parametrize(
         "key", ["load_f", "load_m", "initial_u", "initial_ut", "initial_p", "initial_pt"]
@@ -373,7 +430,11 @@ class TestRejectedValues:
          ("[mesh]\ndims = 1e-110 1e-110 1e-110\n", "dims", 2),
          ("[mesh]\ndims = 1e120 1e120 1e120\n", "dims", 2),
          ("[simulation]\nintegrator = newmark\ndt = 1e160\nt_final = 2e160\n",
-          "dt", 3)],
+          "dt", 3),
+         (OVERFLOWING_LOAD_F, "load_f", 3),
+         (OVERFLOWING_LOAD_F_NEWMARK, "load_f", 5),
+         (OVERFLOWING_LOAD_M, "load_m", 3),
+         (OVERFLOWING_POWER, "load_f", 3)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         # the overflowing modulus warns while its tensor is built
@@ -423,7 +484,12 @@ class TestRejectedValues:
          ("check", "[mesh]\ndims = 1e-110 1e-110 1e-110\n"),
          ("check", "[mesh]\ndims = 1e120 1e120 1e120\n"),
          ("simulate",
-          "[simulation]\nintegrator = newmark\ndt = 1e160\nt_final = 2e160\n")],
+          "[simulation]\nintegrator = newmark\ndt = 1e160\nt_final = 2e160\n"),
+         ("check", OVERFLOWING_LOAD_F),
+         ("simulate", OVERFLOWING_LOAD_F),
+         ("simulate", OVERFLOWING_LOAD_F_NEWMARK),
+         ("check", OVERFLOWING_LOAD_M),
+         ("simulate", OVERFLOWING_POWER)],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"

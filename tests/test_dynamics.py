@@ -229,6 +229,14 @@ class TestPicardIntegrate:
             picard_integrate(s0, w1, w2, None, 1e300, 4.0, n_t=5, gram=euclid(w1))
         assert len(str(err.value)) < 200
 
+    def test_interval_budget_raises_when_the_count_overflows(self):
+        # t_final / delta = 1e300 * 2 sqrt(1e300) overflows to inf
+        op = scalar_op(1.0)
+        with pytest.raises(SolverError, match=r"needs inf subintervals") as err:
+            picard_integrate(DynamicState.zero(op.layout), op, op, None, 1e300, 1e300,
+                             gram=op)
+        assert "MAX_INTERVALS" in str(err.value)
+
     def test_linearity_in_data(self, oscillator):
         w1, w2, s0, omega = oscillator
         c = omega**2 * np.sqrt(2)
