@@ -11,10 +11,16 @@ contraction-demo  per-sweep fixed-point ratios on one subinterval against
                   the bound delta^2 c, delta cut to the checked load window
 
 Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure, 4 solver
-failure.  Every CSV starts with comment lines carrying the resolved
-configuration (hash plus full key = value listing) and the column schema;
-floats are printed with 17 significant digits, so identical configurations
-produce byte-identical artifacts.
+failure; each failure prints one ``MICROMORPH-ERROR <class>: ...`` line to
+stderr.  The configuration is read as UTF-8.  A config that cannot be read or
+decoded, an output directory that cannot be created or written, and a run
+whose mesh or factor cannot be allocated all exit 2, since the path, the size
+and the values come from the configuration.
+
+Every CSV starts with comment lines carrying the resolved configuration
+(hash plus full key = value listing) and the column schema; floats are
+printed with 17 significant digits, so identical configurations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -43,8 +49,6 @@ from .errors import ConfigError, HypothesisError, MicromorphError, SolverError
 from .fespace import build_fe_system
 from .mesh import build_box_mesh
 
-COMMANDS = ("check", "simulate", "dispersion", "korn", "contraction-demo")
-
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_HYPOTHESIS = 3
@@ -55,25 +59,18 @@ def _fmt(x: float, precision: int = 17) -> str:
     return f"{float(x):.{precision}g}"
 
 
-def _header_lines(cfg: RunConfig, columns: list[str]) -> list[str]:
-    lines = [f"# micromorph {__version__}", f"# config-sha256: {config_digest(cfg)}"]
-    for raw in serialize_config(cfg).splitlines():
-        if raw:
-            lines.append(f"# cfg {raw}")
-    lines.append("# columns: " + ",".join(columns))
-    return lines
-
-
 def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
-    precision = cfg.output.precision
-    text = "\n".join(_header_lines(cfg, columns))
-    text += "\n" + ",".join(columns) + "\n"
-    for row in rows:
-        text += ",".join(
-            _fmt(v, precision) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row
-        ) + "\n"
-    path.write_text(text)
+    lines = [f"# micromorph {__version__}", f"# config-sha256: {config_digest(cfg)}"]
+    lines += [f"# cfg {raw}" for raw in serialize_config(cfg).splitlines() if raw]
+    lines += ["# columns: " + ",".join(columns), ",".join(columns)]
+
+    def cell(v) -> str:
+        if isinstance(v, (float, np.floating)):
+            return _fmt(v, cfg.output.precision)
+        return str(v)
+
+    lines += [",".join(map(cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _report_text(report) -> str:
@@ -147,17 +144,27 @@ def _certified(params, sys_, w1, w2):
     return gram, report
 
 
-def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
-    sim = cfg.simulation
-    load_fn = load_assembler(load_from_config(cfg), sys_)
-    state0 = initial_state_from_config(cfg, sys_)
-    if sim.integrator == "newmark":
-        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
+def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
+    """Certify the run, then integrate from ``state0`` over
+    [0, interval(report)] with its load, ``nodes_per_interval``,
+    ``fixed_tol``, c and Gram matrix; returns the trajectory and the report."""
     gram, report = _certified(params, sys_, w1, w2)
-    return picard_integrate(
-        state0, w1, w2, load_fn, sim.t_final, report.contraction,
+    sim = cfg.simulation
+    traj = picard_integrate(
+        state0, w1, w2, load_assembler(load_from_config(cfg), sys_),
+        interval(report), report.contraction,
         n_t=sim.nodes_per_interval, fixed_tol=sim.fixed_tol, gram=gram,
     )
+    return traj, report
+
+
+def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
+    sim = cfg.simulation
+    state0 = initial_state_from_config(cfg, sys_)
+    if sim.integrator == "newmark":
+        load_fn = load_assembler(load_from_config(cfg), sys_)
+        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
+    return _picard(cfg, params, sys_, w1, w2, state0, lambda _: sim.t_final)[0]
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
@@ -232,8 +239,6 @@ def _cmd_korn(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
     params, sys_, w1, w2 = _operators(cfg)
-    gram, report = _certified(params, sys_, w1, w2)
-    load_fn = load_assembler(load_from_config(cfg), sys_)
     state0 = initial_state_from_config(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):
         # a visible fixed point even for an all-zero config
@@ -244,10 +249,9 @@ def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
         )
     # one subinterval of length delta, cut to the window whose loads
     # parse_config checked; a constant map (delta = inf) runs over that window
-    traj = picard_integrate(
-        state0, w1, w2, load_fn, min(report.interval, cfg.simulation.load_end),
-        report.contraction, n_t=cfg.simulation.nodes_per_interval,
-        fixed_tol=cfg.simulation.fixed_tol, gram=gram,
+    traj, report = _picard(
+        cfg, params, sys_, w1, w2, state0,
+        lambda r: min(r.interval, cfg.simulation.load_end),
     )
     delta = traj.diagnostics["delta"]
     bound = delta**2 * report.contraction
@@ -280,43 +284,42 @@ def run(command: str, cfg: RunConfig, out_dir=None) -> int:
     return _HANDLERS[command](cfg, out)
 
 
+# How a failed run ends: the first row whose class the exception is an
+# instance of gives the stderr label and the exit code.  The errors below
+# MicromorphError trace back to the configuration: its values (ValueError,
+# which covers UnicodeDecodeError and numpy's LinAlgError), its paths
+# (OSError) and the sizes it asks for (MemoryError).
+_FAILURES = (
+    (ConfigError, "config", _EXIT_CONFIG),
+    (HypothesisError, "hypothesis", _EXIT_HYPOTHESIS),
+    (SolverError, "solver", _EXIT_SOLVER),
+    (MicromorphError, "internal", _EXIT_SOLVER),
+    (ValueError, "config", _EXIT_CONFIG),
+    (OSError, "config", _EXIT_CONFIG),
+    (MemoryError, "config", _EXIT_CONFIG),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="micromorph",
         description="Relaxed micromorphic elastodynamics: certification, "
         "simulation, and dispersion analysis.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"MICROMORPH-ERROR config: {exc}", file=_sys.stderr)
-        return _EXIT_CONFIG
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
         return run(args.command, cfg, args.out)
-    except ConfigError as exc:
-        print(f"MICROMORPH-ERROR config: {exc}", file=_sys.stderr)
-        return _EXIT_CONFIG
-    except HypothesisError as exc:
-        print(f"MICROMORPH-ERROR hypothesis: {exc}", file=_sys.stderr)
-        return _EXIT_HYPOTHESIS
-    except SolverError as exc:
-        print(f"MICROMORPH-ERROR solver: {exc}", file=_sys.stderr)
-        return _EXIT_SOLVER
-    except MicromorphError as exc:
-        print(f"MICROMORPH-ERROR internal: {exc}", file=_sys.stderr)
-        return _EXIT_SOLVER
-    except ValueError as exc:
-        # parameter/range errors surfacing from the library (a load outside
-        # its table or not finite, an overflowing wavenumber, invalid
-        # dimensions) trace back to the configuration
-        print(f"MICROMORPH-ERROR config: {exc}", file=_sys.stderr)
-        return _EXIT_CONFIG
+    except Exception as exc:
+        for cls, label, code in _FAILURES:
+            if isinstance(exc, cls):
+                print(f"MICROMORPH-ERROR {label}: {exc}", file=_sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ Canonical orthonormal bases (the interchange format for component lists):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,6 +119,14 @@ class ConstitutiveTensor4:
             m = 0.5 * (m + m.T)
         if not np.isfinite(m).all():
             raise ValueError(f"{self.symmetry_class.value} tensor must be finite")
+        # finite entries may still have an overflowing largest modulus; LAPACK
+        # sees the matrix scaled to entries of at most 1, and the product is
+        # formed in Python floats, so an overflow warns nowhere
+        s = float(np.abs(m).max())
+        if s and not math.isfinite(s * float(np.abs(np.linalg.eigvalsh(m / s)).max())):
+            raise ValueError(
+                f"{self.symmetry_class.value} tensor moduli must be finite"
+            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -20,7 +20,7 @@ from micromorph.config import (
     parse_config,
     serialize_config,
 )
-from micromorph.errors import ConfigError
+from micromorph.errors import ConfigError, MicromorphError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -334,6 +334,11 @@ OVERFLOWING_LOAD_M = (
     "[simulation]\nt_final = 2\nload_m = poly ZEROS | ZEROS | 1e308 0 0 0 0 0 0 0 0\n"
 ).replace("ZEROS", " ".join(["0"] * 9))
 OVERFLOWING_POWER = "[simulation]\nt_final = 1e200\nload_f = poly 0 0 0 | 0 0 0 | 1 0 0\n"
+# every entry finite, the largest modulus (6 * 5e307) not
+OVERFLOWING_MODULI = (
+    "[material]\nc_e = components " + " ".join(["5e307"] * 21)
+    + "\n[mesh]\nresolution = 2 2 2\n"
+)
 
 
 def _cli_subprocess(command: str, text: str, tmp_path):
@@ -434,7 +439,8 @@ class TestRejectedValues:
          (OVERFLOWING_LOAD_F, "load_f", 3),
          (OVERFLOWING_LOAD_F_NEWMARK, "load_f", 5),
          (OVERFLOWING_LOAD_M, "load_m", 3),
-         (OVERFLOWING_POWER, "load_f", 3)],
+         (OVERFLOWING_POWER, "load_f", 3),
+         (OVERFLOWING_MODULI, "c_e", 2)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         # the overflowing modulus warns while its tensor is built
@@ -489,7 +495,10 @@ class TestRejectedValues:
          ("simulate", OVERFLOWING_LOAD_F),
          ("simulate", OVERFLOWING_LOAD_F_NEWMARK),
          ("check", OVERFLOWING_LOAD_M),
-         ("simulate", OVERFLOWING_POWER)],
+         ("simulate", OVERFLOWING_POWER),
+         ("check", OVERFLOWING_MODULI),
+         ("simulate", OVERFLOWING_MODULI),
+         ("dispersion", OVERFLOWING_MODULI)],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -505,7 +514,8 @@ class TestRejectedValues:
         "key, value",
         [("c_e", "isotropic 1e308 1e308"),
          ("c_c", "isotropic 1e308"),
-         ("l_aniso", "components " + " ".join(["1e308"] * 45))],
+         ("l_aniso", "components " + " ".join(["1e308"] * 45)),
+         ("c_e", "components " + " ".join(["5e307"] * 21))],
     )
     def test_overflowing_tensor_is_rejected_without_warnings(self, key, value,
                                                              tmp_path):
@@ -527,6 +537,55 @@ class TestRejectedValues:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("MICROMORPH-ERROR config:")
+
+
+class TestFailureTable:
+    """Every failed run ends in one ``MICROMORPH-ERROR <class>:`` stderr line
+    and the exit code of the first failure-table row the exception matches."""
+
+    @pytest.mark.parametrize(
+        "case", ["out_is_a_file", "directory_under_a_file", "undecodable",
+                 "mesh_too_large"],
+    )
+    def test_config_side_failure_exits_two(self, case, tmp_path, capfd, monkeypatch):
+        import micromorph.config
+
+        p, afile = tmp_path / "run.ini", tmp_path / "afile"
+        p.write_text("[mesh]\nresolution = 1 1 1\n")
+        afile.write_text("")
+        argv = ["check", "--config", str(p), "--out", str(tmp_path / "o")]
+        if case == "out_is_a_file":
+            argv[-1] = str(afile)
+        elif case == "directory_under_a_file":
+            p.write_text(f"[output]\ndirectory = {afile / 'sub'}\n")
+            argv = argv[:3]
+        elif case == "undecodable":
+            p.write_bytes(b"[mesh]\nresolution = 1 1 1\n# \xff\n")
+        else:
+            def too_large(dims, resolution):
+                raise MemoryError("Unable to allocate 7.11 PiB")
+
+            monkeypatch.setattr(micromorph.config, "build_box_mesh", too_large)
+        code = main(argv)
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("MICROMORPH-ERROR config: ")
+
+    def test_bare_package_error_is_internal(self, tmp_path, capfd, monkeypatch):
+        from micromorph import cli
+
+        def broken(cfg, out):
+            raise MicromorphError("broken invariant")
+
+        monkeypatch.setitem(cli._HANDLERS, "check", broken)
+        p = tmp_path / "run.ini"
+        p.write_text("[mesh]\nresolution = 1 1 1\n")
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["MICROMORPH-ERROR internal: broken invariant"]
 
 
 FIELD_SIZES = {"load_f": 3, "load_m": 9, "initial_u": 3, "initial_ut": 3,

@@ -2,6 +2,7 @@
 spec type for tensor and field values, one table of single-value rules keyed
 by config key, and the initial state built beside the load."""
 
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -12,11 +13,14 @@ from micromorph.config import (
     RunConfig,
     ValueSpec,
     initial_state_from_config,
+    material_from_config,
     mesh_from_config,
     parse_config,
     serialize_config,
 )
+from micromorph.dynamics import picard_integrate
 from micromorph.fespace import build_fe_system, interpolate_p, interpolate_u
+from micromorph.tensors import ConstitutiveTensor4, isotropic_material
 
 
 def test_every_config_key_is_unique_across_sections():
@@ -89,3 +93,20 @@ def test_initial_state_interpolates_each_field(key, kind):
     assert state.t == 0.0
     np.testing.assert_array_equal(state.position, expected["position"])
     np.testing.assert_array_equal(state.velocity, expected["velocity"])
+
+
+def test_config_defaults_are_the_library_defaults():
+    # the default material and the Picard parameters are written both as
+    # config defaults and as library keyword defaults
+    built, library = material_from_config(RunConfig()), isotropic_material()
+    for f in fields(library):
+        a, b = getattr(built, f.name), getattr(library, f.name)
+        if isinstance(b, ConstitutiveTensor4):
+            assert a.symmetry_class is b.symmetry_class, f.name
+            assert a.matrix.tobytes() == b.matrix.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    picard = inspect.signature(picard_integrate).parameters
+    sim = RunConfig().simulation
+    assert sim.nodes_per_interval == picard["n_t"].default
+    assert sim.fixed_tol == picard["fixed_tol"].default

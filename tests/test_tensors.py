@@ -180,6 +180,14 @@ class TestIsotropic:
         with pytest.raises(ValueError, match="21"):
             ConstitutiveTensor4.from_components(SymmetryClass.ELASTIC, range(20))
 
+    def test_overflowing_moduli_rejected(self):
+        # every entry is finite, the largest modulus (6 * 5e307) is not;
+        # a RuntimeWarning on the way would fail the test
+        with pytest.raises(ValueError, match="elastic tensor moduli must be finite"):
+            ConstitutiveTensor4.from_components(SymmetryClass.ELASTIC, [5e307] * 21)
+        t = ConstitutiveTensor4(SymmetryClass.ELASTIC, 1e307 * np.eye(6))
+        assert classify_definiteness(t).max_modulus == pytest.approx(1e307, rel=1e-14)
+
 
 class TestMaterialParams:
     def test_scalar_validation(self):
