@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,10 +100,9 @@ class WellPosednessReport:
 
     @property
     def well_posed(self) -> bool:
-        ok = self.hypotheses_satisfied
-        if self.coercivity is not None:
-            ok = ok and self.coercivity > 0
-        return ok
+        return self.hypotheses_satisfied and (
+            self.coercivity is None or self.coercivity > 0
+        )
 
     def failed_items(self) -> list[str]:
         return [c.item for c in self.checks if not c.passed]
@@ -129,90 +128,42 @@ def check_hypotheses(params: MaterialParams) -> WellPosednessReport:
     on construction).  The simplified and quasistatic variants additionally
     require a positive definite micro-rate tensor.
     """
-    reports = {name: classify_definiteness(t) for name, t in params.tensors().items()}
-    checks: list[HypothesisCheck] = []
-
-    # storage is the symmetric matrix representation, so major symmetry is
-    # structural; report the verified storage invariant
-    sym_ok = all(
-        np.array_equal(t.matrix, t.matrix.T) for t in params.tensors().values()
-    )
-    checks.append(
-        HypothesisCheck(
-            "i", "constitutive tensors carry the class symmetries", sym_ok
-        )
-    )
-
-    bound_names = ("elastic", "coupling", "micro", "curvature")
-    bounds = ", ".join(
-        f"{n}<= {reports[n].max_modulus:.6g}" for n in bound_names
-    )
-    checks.append(
-        HypothesisCheck(
-            "ii",
-            "potential tensors are bounded",
-            all(np.isfinite(reports[n].max_modulus) for n in bound_names),
-            bounds,
-        )
-    )
-
-    iii_ok = _definite(reports["inertia_elastic"]) and _definite(
-        reports["inertia_curvature"]
-    )
-    checks.append(
-        HypothesisCheck(
-            "iii",
-            "elastic-rate and curvature-rate tensors positive definite",
-            iii_ok,
-            f"min moduli {reports['inertia_elastic'].min_modulus:.6g}, "
-            f"{reports['inertia_curvature'].min_modulus:.6g}",
-        )
-    )
-
-    iv_ok = _semi_definite(reports["inertia_micro"]) and _semi_definite(
-        reports["inertia_coupling"]
-    )
-    checks.append(
-        HypothesisCheck(
-            "iv",
-            "micro-rate and coupling-rate tensors positive semi-definite",
-            iv_ok,
-        )
-    )
-
-    checks.append(
-        HypothesisCheck(
-            "v",
-            "loads continuous in time with dual-space values",
-            True,
-            "all representable load specifications qualify",
-        )
-    )
-    checks.append(
-        HypothesisCheck(
-            "vi",
-            "initial data in the product space",
-            True,
-            "all representable discrete states qualify",
-        )
-    )
-
-    # MaterialParams rejects every nonpositive scalar on construction
-    checks.append(HypothesisCheck("vii", "scalar parameters positive", True))
-
+    tensors = params.tensors()
+    r = {name: classify_definiteness(t) for name, t in tensors.items()}
+    potential = ("elastic", "coupling", "micro", "curvature")
+    rows = [
+        # the storage is the symmetric matrix representation, so major
+        # symmetry is structural; the row reports that stored invariant
+        ("i", "constitutive tensors carry the class symmetries",
+         all(np.array_equal(t.matrix, t.matrix.T) for t in tensors.values())),
+        ("ii", "potential tensors are bounded",
+         all(np.isfinite(r[n].max_modulus) for n in potential),
+         ", ".join(f"{n}<= {r[n].max_modulus:.6g}" for n in potential)),
+        ("iii", "elastic-rate and curvature-rate tensors positive definite",
+         _definite(r["inertia_elastic"]) and _definite(r["inertia_curvature"]),
+         f"min moduli {r['inertia_elastic'].min_modulus:.6g}, "
+         f"{r['inertia_curvature'].min_modulus:.6g}"),
+        ("iv", "micro-rate and coupling-rate tensors positive semi-definite",
+         _semi_definite(r["inertia_micro"])
+         and _semi_definite(r["inertia_coupling"])),
+        ("v", "loads continuous in time with dual-space values", True,
+         "all representable load specifications qualify"),
+        ("vi", "initial data in the product space", True,
+         "all representable discrete states qualify"),
+        # MaterialParams rejects every nonpositive scalar on construction
+        ("vii", "scalar parameters positive", True),
+    ]
     v = params.variant
     if not v.micro_mass:
-        checks.append(
-            HypothesisCheck(
-                "micro-rate-definite",
-                f"{v.value} variant requires a positive definite micro-rate tensor",
-                _definite(reports["inertia_micro"]),
-                f"min modulus {reports['inertia_micro'].min_modulus:.6g}",
-            )
-        )
-
+        rows.append((
+            "micro-rate-definite",
+            f"{v.value} variant requires a positive definite micro-rate tensor",
+            _definite(r["inertia_micro"]),
+            f"min modulus {r['inertia_micro'].min_modulus:.6g}",
+        ))
     return WellPosednessReport(
-        variant=v, tensor_reports=reports, checks=tuple(checks)
+        variant=v, tensor_reports=r,
+        checks=tuple(HypothesisCheck(*row) for row in rows),
     )
 
 
@@ -351,8 +302,13 @@ class DispersionResult:
     direction: np.ndarray
     frequencies: np.ndarray      # (n_k, 12)
     omega_squared: np.ndarray    # (n_k, 12)
-    unstable: np.ndarray = field(repr=False)  # (n_k, 12) bool
     gaps: tuple = ()
+
+    @property
+    def unstable(self) -> np.ndarray:
+        """(n_k, 12) bool: the branches whose omega^2 is negative beyond
+        round-off, which are the NaN frequencies."""
+        return np.isnan(self.frequencies)
 
     @property
     def n_branches(self) -> int:
@@ -414,14 +370,12 @@ def dispersion_curves(
     scale = np.maximum(np.abs(omega2).max(axis=1, keepdims=True), 1.0)
     noise = (omega2 < 0) & (omega2 >= -_CLAMP_TOL * scale)
     clamped = np.where(noise, 0.0, omega2)
-    unstable = clamped < 0
-    freqs = np.where(unstable, np.nan, np.sqrt(np.maximum(clamped, 0.0)))
+    freqs = np.where(clamped < 0, np.nan, np.sqrt(np.maximum(clamped, 0.0)))
     result = DispersionResult(
         k_samples=ks,
         direction=d,
         frequencies=freqs,
         omega_squared=omega2,
-        unstable=unstable,
     )
     if ks.size >= 2:
         result = dataclasses.replace(result, gaps=tuple(detect_band_gaps(result)))

@@ -12,10 +12,12 @@ contraction-demo  per-sweep fixed-point ratios on one subinterval against
 
 Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure, 4 solver
 failure; each failure prints one ``MICROMORPH-ERROR <class>: ...`` line to
-stderr.  The configuration is read as UTF-8.  A config that cannot be read or
-decoded, an output directory that cannot be created or written, and a run
-whose mesh or factor cannot be allocated all exit 2, since the path, the size
-and the values come from the configuration.
+stderr.  The configuration is read and every artifact is written as UTF-8.
+A config that cannot be read or decoded, an output directory that cannot be
+created or written, and a run whose mesh or factor cannot be allocated all
+exit 2, since the path, the size and the values come from the configuration.
+The output directory is created by the first artifact written, so a run
+refused before that leaves no directory behind.
 
 Every CSV starts with comment lines carrying the resolved configuration
 (hash plus full key = value listing) and the column schema; floats are
@@ -59,6 +61,12 @@ def _fmt(x: float, precision: int = 17) -> str:
     return f"{float(x):.{precision}g}"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one artifact as UTF-8, creating its directory on first write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
     lines = [f"# micromorph {__version__}", f"# config-sha256: {config_digest(cfg)}"]
     lines += [f"# cfg {raw}" for raw in serialize_config(cfg).splitlines() if raw]
@@ -70,7 +78,7 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
         return str(v)
 
     lines += [",".join(map(cell, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _report_text(report) -> str:
@@ -116,7 +124,7 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     params, sys_, w1, w2 = _operators(cfg)
     report = well_posedness_report(params, w1, w2, assemble_gram(sys_))
     text = _report_text(report)
-    (out / "report.txt").write_text(text)
+    _write(out / "report.txt", text)
     rows = [
         (name, r.classification.value, r.min_modulus, r.max_modulus)
         for name, r in report.tensor_reports.items()
@@ -131,24 +139,18 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
     return _EXIT_OK if report.well_posed else _EXIT_HYPOTHESIS
 
 
-def _certified(params, sys_, w1, w2):
-    """The Gram matrix and the well-posedness report; HypothesisError unless
-    the material is well posed, so the report's c and delta are finite or
-    flag a constant map (c = 0)."""
+def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
+    """Certify the run, then integrate from ``state0`` over
+    [0, interval(report)] with its load, ``nodes_per_interval``,
+    ``fixed_tol``, c and Gram matrix; returns the trajectory and the report.
+    HypothesisError unless the material is well posed, so the report's c and
+    delta are finite or flag a constant map (c = 0)."""
     gram = assemble_gram(sys_)
     report = well_posedness_report(params, w1, w2, gram)
     if not report.well_posed:
         raise HypothesisError(
             "cannot integrate: failed items " + ", ".join(report.failed_items())
         )
-    return gram, report
-
-
-def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
-    """Certify the run, then integrate from ``state0`` over
-    [0, interval(report)] with its load, ``nodes_per_interval``,
-    ``fixed_tol``, c and Gram matrix; returns the trajectory and the report."""
-    gram, report = _certified(params, sys_, w1, w2)
     sim = cfg.simulation
     traj = picard_integrate(
         state0, w1, w2, load_assembler(load_from_config(cfg), sys_),
@@ -219,7 +221,7 @@ def _cmd_dispersion(cfg: RunConfig, out: Path) -> int:
             )
     else:
         lines.append("  none detected at this sampling")
-    (out / "gaps.txt").write_text("\n".join(lines) + "\n")
+    _write(out / "gaps.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return _EXIT_OK
 
@@ -280,7 +282,6 @@ def run(command: str, cfg: RunConfig, out_dir=None) -> int:
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
     return _HANDLERS[command](cfg, out)
 
 

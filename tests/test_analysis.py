@@ -80,6 +80,47 @@ class TestHypotheses:
         assert report.hypotheses_satisfied
 
 
+BASE_ROWS = [
+    ("i", "constitutive tensors carry the class symmetries", True, ""),
+    ("ii", "potential tensors are bounded", True,
+     "elastic<= 3.5, coupling<= 1, micro<= 3.5, curvature<= 1"),
+    ("iii", "elastic-rate and curvature-rate tensors positive definite", True,
+     "min moduli 2, 1"),
+    ("iv", "micro-rate and coupling-rate tensors positive semi-definite", True, ""),
+    ("v", "loads continuous in time with dual-space values", True,
+     "all representable load specifications qualify"),
+    ("vi", "initial data in the product space", True,
+     "all representable discrete states qualify"),
+    ("vii", "scalar parameters positive", True, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "params, rows",
+    [(isotropic_material(), BASE_ROWS),
+     (isotropic_material(variant=ModelVariant.SIMPLIFIED_INERTIA,
+                         micro_inertia=0.0, inertia_micro=(0.0, 0.0)),
+      BASE_ROWS + [("micro-rate-definite", "simplified variant requires a "
+                    "positive definite micro-rate tensor", False, "min modulus 0")]),
+     (isotropic_material(variant=ModelVariant.QUASISTATIC),
+      BASE_ROWS + [("micro-rate-definite", "quasistatic variant requires a "
+                    "positive definite micro-rate tensor", True, "min modulus 2")]),
+     (isotropic_material(variant=ModelVariant.ZERO_LENGTH_SCALE, length_scale=0.0),
+      BASE_ROWS),
+     (isotropic_material(inertia_elastic=(-1.0, 0.0)),
+      BASE_ROWS[:2]
+      + [("iii", "elastic-rate and curvature-rate tensors positive definite",
+          False, "min moduli -2, 1")]
+      + BASE_ROWS[3:])],
+    ids=["default", "simplified", "quasistatic", "zero-length-scale", "failing-iii"],
+)
+def test_checklist_rows_are_pinned(params, rows):
+    """Every item, description, verdict and detail of the checklist, which
+    report.txt prints verbatim."""
+    checks = check_hypotheses(params).checks
+    assert [(c.item, c.description, c.passed, c.detail) for c in checks] == rows
+
+
 class TestDiscreteConstants:
     def test_m1_of_identical_pencil(self, sys_2, demo_material):
         gram = assemble_gram(sys_2)
@@ -319,6 +360,19 @@ class TestDispersion:
         params = isotropic_material(variant=ModelVariant.QUASISTATIC)
         with pytest.raises(HypothesisError):
             dispersion_curves(params, (1, 0, 0), [0.0])
+
+    def test_unstable_branches_are_the_nan_frequencies(self):
+        # c_e = (1, -2) has 2 mu + 3 lam < 0: the lowest branch is unstable
+        # at every sample
+        ks = np.linspace(0.0, 3.0, 13)
+        result = dispersion_curves(isotropic_material(elastic=(1, -2)), (1, 0, 0), ks)
+        unstable = result.unstable
+        np.testing.assert_array_equal(unstable, np.isnan(result.frequencies))
+        assert unstable.sum() == 13
+        scale = np.maximum(np.abs(result.omega_squared).max(axis=1), 1.0)
+        rows, _ = np.nonzero(unstable)
+        assert np.all(result.omega_squared[unstable] < -1e-10 * scale[rows])
+        assert result.gaps == ()
 
     def test_direction_validation(self, demo_material):
         with pytest.raises(ValueError):

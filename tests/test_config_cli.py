@@ -498,7 +498,9 @@ class TestRejectedValues:
          ("simulate", OVERFLOWING_POWER),
          ("check", OVERFLOWING_MODULI),
          ("simulate", OVERFLOWING_MODULI),
-         ("dispersion", OVERFLOWING_MODULI)],
+         ("dispersion", OVERFLOWING_MODULI),
+         # refused after parsing: dof 3 of the 3 dofs of a res-1 mesh
+         ("simulate", "[mesh]\nresolution = 1 1 1\n")],
     )
     def test_cli_exits_two(self, command, text, tmp_path, capsys):
         p = tmp_path / "bad.ini"
@@ -741,7 +743,8 @@ class TestLoadTimesCovered:
         from micromorph import cli
 
         cfg = parse_config(text)
-        _, report = cli._certified(*cli._operators(cfg))
+        params, sys_, w1, w2 = cli._operators(cfg)
+        report = cli.well_posedness_report(params, w1, w2, cli.assemble_gram(sys_))
         window = cfg.simulation.load_end
         assert window < report.interval
         original, runs = cli.picard_integrate, []
