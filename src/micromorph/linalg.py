@@ -2,12 +2,16 @@
 
 Every factorization is SuperLU with diagonal pivots in a symmetric
 ordering, P M P^T = L D L^T, so the signs of D count the negative
-eigenvalues of M (Sylvester's law of inertia).  One factor is alive at a
-time.
+eigenvalues of M (Sylvester's law of inertia).  Every factor is a
+:class:`DefiniteSolver`, whose constructor certifies M > 0 by that count
+or raises; one factor is alive at a time.
 
-* :func:`definite_solver` - certify A > 0 by that count, factor once and
-  solve vectors or (n, k) blocks; every column checks its own residual.
-  Both integrators and the stationary solve run on it.
+* :class:`DefiniteSolver` / :func:`definite_solver` - the certified factor:
+  it solves vectors or (n, k) blocks, every column checking its own
+  residual, and both integrators and the stationary solve run on it.  Its
+  :meth:`~DefiniteSolver.inverse` hands ARPACK the bare solve instead: the
+  eigenpair ARPACK returns meets its own residual check and inertia count,
+  so checking every inner solve would cost time and certify nothing more.
 * :func:`extreme_generalized_eigenvalues` - one end of the spectrum of a
   symmetric pencil (A, B), B positive definite.  Pencils of at most
   ``DENSE_CUTOFF`` rows go to :func:`hermitian_dense_eig`, the one dense
@@ -84,40 +88,40 @@ def _symmetric_lu(mat):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _definite_lu(mat, name: str):
-    """SuperLU factor of ``mat`` once its inertia certifies ``mat`` > 0; a
-    positive definite matrix never meets a zero pivot, so that fails too."""
-    lu, negatives = _symmetric_lu(mat)
-    if negatives != 0:
-        found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
-        raise DefinitenessError(f"{name} is not positive definite: its LU met {found}")
-    return lu
-
-
-def _inverse(lu):
-    import scipy.sparse.linalg as spla
-
-    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
-
-
 class DefiniteSolver:
     """Solves A x = b with one certified SuperLU factor of A > 0.
 
-    Call it on a vector or on an (n, k) block; the block goes to SuperLU in
-    one call.  Every column must meet ||A x - b|| <= ``_SOLVE_TOL`` ||b||.
-    A column that misses gets one step of iterative refinement, and one that
-    still misses raises :class:`NonConvergenceError`.  ``factor_nnz`` is the fill
-    of L + U, ``solves`` counts the right-hand sides solved and
-    ``max_residual`` is the worst relative residual returned; they outlive
-    :meth:`close`, which releases the factor.
+    The constructor factors symmetric ``mat`` and raises
+    :class:`DefinitenessError` naming ``name`` unless the inertia of the LU
+    certifies ``mat`` > 0; a positive definite matrix never meets a zero
+    pivot, so that fails too.  Call it on a vector or on an (n, k) block;
+    the block goes to SuperLU in one call.  Every column must meet
+    ||A x - b|| <= ``_SOLVE_TOL`` ||b||.  A column that misses gets one step
+    of iterative refinement, and one that still misses raises
+    :class:`NonConvergenceError`.  ``factor_nnz`` is SuperLU's count of
+    stored nonzeros in L + U, ``solves`` counts the right-hand sides solved
+    and ``max_residual`` is the worst relative residual returned; they
+    outlive :meth:`close`, which releases the factor.
     """
 
-    def __init__(self, mat, lu):
+    def __init__(self, mat, name: str = "the operator"):
+        lu, negatives = _symmetric_lu(mat)
+        if negatives != 0:
+            found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
+            raise DefinitenessError(f"{name} is not positive definite: its LU met {found}")
         self._mat = mat
         self._lu = lu
-        self.factor_nnz = int(lu.L.nnz + lu.U.nnz)
+        self.factor_nnz = int(lu.nnz)
         self.solves = 0
         self.max_residual = 0.0
+
+    def inverse(self):
+        """A^-1 as a ``LinearOperator`` for ARPACK: the factor's bare solve,
+        without the residual check of :meth:`__call__` (see the module
+        docstring)."""
+        import scipy.sparse.linalg as spla
+
+        return spla.LinearOperator(self._mat.shape, matvec=self._lu.solve, dtype=float)
 
     def _relative_residuals(self, x: np.ndarray, b: np.ndarray):
         r = b - self._mat @ x
@@ -149,15 +153,11 @@ class DefiniteSolver:
 
 
 def definite_solver(a) -> DefiniteSolver:
-    """Factor symmetric A once and return its :class:`DefiniteSolver`.
-
-    The inertia of the LU certifies A > 0; a negative or zero pivot raises
-    :class:`DefinitenessError`.
-    """
+    """The :class:`DefiniteSolver` of symmetric A, a sparse matrix or an
+    operator carrying one in ``.matrix``."""
     import scipy.sparse
 
-    mat = scipy.sparse.csr_matrix(_as_matrix(a))
-    return DefiniteSolver(mat, _definite_lu(mat, "the operator"))
+    return DefiniteSolver(scipy.sparse.csr_matrix(_as_matrix(a)))
 
 
 def _certify_minimum(a_mat, b_mat, lam: float) -> None:
@@ -166,7 +166,7 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
     lambda_2 first, a true eigenpair that no residual check rejects."""
     sigma = lam - _MINIMUM_GAP * max(abs(lam), 1.0)
     try:
-        _definite_lu(a_mat - sigma * b_mat, "A - sigma B just under it")
+        DefiniteSolver(a_mat - sigma * b_mat, "A - sigma B just under it")
     except DefinitenessError as exc:
         raise NonConvergenceError(
             f"eigenvalue(s) lie below the returned smallest {lam!r}: {exc}"
@@ -185,19 +185,23 @@ def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
             raise NonConvergenceError(f"ARPACK ({kwargs['which']}) failed: {exc}")
         return float(w[0]), v[:, 0]
 
-    b_inv = _inverse(_definite_lu(b_mat, "B"))
+    b_inv = DefiniteSolver(b_mat, "B").inverse()
     if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
         return 0.0, v0
     if which != "smallest":
         return arpack(which=_ARPACK_WHICH[which], Minv=b_inv)
     b_inv = None  # one factorization alive at a time
-    a_lu, negatives = _symmetric_lu(a_mat)
-    if negatives == 0:  # A > 0: the eigenvalue nearest 0 is the smallest
-        pair = arpack(sigma=0.0, which="LM", OPinv=_inverse(a_lu))
-        a_lu = None  # release A's factor before the inertia count
-    else:
-        a_lu = None  # release A's factor before B is factored again
-        pair = arpack(which="SA", Minv=_inverse(_definite_lu(b_mat, "B")))
+    try:
+        a_inv = DefiniteSolver(a_mat, "A").inverse()
+    except DefinitenessError:
+        a_inv = None
+    # B is factored out here: inside the except block the exception's
+    # traceback still holds A's failed factor
+    if a_inv is None:
+        pair = arpack(which="SA", Minv=DefiniteSolver(b_mat, "B").inverse())
+    else:  # A > 0: the eigenvalue nearest 0 is the smallest
+        pair = arpack(sigma=0.0, which="LM", OPinv=a_inv)
+    a_inv = None  # release A's factor before the inertia count
     _certify_minimum(a_mat, b_mat, pair[0])
     return pair
 

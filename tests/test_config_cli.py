@@ -132,6 +132,31 @@ class TestCommands:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_key_without_value_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[material]\nrho\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 2
+        assert "line 2: rho: expected 'key = value'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_picard_refuses_a_failed_hypothesis_before_any_output(self, tmp_path,
+                                                                  capsys):
+        p = tmp_path / "bad.ini"
+        p.write_text("[material]\nct_e = isotropic 0 0\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 3
+        assert "cannot integrate: failed items iii" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dispersion_without_gaps_says_so(self, tmp_path, capsys):
+        p = tmp_path / "one.ini"
+        p.write_text("[analysis]\nk_samples = 1.0\n")
+        out = tmp_path / "o"
+        assert main(["dispersion", "--config", str(p), "--out", str(out)]) == 0
+        assert "none detected at this sampling" in capsys.readouterr().out
+        assert "none detected at this sampling" in (out / "gaps.txt").read_text()
+
     def test_simulate_zero_data_zero_trajectory(self, tmp_path):
         p = tmp_path / "zero.ini"
         p.write_text("[simulation]\nt_final = 0.1\n")

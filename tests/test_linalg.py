@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -211,6 +213,46 @@ class TestSparsePath:
                 which="smallest",
             )
         assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "which, a_definite, run",
+        [("smallest", False, "SA"), ("smallest", True, "LM"), ("largest", False, "LA")],
+    )
+    def test_each_arpack_run_sees_one_live_factor(self, rng, monkeypatch, which,
+                                                  a_definite, run):
+        # an indefinite A must release its failed factor before the SA run
+        real_lu, real_eigsh = linalg._symmetric_lu, scipy.sparse.linalg.eigsh
+        live = weakref.WeakSet()
+        seen = []
+
+        class Factor:  # a SuperLU stand-in that a WeakSet can hold
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+            def solve(self, b):  # a bound solve keeps its factor alive
+                return self._lu.solve(b)
+
+        def tracked(mat):
+            lu, negatives = real_lu(mat)
+            factor = Factor(lu)
+            live.add(factor)
+            return factor, negatives
+
+        def counted(*args, **kwargs):
+            seen.append((kwargs["which"], len(live)))
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_symmetric_lu", tracked)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+        d = np.linspace(0.1, 5.0, N_SPARSE)
+        if not a_definite:
+            d[:2] = -4.0, -2.0
+        b = sp.diags(rng.uniform(1.0, 2.0, N_SPARSE), format="csr")
+        extreme_generalized_eigenvalues(sp.diags(d, format="csr"), b, which=which)
+        assert seen == [(run, 1)]
 
     def test_unknown_end_rejected(self):
         with pytest.raises(ValueError, match="which"):
