@@ -44,10 +44,9 @@ from .assembly import (
     assemble_w1,
     assemble_w2,
     combine_operators,
-    load_assembler,
 )
 from .linalg import (
-    definite_solver,
+    DefiniteSolver,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
 )

@@ -170,13 +170,13 @@ def check_hypotheses(params: MaterialParams) -> WellPosednessReport:
 def discrete_coercivity(w1: SparseSymOperator, gram: SparseSymOperator) -> float:
     """m1: smallest eigenvalue of the pencil (W1, Gram); positive certifies
     coercivity of the rate-energy form in the product norm."""
-    return extreme_generalized_eigenvalues(w1, gram, which="smallest")
+    return extreme_generalized_eigenvalues(w1.matrix, gram.matrix, which="smallest")
 
 
 def discrete_boundedness(w2: SparseSymOperator, gram: SparseSymOperator) -> float:
     """M2: largest magnitude eigenvalue of (W2, Gram); the potential tensors
     may be indefinite, so either end of the spectrum can hold it."""
-    return abs(extreme_generalized_eigenvalues(w2, gram, which="magnitude"))
+    return abs(extreme_generalized_eigenvalues(w2.matrix, gram.matrix, "magnitude"))
 
 
 def _contraction_interval(c: float) -> float:
@@ -236,7 +236,7 @@ def korn_curl_constant(sys: FESystem) -> float:
     sym_mass = isotropic_elastic(0.5, 0.0)   # 2 mu sym = sym for mu = 1/2
     right = assemble_form(sys, FormSpec(sym_micro=sym_mass, **curl_curl)).p_block()
     try:
-        return extreme_generalized_eigenvalues(left, right, which="largest")
+        return extreme_generalized_eigenvalues(left.matrix, right.matrix, "largest")
     except DefinitenessError as exc:
         raise DefinitenessError(
             "sym-mass + curl-curl form is singular on the tangential-zero "

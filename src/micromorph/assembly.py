@@ -15,8 +15,9 @@ matrix is built from a few per-cell moments (see :func:`_element_blocks`);
 each batch of cells adds its upper-triangular entries into the pattern that
 the FE system caches (``FESystem.pair_keys``), and the operator is completed
 as U + U^T, so it is exactly symmetric.
-Loads scatter through the same dof table, ``FESystem.cell_dofs``, and the
-same edge functions (:func:`_edge_functions`) as the forms.
+:func:`assemble_load` is the one load-vector function: the load table the FE
+system caches (``FESystem.unit_duals``, built through the same dof table and
+edge functions as the forms) times the load's values at t.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fespace import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, FESystem
-from .mesh import LOCAL_EDGES
+from .fespace import (
+    _EDGE_A, _EDGE_B, QUADRATURE_POINTS, QUADRATURE_WEIGHTS, FESystem, _edge_functions,
+)
 from .tensors import (
     ConstitutiveTensor4,
     MaterialParams,
@@ -52,7 +54,6 @@ __all__ = [
     "TimeField",
     "LoadFunctional",
     "assemble_load",
-    "load_assembler",
     "combine_operators",
 ]
 
@@ -193,7 +194,6 @@ def form_terms(spec: FormSpec) -> tuple[tuple[str, np.ndarray], ...]:
     )
 
 
-_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T   # local end vertices of each edge
 # moment blocks (uu, uP, PP, curl-curl) that each derivative field enters
 _MOMENT_BLOCKS = {"grad u - P": [0, 1, 2], "grad u": [0], "P": [2], "Curl P": [3]}
 
@@ -221,16 +221,6 @@ def _contract(moments: np.ndarray, k: np.ndarray) -> np.ndarray:
     nc, nx, ny = moments.shape[:3]
     out = (moments.reshape(-1, 9) @ k).reshape(nc, nx, ny, 3, 3)
     return out.transpose(0, 1, 3, 2, 4)
-
-
-def _edge_functions(sys: FESystem, cells: np.ndarray) -> np.ndarray:
-    """Edge functions s_e (lam_a g_b - lam_b g_a) of ``cells`` at the
-    quadrature points, (nc, nq, 6, 3)."""
-    lam = QUADRATURE_POINTS                               # (nq, 4)
-    g = sys.grad_hats[cells]
-    ga, gb = g[:, None, _EDGE_A], g[:, None, _EDGE_B]     # (nc, 1, 6, 3)
-    sign = sys.mesh.cell_edge_signs[cells][:, None, :, None]
-    return (lam[:, _EDGE_A, None] * gb - lam[:, _EDGE_B, None] * ga) * sign
 
 
 def _element_blocks(sys: FESystem, spec: FormSpec, cells: np.ndarray):
@@ -426,33 +416,8 @@ class LoadFunctional:
         return cls(bf, df)
 
 
-def load_assembler(load: LoadFunctional, sys: FESystem):
-    """``t -> assemble_load(load, sys, t)`` for loads evaluated at many times.
-
-    Column k of the (n_dofs, 12) matrix built once is the dual vector of the
-    k-th entry of (f, vec m): V/4 scattered to each u-dof (a, i), and row i
-    of m dotted with the integral of w_e to each P-dof (e, i).
-    """
-    vol = sys.mesh.cell_volumes
-    weight = vol[:, None] * (6.0 * QUADRATURE_WEIGHTS)
-    w = _edge_functions(sys, np.arange(sys.mesh.n_cells))
-    w_int = np.einsum("cq,cqek->cek", weight, w)          # (nc, 6, 3)
-    unit_duals = np.zeros((sys.n_dofs, 12))
-    for j, dofs in enumerate(sys.cell_dofs.T):  # one local dof: cells sum in order
-        free = dofs >= 0
-        if j < 12:
-            np.add.at(unit_duals[:, j % 3], dofs[free], vol[free] / 4.0)
-        else:
-            e, i = divmod(j - 12, 3)
-            np.add.at(unit_duals[:, 3 + 3 * i: 6 + 3 * i], dofs[free], w_int[free, e])
-
-    def at(t: float) -> np.ndarray:
-        f, m = load.body_force(t), load.double_force(t)
-        return unit_duals @ np.concatenate([f, m.ravel()])
-
-    return at
-
-
 def assemble_load(load: LoadFunctional, sys: FESystem, t: float) -> np.ndarray:
-    """Dual vector of the load at time t over the product space."""
-    return load_assembler(load, sys)(t)
+    """Dual vector of the load at time t over the product space: the load
+    table ``sys.unit_duals``, built once per system, times (f(t), vec m(t))."""
+    f, m = load.body_force(t), load.double_force(t)
+    return sys.unit_duals @ np.concatenate([f, m.ravel()])

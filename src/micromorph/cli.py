@@ -10,7 +10,8 @@ korn              Korn-type constant per refinement level
 contraction-demo  per-sweep fixed-point ratios on one subinterval against
                   the bound delta^2 c, delta cut to the checked load window
 
-Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure, 4 solver
+Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure (``simulate``
+and ``dispersion`` check the hypotheses before assembling), 4 solver
 failure; each failure prints one ``MICROMORPH-ERROR <class>: ...`` line to
 stderr.  The configuration is read and every artifact is written as UTF-8.
 A config that cannot be read or decoded, an output directory that cannot be
@@ -28,14 +29,17 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import dispersion_curves, korn_curl_constant, well_posedness_report
-from .assembly import assemble_gram, assemble_w1, assemble_w2, load_assembler
+from .analysis import (
+    check_hypotheses, dispersion_curves, korn_curl_constant, well_posedness_report,
+)
+from .assembly import assemble_gram, assemble_load, assemble_w1, assemble_w2
 from .config import (
     RunConfig,
     config_digest,
@@ -113,6 +117,13 @@ def _report_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_well_posed(report, action: str) -> None:
+    """HypothesisError naming the failed items unless ``report`` is well posed."""
+    if not report.well_posed:
+        failed = ", ".join(report.failed_items())
+        raise HypothesisError(f"cannot {action}: failed items {failed}")
+
+
 def _operators(cfg: RunConfig):
     """The run's material, FE system, W1 and W2, each built once."""
     params = material_from_config(cfg)
@@ -147,39 +158,34 @@ def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
     delta are finite or flag a constant map (c = 0)."""
     gram = assemble_gram(sys_)
     report = well_posedness_report(params, w1, w2, gram)
-    if not report.well_posed:
-        raise HypothesisError(
-            "cannot integrate: failed items " + ", ".join(report.failed_items())
-        )
+    _require_well_posed(report, "integrate")
     sim = cfg.simulation
     traj = picard_integrate(
-        state0, w1, w2, load_assembler(load_from_config(cfg), sys_),
+        state0, w1, w2, functools.partial(assemble_load, load_from_config(cfg), sys_),
         interval(report), report.contraction,
         n_t=sim.nodes_per_interval, fixed_tol=sim.fixed_tol, gram=gram,
     )
     return traj, report
 
 
-def _simulate_trajectory(cfg: RunConfig, params, sys_, w1, w2):
-    sim = cfg.simulation
-    state0 = initial_state_from_config(cfg, sys_)
-    if sim.integrator == "newmark":
-        load_fn = load_assembler(load_from_config(cfg), sys_)
-        return newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
-    return _picard(cfg, params, sys_, w1, w2, state0, lambda _: sim.t_final)[0]
-
-
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = material_from_config(cfg)
     sys_ = build_fe_system(mesh_from_config(cfg))
-    samples = cfg.simulation.sample_dofs
+    sim = cfg.simulation
+    samples = sim.sample_dofs
     beyond = [d for d in samples if d >= sys_.n_dofs]
     if beyond:  # before anything is assembled
         raise ValueError(
             f"sample_dofs {beyond} out of range: the system has n_dofs = {sys_.n_dofs}"
         )
+    _require_well_posed(check_hypotheses(params), "integrate")
     w1, w2 = assemble_w1(params, sys_), assemble_w2(params, sys_)
-    traj = _simulate_trajectory(cfg, params, sys_, w1, w2)
+    state0 = initial_state_from_config(cfg, sys_)
+    if sim.integrator == "newmark":
+        load_fn = functools.partial(assemble_load, load_from_config(cfg), sys_)
+        traj = newmark_integrate(state0, w1, w2, load_fn, sim.dt, sim.n_steps)
+    else:
+        traj = _picard(cfg, params, sys_, w1, w2, state0, lambda _: sim.t_final)[0]
     columns = ["t", "kinetic", "potential"] + [f"dof{d}" for d in samples]
     columns += ["picard_iterations"]
     iters = traj.diagnostics.get("picard_iterations", [])
@@ -199,6 +205,7 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_dispersion(cfg: RunConfig, out: Path) -> int:
     params = material_from_config(cfg)
+    _require_well_posed(check_hypotheses(params), "compute dispersion")
     ana = cfg.analysis
     result = dispersion_curves(params, ana.direction, ana.k_samples)
     columns = ["k"] + [f"omega{j + 1}" for j in range(result.n_branches)]

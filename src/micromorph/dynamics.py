@@ -22,7 +22,7 @@ Two integrators over the same operator pair:
   its solve.
 
 Loads are callables t -> dual vector (or None).  The operators solved with
-must be positive definite: :func:`linalg.definite_solver` certifies that by
+must be positive definite: :class:`linalg.DefiniteSolver` certifies that by
 the inertia of their LU factor, else :class:`DefinitenessError`, and checks
 the residual of every solve.  Each trajectory's diagnostics carry the solver
 counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.
@@ -39,7 +39,7 @@ import numpy as np
 from .analysis import _contraction_interval
 from .assembly import BlockLayout, SparseSymOperator, combine_operators
 from .errors import NonConvergenceError, SolverError
-from .linalg import DefiniteSolver, definite_solver
+from .linalg import DefiniteSolver
 
 __all__ = [
     "DynamicState",
@@ -117,7 +117,7 @@ def stationary_solve(
 ) -> np.ndarray:
     """One Lax-Milgram step: solve W1(a, .) = -W2(w_prev, .) + l(.).
 
-    ``solve`` is a factor of W1 from :func:`definite_solver` kept across
+    ``solve`` is the :class:`DefiniteSolver` of W1's matrix, kept across
     calls.  ``w_prev`` and ``load_vec`` are single vectors or (n, k) blocks
     whose k columns are solved together.
     """
@@ -309,7 +309,7 @@ def picard_integrate(
         )
     n_int = max(1, math.ceil(intervals - 1e-12))
 
-    solve = definite_solver(w1)
+    solve = DefiniteSolver(w1.matrix)
     h = t_final / (n_int * (n_t - 1))
     times = state0.t + np.linspace(0.0, t_final, n_int * (n_t - 1) + 1)
     positions, velocities = _node_arrays(state0, times.size)
@@ -364,10 +364,10 @@ def newmark_integrate(
     times = state0.t + dt * np.arange(n_steps + 1)
     positions, velocities = _node_arrays(state0, n_steps + 1)
 
-    initial = definite_solver(w1)
+    initial = DefiniteSolver(w1.matrix)
     a = stationary_solve(initial, w2, positions[0], _load_vec(load, times[0]))
     initial.close()  # one factor alive at a time
-    step = definite_solver(eff)
+    step = DefiniteSolver(eff.matrix)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BoxMesh
+from .mesh import LOCAL_EDGES, BoxMesh
 
 __all__ = [
     "DofMap",
@@ -58,6 +58,8 @@ np.fill_diagonal(QUADRATURE_POINTS, 0.5854101966249685)
 QUADRATURE_WEIGHTS = np.full(4, 1.0 / 24.0)
 QUADRATURE_POINTS.setflags(write=False)
 QUADRATURE_WEIGHTS.setflags(write=False)
+
+_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T   # local end vertices of each edge
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,37 @@ class FESystem:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pairs.indptr))
         upper = pairs.indices >= rows
         return rows[upper] * n + pairs.indices[upper]
+
+    @cached_property
+    def unit_duals(self) -> np.ndarray:
+        """The load table: column k is the dual vector of entry k of a uniform
+        (f, vec m), V/4 at each u-dof (a, i) and row i of m dotted with the
+        integral of w_e at each P-dof (e, i).  Built on first use, then kept
+        read-only, like :attr:`pair_keys`."""
+        vol = self.mesh.cell_volumes
+        weight = vol[:, None] * (6.0 * QUADRATURE_WEIGHTS)
+        w = _edge_functions(self, np.arange(self.mesh.n_cells))
+        w_int = np.einsum("cq,cqek->cek", weight, w)          # (nc, 6, 3)
+        table = np.zeros((self.n_dofs, 12))
+        for j, dofs in enumerate(self.cell_dofs.T):  # one local dof: cells sum in order
+            free = dofs >= 0
+            if j < 12:
+                np.add.at(table[:, j % 3], dofs[free], vol[free] / 4.0)
+            else:
+                e, i = divmod(j - 12, 3)
+                np.add.at(table[:, 3 + 3 * i: 6 + 3 * i], dofs[free], w_int[free, e])
+        table.setflags(write=False)  # shared by every later load of this system
+        return table
+
+
+def _edge_functions(sys: FESystem, cells: np.ndarray) -> np.ndarray:
+    """Edge functions s_e (lam_a g_b - lam_b g_a) of ``cells`` at the
+    quadrature points, (nc, nq, 6, 3)."""
+    lam = QUADRATURE_POINTS                               # (nq, 4)
+    g = sys.grad_hats[cells]
+    ga, gb = g[:, None, _EDGE_A], g[:, None, _EDGE_B]     # (nc, 1, 6, 3)
+    sign = sys.mesh.cell_edge_signs[cells][:, None, :, None]
+    return (lam[:, _EDGE_A, None] * gb - lam[:, _EDGE_B, None] * ga) * sign
 
 
 def _cell_grad_hats(mesh: BoxMesh) -> np.ndarray:

@@ -6,21 +6,22 @@ eigenvalues of M (Sylvester's law of inertia).  Every factor is a
 :class:`DefiniteSolver`, whose constructor certifies M > 0 by that count
 or raises; one factor is alive at a time.
 
-* :class:`DefiniteSolver` / :func:`definite_solver` - the certified factor:
-  it solves vectors or (n, k) blocks, every column checking its own
-  residual, and both integrators and the stationary solve run on it.  Its
-  :meth:`~DefiniteSolver.inverse` hands ARPACK the bare solve instead: the
-  eigenpair ARPACK returns meets its own residual check and inertia count,
-  so checking every inner solve would cost time and certify nothing more.
+* :class:`DefiniteSolver` - the certified factor of a sparse or dense
+  matrix: it solves vectors or (n, k) blocks, every column checking its
+  own residual, and both integrators and the stationary solve run on it.
+  Its :meth:`~DefiniteSolver.inverse` hands ARPACK the bare solve
+  instead: the eigenpair ARPACK returns meets its own residual check and
+  inertia count, so checking every inner solve would cost time and
+  certify nothing more.
 * :func:`extreme_generalized_eigenvalues` - one end of the spectrum of a
-  symmetric pencil (A, B), B positive definite.  Pencils of at most
-  ``DENSE_CUTOFF`` rows go to :func:`hermitian_dense_eig`, the one dense
-  solver.  For larger ones the count certifies B > 0 before ARPACK
-  runs: regular mode with the factor of B for the top end, and for the
-  bottom end shift-invert at 0 when the count also certifies A > 0,
-  regular mode otherwise.  Every returned eigenpair must pass a residual
-  check, and a count of A - sigma B just below the bottom end proves that
-  no eigenvalue lies under it.
+  symmetric pencil (A, B) of sparse or dense matrices, B positive
+  definite.  Pencils of at most ``DENSE_CUTOFF`` rows go to
+  :func:`hermitian_dense_eig`, the one dense solver.  For larger ones the
+  count certifies B > 0 before ARPACK runs: regular mode with the factor
+  of B for the top end, and for the bottom end shift-invert at 0 when the
+  count also certifies A > 0, regular mode otherwise.  Every returned
+  eigenpair must pass a residual check, and a count of A - sigma B just
+  below the bottom end proves that no eigenvalue lies under it.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
@@ -45,7 +46,6 @@ from .errors import DefinitenessError, NonConvergenceError
 
 __all__ = [
     "DefiniteSolver",
-    "definite_solver",
     "extreme_generalized_eigenvalues",
     "hermitian_dense_eig",
 ]
@@ -60,11 +60,6 @@ _ARPACK_SEED = 7  # seed of ARPACK's start vector
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
-
-
-def _as_matrix(a):
-    matrix = getattr(a, "matrix", None)
-    return matrix if matrix is not None else a
 
 
 def _symmetric_lu(mat):
@@ -91,7 +86,7 @@ def _symmetric_lu(mat):
 class DefiniteSolver:
     """Solves A x = b with one certified SuperLU factor of A > 0.
 
-    The constructor factors symmetric ``mat`` and raises
+    The constructor factors symmetric ``mat``, sparse or dense, and raises
     :class:`DefinitenessError` naming ``name`` unless the inertia of the LU
     certifies ``mat`` > 0; a positive definite matrix never meets a zero
     pivot, so that fails too.  Call it on a vector or on an (n, k) block;
@@ -105,6 +100,9 @@ class DefiniteSolver:
     """
 
     def __init__(self, mat, name: str = "the operator"):
+        import scipy.sparse
+
+        mat = scipy.sparse.csr_matrix(mat)
         lu, negatives = _symmetric_lu(mat)
         if negatives != 0:
             found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
@@ -150,14 +148,6 @@ class DefiniteSolver:
 
     def close(self) -> None:
         self._lu = None
-
-
-def definite_solver(a) -> DefiniteSolver:
-    """The :class:`DefiniteSolver` of symmetric A, a sparse matrix or an
-    operator carrying one in ``.matrix``."""
-    import scipy.sparse
-
-    return DefiniteSolver(scipy.sparse.csr_matrix(_as_matrix(a)))
 
 
 def _certify_minimum(a_mat, b_mat, lam: float) -> None:
@@ -223,9 +213,10 @@ def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray) -> None:
 
 
 def extreme_generalized_eigenvalues(a, b, which: str) -> float:
-    """One extreme eigenvalue of A x = lambda B x, A symmetric, B positive
-    definite: ``which`` is ``"smallest"``, ``"largest"`` or ``"magnitude"``
-    (largest |lambda|, signed).
+    """One extreme eigenvalue of A x = lambda B x for sparse or dense
+    matrices, A symmetric, B positive definite: ``which`` is
+    ``"smallest"``, ``"largest"`` or ``"magnitude"`` (largest |lambda|,
+    signed).
 
     Raises :class:`DefinitenessError` when B is not positive definite and
     :class:`NonConvergenceError` when the pair has ||Ax - lambda Bx|| >
@@ -237,8 +228,8 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
 
     if which not in ("smallest", *_ARPACK_WHICH):
         raise ValueError(f"unknown which={which!r}")
-    a_mat = scipy.sparse.csr_matrix(_as_matrix(a))
-    b_mat = scipy.sparse.csr_matrix(_as_matrix(b))
+    a_mat = scipy.sparse.csr_matrix(a)
+    b_mat = scipy.sparse.csr_matrix(b)
     n = a_mat.shape[0]
     if n == 0:
         raise ValueError("empty operator")

@@ -304,7 +304,7 @@ def test_criterion_09_oracle_equivalence(demo, systems):
     rng = np.random.default_rng(5)
     w_prev = rng.standard_normal(sys.n_dofs)
     load = rng.standard_normal(sys.n_dofs)
-    a = mm.stationary_solve(mm.definite_solver(w1), w2, w_prev, load)
+    a = mm.stationary_solve(mm.DefiniteSolver(w1.matrix), w2, w_prev, load)
     ref = np.linalg.solve(w1.to_dense(), load - w2.to_dense() @ w_prev)
     e3 = float(np.abs(a - ref).max() / np.abs(ref).max())
     results.append((e3 <= 1e-10, f"stationary solve vs dense {e3:.2e}"))

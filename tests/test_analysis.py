@@ -551,3 +551,19 @@ class TestBatchedDispersion:
         quasistatic = isotropic_material(variant=ModelVariant.QUASISTATIC)
         with pytest.raises(HypothesisError, match=r"at k=\S*\b0\.0\b"):
             dispersion_curves(quasistatic, (1, 0, 0), [1.0, 0.0, 2.0])
+
+    def test_singular_rate_symbol_is_refused(self):
+        # a singular rate symbol whose smallest eigenvalue rounds to -1.8e-16;
+        # a Cholesky factor can still exist for such a symbol, so only the
+        # eigenvalue verdict refuses it
+        params = isotropic_material(
+            variant=ModelVariant.SIMPLIFIED_INERTIA,
+            inertia_elastic=(0.0, 0.0),
+            inertia_coupling=1.0,
+            inertia_micro=(1.0, -2.0 / 3.0),
+            inertia_curvature=0.0,
+        )
+        a, _ = plane_wave_pencil(params, np.array([1.0, 0.0, 0.0]), 0.3)
+        assert abs(np.linalg.eigvalsh(a)[0]) < 1e-14
+        with pytest.raises(HypothesisError, match=r"at k=0\.3 "):
+            dispersion_curves(params, (1, 0, 0), [0.3])

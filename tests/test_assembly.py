@@ -19,7 +19,6 @@ from micromorph.assembly import (
     form_spec_gram,
     form_spec_w1,
     form_spec_w2,
-    load_assembler,
 )
 from micromorph.fespace import (
     QUADRATURE_POINTS,
@@ -243,12 +242,11 @@ class TestLoads:
         with pytest.raises(ValueError, match="outside"):
             assemble_load(load, sys_2, 1.5)
 
-    def test_assembler_bitwise_equals_per_call_assembly(self, sys_2, rng):
+    def test_u_block_is_the_scaled_hat_integrals_bitwise(self, sys_2, rng):
         load = LoadFunctional(
             TimeField.polynomial([rng.standard_normal(3), rng.standard_normal(3)]),
             TimeField.table([0.0, 1.0], list(rng.standard_normal((2, 3, 3)))),
         )
-        at = load_assembler(load, sys_2)
         # hat integrals summed local vertex by local vertex, cells in order
         mesh, nu = sys_2.mesh, sys_2.n_u_dofs
         hats = np.zeros(nu // 3)
@@ -259,10 +257,34 @@ class TestLoads:
         for t in (0.0, 0.37, 1.0):
             # the per-call formula for the u part: hat integrals scaled by f(t)
             ref_u = (hats[:, None] * load.body_force(t)[None, :]).ravel()
-            assert np.array_equal(at(t)[:nu], ref_u)
-            assert np.array_equal(at(t), assemble_load(load, sys_2, t))
+            assert np.array_equal(assemble_load(load, sys_2, t)[:nu], ref_u)
         with pytest.raises(ValueError, match="outside"):
-            at(1.5)
+            assemble_load(load, sys_2, 1.5)
+
+    def test_load_table_is_built_once(self, monkeypatch):
+        """Every call reads the table the FE system cached on the first."""
+        import micromorph.fespace
+
+        real = micromorph.fespace._edge_functions
+        builds = []
+
+        def counted(sys, cells):
+            builds.append(cells.size)
+            return real(sys, cells)
+
+        monkeypatch.setattr(micromorph.fespace, "_edge_functions", counted)
+        sys_ = build_fe_system(build_box_mesh((1, 1, 1), (2, 2, 2)))
+        load = LoadFunctional(
+            TimeField.polynomial([np.ones(3), np.arange(3.0)]),
+            TimeField.polynomial([np.zeros((3, 3)), np.eye(3)]),
+        )
+        times = np.linspace(0.0, 1.0, 40)
+        vectors = [assemble_load(load, sys_, t) for t in times]
+        assert builds == [sys_.mesh.n_cells]
+        assert sys_.unit_duals is sys_.unit_duals
+        for t, vec in zip(times, vectors):
+            f, m = load.body_force(t), load.double_force(t)
+            assert np.array_equal(vec, sys_.unit_duals @ np.concatenate([f, m.ravel()]))
 
     def test_poly_evaluation(self):
         tf = TimeField.polynomial([np.zeros(3), np.array([0.0, 0.0, 2.0])])

@@ -15,6 +15,7 @@ from micromorph.config import (
     RunConfig,
     config_digest,
     initial_field_callable,
+    initial_state_from_config,
     load_from_config,
     material_from_config,
     parse_config,
@@ -179,7 +180,7 @@ class TestCommands:
         assert b1 == b2
 
     def test_picard_iterations_column_on_multi_interval_run(self, tmp_path):
-        from micromorph.cli import _operators, _simulate_trajectory
+        from micromorph.cli import _operators, _picard
 
         text = DEMO.replace(
             "t_final = 0.2",
@@ -196,7 +197,9 @@ class TestCommands:
         column = [int(row.split(",")[-1]) for row in rows]
 
         cfg = parse_config(text)
-        traj = _simulate_trajectory(cfg, *_operators(cfg))
+        params, sys_, w1, w2 = _operators(cfg)
+        state0 = initial_state_from_config(cfg, sys_)
+        traj, _ = _picard(cfg, params, sys_, w1, w2, state0, lambda _: 1.2)
         iters = traj.diagnostics["picard_iterations"]
         assert len(iters) > 1 and len(set(iters)) > 1
         # the column as derived from the node index before the integrator
@@ -347,6 +350,49 @@ def test_factorizations_per_command(command, simulation, calls, tmp_path,
     p.write_text(DEMO.replace("[simulation]\n", "[simulation]\n" + simulation))
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     assert len(factored) == calls
+
+
+# materials that check calls not well posed: no positive definite micro-rate
+# tensor in the simplified variant, and an indefinite elastic-rate tensor
+GATE_MATERIALS = [
+    ("[material]\nvariant = simplified\nct_micro = isotropic 0 0\n"
+     "ct_c = isotropic 1\n", "micro-rate-definite"),
+    ("[material]\nct_e = isotropic -1 0\n", "iii"),
+]
+
+
+@pytest.mark.parametrize("material, failed", GATE_MATERIALS,
+                         ids=["simplified-no-micro-rate", "indefinite-elastic-rate"])
+@pytest.mark.parametrize(
+    "command, section, action",
+    [("simulate", "[simulation]\nintegrator = newmark\n", "integrate"),
+     ("dispersion", "[analysis]\nk_samples = 0.0\n", "compute dispersion")],
+    ids=["newmark", "dispersion"],
+)
+def test_failed_checklist_refuses_before_assembly(material, failed, command, section,
+                                                  action, tmp_path, capsys,
+                                                  monkeypatch):
+    """Every command with model output refuses what check calls not well
+    posed: exit 3, one stderr line, nothing assembled, no output directory."""
+    import micromorph.assembly
+
+    calls = []
+    original = micromorph.assembly.assemble_form
+
+    def counted(sys, spec):
+        calls.append(spec)
+        return original(sys, spec)
+
+    monkeypatch.setattr(micromorph.assembly, "assemble_form", counted)
+    p = tmp_path / "run.ini"
+    p.write_text(material + section)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"MICROMORPH-ERROR hypothesis: cannot {action}: failed items {failed}\n"
+    )
+    assert calls == []
+    assert not out.exists()
 
 
 # loads whose value overflows at the end of the run (t_final)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -11,7 +13,6 @@ from micromorph.assembly import (
     assemble_w1,
     assemble_w2,
     LoadFunctional,
-    load_assembler,
 )
 from micromorph.dynamics import (
     MAX_INTERVALS,
@@ -21,7 +22,7 @@ from micromorph.dynamics import (
     stationary_solve,
 )
 from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
-from micromorph.linalg import _SOLVE_TOL, definite_solver
+from micromorph.linalg import _SOLVE_TOL, DefiniteSolver
 
 
 def dense_op(m, layout=None):
@@ -52,7 +53,8 @@ def oscillator():
 class TestStationarySolve:
     def test_zero_everything(self):
         w1 = scalar_op(1.0)
-        a = stationary_solve(definite_solver(w1), scalar_op(0.0), np.zeros(1), None)
+        solve = DefiniteSolver(w1.matrix)
+        a = stationary_solve(solve, scalar_op(0.0), np.zeros(1), None)
         assert a == pytest.approx(0.0)
 
     def test_identity_recovery(self, rng):
@@ -61,7 +63,8 @@ class TestStationarySolve:
         w1 = dense_op(q @ q.T + n * np.eye(n))
         g = rng.standard_normal(n)
         a = stationary_solve(
-            definite_solver(w1), dense_op(np.zeros((n, n))), np.zeros(n), w1.matvec(g)
+            DefiniteSolver(w1.matrix), dense_op(np.zeros((n, n))), np.zeros(n),
+            w1.matvec(g),
         )
         np.testing.assert_allclose(a, g, rtol=1e-10, atol=1e-11)
 
@@ -73,9 +76,7 @@ class TestStationarySolve:
         w2_d = w2_d + w2_d.T
         w_prev = rng.standard_normal(n)
         load = rng.standard_normal(n)
-        a = stationary_solve(
-            definite_solver(dense_op(w1_d)), dense_op(w2_d), w_prev, load
-        )
+        a = stationary_solve(DefiniteSolver(w1_d), dense_op(w2_d), w_prev, load)
         ref = np.linalg.solve(w1_d, load - w2_d @ w_prev)
         np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10)
 
@@ -354,7 +355,9 @@ class TestNewmark:
             w1.layout, 0.0,
             rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
         )
-        load = load_assembler(LoadFunctional.constant(f=[0.0, 0.0, 1.0]), sys_2)
+        load = functools.partial(
+            assemble_load, LoadFunctional.constant(f=[0.0, 0.0, 1.0]), sys_2
+        )
         picard = picard_integrate(s0, w1, w2, load, 0.5, c, n_t=9, fixed_tol=1e-14,
                                   gram=gram)
         assert (picard.diagnostics["intervals"], picard.n_nodes) == (3, 25)
@@ -514,7 +517,8 @@ class TestLoadedFESystem:
         table = TimeField.table([0.0, 0.01], [np.zeros(3), np.array([0.0, 0.0, 1.0])])
         load = LoadFunctional(table, TimeField.zero((3, 3)))
         traj = picard_integrate(
-            DynamicState.zero(w1.layout), w1, w2, load_assembler(load, sys_2),
+            DynamicState.zero(w1.layout), w1, w2,
+            functools.partial(assemble_load, load, sys_2),
             0.01, c_est=250000.0, gram=assemble_gram(sys_2),
         )
         assert traj.diagnostics["intervals"] == 10

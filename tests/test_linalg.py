@@ -12,7 +12,7 @@ from micromorph import linalg
 from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
     DENSE_CUTOFF,
-    definite_solver,
+    DefiniteSolver,
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
 )
@@ -311,7 +311,7 @@ class TestDefiniteSolver:
     def test_block_matches_columns(self, rng):
         a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
         b = rng.standard_normal((N_SPARSE, 7))
-        solve = definite_solver(a)
+        solve = DefiniteSolver(a)
         block = solve(b)
         columns = np.column_stack([solve(b[:, j]) for j in range(7)])
         np.testing.assert_allclose(block, columns, rtol=1e-14, atol=0.0)
@@ -320,7 +320,7 @@ class TestDefiniteSolver:
 
     def test_counters(self, rng):
         a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
-        solve = definite_solver(a)
+        solve = DefiniteSolver(a)
         solve(rng.standard_normal((N_SPARSE, 3)))
         solve(rng.standard_normal(N_SPARSE))
         assert solve.solves == 4
@@ -330,7 +330,7 @@ class TestDefiniteSolver:
         assert solve.solves == 4
 
     def test_zero_rhs(self, rng):
-        solve = definite_solver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
+        solve = DefiniteSolver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
         assert np.all(solve(np.zeros(N_SPARSE)) == 0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0])
@@ -339,24 +339,24 @@ class TestDefiniteSolver:
         a[0, :] = a[:, 0] = 0.0
         a[0, 0] = bad
         with pytest.raises(DefinitenessError):
-            definite_solver(sp.csr_matrix(a))
+            DefiniteSolver(sp.csr_matrix(a))
 
     def test_refinement_repairs_a_slightly_wrong_solve(self, rng, monkeypatch):
         perturb_factors(monkeypatch, 1e-11, bad_calls=1)
         a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
         b = rng.standard_normal(N_SPARSE)
-        x = definite_solver(a)(b)
+        x = DefiniteSolver(a)(b)
         assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
 
     def test_perturbed_factor_raises(self, rng, monkeypatch):
         perturb_factors(monkeypatch, 1e-6, bad_calls=2)
         a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
         with pytest.raises(NonConvergenceError) as err:
-            definite_solver(a)(rng.standard_normal(N_SPARSE))
+            DefiniteSolver(a)(rng.standard_normal(N_SPARSE))
         assert err.value.residual > 1e-12
 
     def test_nan_rhs_raises(self, rng):
-        solve = definite_solver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
+        solve = DefiniteSolver(sp.csr_matrix(diagonally_dominant(rng, N_SPARSE)))
         b = rng.standard_normal(N_SPARSE)
         b[3] = np.nan
         with pytest.raises(NonConvergenceError):
