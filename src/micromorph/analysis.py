@@ -68,7 +68,7 @@ __all__ = [
     "detect_band_gaps",
 ]
 
-_CLAMP_TOL = 1e-10  # relative size of a negative omega^2 read as round-off
+_CLAMP_TOL = 1e-10  # relative size of a negative omega^2 or a gap read as round-off
 
 
 @dataclass(frozen=True)
@@ -386,7 +386,8 @@ def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
     """Maximal open frequency intervals between consecutive sampled branches.
 
     A gap spans (max over k of branch j, min over k of branch j+1) when that
-    interval is nonempty; this is exact only up to the attached sampling
+    interval is wider than round-off, ``_CLAMP_TOL`` max(upper edge, 1), the
+    rule that clamps omega^2; this is exact only up to the attached sampling
     resolution.  Samples with unstable branches are excluded.
     """
     ks = result.k_samples
@@ -405,7 +406,7 @@ def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
     for j in range(freqs.shape[1] - 1):
         lo = float(branch_max[j])
         hi = float(branch_min[j + 1])
-        if hi > lo:
+        if hi - lo > _CLAMP_TOL * max(hi, 1.0):
             gaps.append(BandGap(lower=lo, upper=hi, k_resolution=resolution))
     # defensive: no sampled value may fall inside a reported gap
     flat = freqs.ravel()

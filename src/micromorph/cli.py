@@ -10,13 +10,14 @@ korn              Korn-type constant per refinement level
 contraction-demo  per-sweep fixed-point ratios on one subinterval against
                   the bound delta^2 c, delta cut to the checked load window
 
-Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure (``simulate``
-and ``dispersion`` check the hypotheses before assembling), 4 solver
-failure; each failure prints one ``MICROMORPH-ERROR <class>: ...`` line to
-stderr.  The configuration is read and every artifact is written as UTF-8.
-A config that cannot be read or decoded, an output directory that cannot be
-created or written, and a run whose mesh or factor cannot be allocated all
-exit 2, since the path, the size and the values come from the configuration.
+Exit codes: 0 ok, 2 configuration error, 3 hypothesis failure (``simulate``,
+``dispersion`` and ``contraction-demo`` check the hypotheses before
+assembling), 4 solver failure; each failure prints one
+``MICROMORPH-ERROR <class>: ...`` line to stderr.  The configuration is read
+and every artifact is written as UTF-8.  A config that cannot be read or
+decoded, an output directory that cannot be created or written, and a run
+whose mesh or factor cannot be allocated all exit 2, since the path, the
+size and the values come from the configuration.
 The output directory is created by the first artifact written, so a run
 refused before that leaves no directory behind.
 
@@ -247,7 +248,10 @@ def _cmd_korn(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_contraction_demo(cfg: RunConfig, out: Path) -> int:
-    params, sys_, w1, w2 = _operators(cfg)
+    params = material_from_config(cfg)
+    _require_well_posed(check_hypotheses(params), "integrate")
+    sys_ = build_fe_system(mesh_from_config(cfg))
+    w1, w2 = assemble_w1(params, sys_), assemble_w2(params, sys_)
     state0 = initial_state_from_config(cfg, sys_)
     if not np.any(state0.position) and not np.any(state0.velocity):
         # a visible fixed point even for an all-zero config

@@ -4,7 +4,7 @@ Every factorization is SuperLU with diagonal pivots in a symmetric
 ordering, P M P^T = L D L^T, so the signs of D count the negative
 eigenvalues of M (Sylvester's law of inertia).  Every factor is a
 :class:`DefiniteSolver`, whose constructor certifies M > 0 by that count
-or raises; one factor is alive at a time.
+or releases the factor and raises; one factor is alive at a time.
 
 * :class:`DefiniteSolver` - the certified factor of a sparse or dense
   matrix: it solves vectors or (n, k) blocks, every column checking its
@@ -19,9 +19,9 @@ or raises; one factor is alive at a time.
   :func:`hermitian_dense_eig`, the one dense solver.  For larger ones the
   count certifies B > 0 before ARPACK runs: regular mode with the factor
   of B for the top end, and for the bottom end shift-invert at 0 when the
-  count also certifies A > 0, regular mode otherwise.  Every returned
-  eigenpair must pass a residual check, and a count of A - sigma B just
-  below the bottom end proves that no eigenvalue lies under it.
+  count also certifies A > 0, regular mode otherwise.  It then holds every
+  ARPACK pair to a residual check and the bottom end to a count of
+  A - sigma B just below it, which proves that no eigenvalue lies under it.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
@@ -105,6 +105,7 @@ class DefiniteSolver:
         mat = scipy.sparse.csr_matrix(mat)
         lu, negatives = _symmetric_lu(mat)
         if negatives != 0:
+            del lu  # the traceback of the error keeps this frame alive
             found = "a zero pivot" if negatives is None else f"{negatives} negative pivots"
             raise DefinitenessError(f"{name} is not positive definite: its LU met {found}")
         self._mat = mat
@@ -164,6 +165,8 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
 
 
 def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
+    """ARPACK's pair at one end of (A, B), A nonzero, after B's factor
+    certifies B > 0; each run sees one live factor, and none outlives it."""
     import scipy.sparse.linalg as spla
 
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(a_mat.shape[0])
@@ -175,25 +178,16 @@ def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
             raise NonConvergenceError(f"ARPACK ({kwargs['which']}) failed: {exc}")
         return float(w[0]), v[:, 0]
 
-    b_inv = DefiniteSolver(b_mat, "B").inverse()
-    if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
-        return 0.0, v0
     if which != "smallest":
-        return arpack(which=_ARPACK_WHICH[which], Minv=b_inv)
-    b_inv = None  # one factorization alive at a time
+        minv = DefiniteSolver(b_mat, "B").inverse()
+        return arpack(which=_ARPACK_WHICH[which], Minv=minv)
+    DefiniteSolver(b_mat, "B")  # the certificate alone: its factor dies here
     try:
         a_inv = DefiniteSolver(a_mat, "A").inverse()
-    except DefinitenessError:
-        a_inv = None
-    # B is factored out here: inside the except block the exception's
-    # traceback still holds A's failed factor
-    if a_inv is None:
-        pair = arpack(which="SA", Minv=DefiniteSolver(b_mat, "B").inverse())
-    else:  # A > 0: the eigenvalue nearest 0 is the smallest
-        pair = arpack(sigma=0.0, which="LM", OPinv=a_inv)
-    a_inv = None  # release A's factor before the inertia count
-    _certify_minimum(a_mat, b_mat, pair[0])
-    return pair
+    except DefinitenessError:  # A is not > 0: regular mode
+        return arpack(which="SA", Minv=DefiniteSolver(b_mat, "B").inverse())
+    # A > 0: the eigenvalue nearest 0 is the smallest
+    return arpack(sigma=0.0, which="LM", OPinv=a_inv)
 
 
 def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray) -> None:
@@ -237,7 +231,12 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
         w = hermitian_dense_eig(a_mat.toarray(), b_mat.toarray())
         at = {"smallest": 0, "largest": -1, "magnitude": int(np.argmax(np.abs(w)))}
         return float(w[at[which]])
+    if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
+        DefiniteSolver(b_mat, "B")  # B > 0 all the same
+        return 0.0
     lam, x = _sparse_pair(a_mat, b_mat, which)
+    if which == "smallest":
+        _certify_minimum(a_mat, b_mat, lam)
     _check_pair(a_mat, b_mat, lam, x)
     return lam
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micromorph.analysis import (
+    _CLAMP_TOL,
     _plane_wave_symbol,
     check_hypotheses,
     contraction_constant,
@@ -25,6 +26,7 @@ from micromorph.assembly import (
     assemble_w2,
     form_spec_gram,
 )
+from micromorph.config import material_from_config, parse_config
 from micromorph.errors import DefinitenessError, HypothesisError, NonConvergenceError
 from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh
@@ -386,6 +388,26 @@ class TestDispersion:
             dispersion_curves(demo_material, (1, 0, 0), [0.0, 1.0, 1e200, 1e300])
 
 
+def random_isotropic_material(rng, variant):
+    """Isotropic material whose tensors are all positive definite, so every
+    branch is stable; each (mu, lambda) pair has 2 mu + 3 lambda > 0."""
+    def positive():
+        return rng.uniform(0.1, 3.0)
+
+    def pair():
+        mu = positive()
+        return mu, rng.uniform(-0.6, 1.0) * mu
+
+    zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+    return isotropic_material(
+        variant=variant, rho=positive(), micro_inertia=positive(), mu=positive(),
+        length_scale=0.0 if zero_length else positive(),
+        elastic=pair(), coupling=positive(), micro=pair(), curvature=positive(),
+        inertia_elastic=pair(), inertia_coupling=positive(), inertia_micro=pair(),
+        inertia_curvature=positive(),
+    )
+
+
 class TestBandGaps:
     def test_synthetic_gap(self, demo_material):
         result = dispersion_curves(demo_material, (1, 0, 0), np.linspace(0, 2, 9))
@@ -433,6 +455,36 @@ class TestBandGaps:
         result = dispersion_curves(demo_material, (1, 0, 0), [0.0])
         with pytest.raises(ValueError):
             detect_band_gaps(result)
+
+    def test_round_off_between_degenerate_branches_is_no_gap(self):
+        # two branches equal in exact arithmetic end one ulp apart near
+        # omega = 1; only the real gap below them is reported
+        cfg = parse_config("[material]\nvariant = zero-length-scale\nlc = 0\n")
+        result = dispersion_curves(
+            material_from_config(cfg), cfg.analysis.direction, cfg.analysis.k_samples
+        )
+        assert [(g.lower, g.upper) for g in result.gaps] == [
+            (0.85329342275435183, 0.89442719099991552)
+        ]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        ks=st.lists(st.floats(0.01, 4.0), min_size=2, max_size=4),
+        repeat=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_gaps_are_wider_than_round_off(self, seed, variant, ks, repeat):
+        # a repeated k makes every branch flat over the samples, so branches
+        # that are degenerate at that k meet the rule head on
+        rng = np.random.default_rng(seed)
+        params = random_isotropic_material(rng, variant)
+        ks = [ks[0]] * len(ks) if repeat else ks
+        result = dispersion_curves(params, rng.standard_normal(3), ks)
+        f = result.frequencies.ravel()
+        for g in result.gaps:
+            assert g.upper - g.lower > _CLAMP_TOL * max(g.upper, 1.0)
+            assert not np.any((f > g.lower) & (f < g.upper))
 
 
 def random_material(rng, variant=ModelVariant.FULL_INERTIA):

@@ -366,8 +366,9 @@ GATE_MATERIALS = [
 @pytest.mark.parametrize(
     "command, section, action",
     [("simulate", "[simulation]\nintegrator = newmark\n", "integrate"),
-     ("dispersion", "[analysis]\nk_samples = 0.0\n", "compute dispersion")],
-    ids=["newmark", "dispersion"],
+     ("dispersion", "[analysis]\nk_samples = 0.0\n", "compute dispersion"),
+     ("contraction-demo", "", "integrate")],
+    ids=["newmark", "dispersion", "contraction-demo"],
 )
 def test_failed_checklist_refuses_before_assembly(material, failed, command, section,
                                                   action, tmp_path, capsys,

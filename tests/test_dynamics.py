@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -23,6 +24,7 @@ from micromorph.dynamics import (
 )
 from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
 from micromorph.linalg import _SOLVE_TOL, DefiniteSolver
+from micromorph.tensors import ModelVariant, isotropic_material
 
 
 def dense_op(m, layout=None):
@@ -493,7 +495,71 @@ class TestEnergy:
                 assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# f = (0, 0, 1) + (0, 1, 0) t + (1, 0, 0) t^2 and m = 0.3 + 0.2 t^2 in every
+# entry, and a piecewise linear table over [0, 1]
+BALANCE_LOADS = {
+    "poly": LoadFunctional(
+        TimeField.polynomial([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        TimeField.polynomial([np.full((3, 3), 0.3), np.zeros((3, 3)),
+                              np.full((3, 3), 0.2)]),
+    ),
+    "table": LoadFunctional(
+        TimeField.table([0.0, 0.4, 1.0], [[0, 0, 1], [1, -1, 0.5], [0, 2, 0]]),
+        TimeField.table([0.0, 1.0], [np.full((3, 3), 0.3), -0.5 * np.eye(3)]),
+    ),
+}
+
+
+def energy_balance_defect(traj, load):
+    """max_n |E_{n+1} - E_n - (l_n + l_{n+1}) . (w_{n+1} - w_n) / 2| over
+    max |E| + sum |work|; zero in exact arithmetic for average-acceleration
+    Newmark and for Picard's fixed point on its grid."""
+    energy = traj.total_energy
+    loads = np.array([load(t) for t in traj.times])
+    work = 0.5 * np.einsum(
+        "ni,ni->n", loads[1:] + loads[:-1], np.diff(traj.positions, axis=0)
+    )
+    defect = np.abs(np.diff(energy) - work).max()
+    return defect / (np.abs(energy).max() + np.abs(work).sum())
+
+
 class TestLoadedFESystem:
+    @pytest.mark.parametrize(
+        "variant, load_name",
+        [(ModelVariant.FULL_INERTIA, "poly"), (ModelVariant.FULL_INERTIA, "table"),
+         (ModelVariant.SIMPLIFIED_INERTIA, "poly"), (ModelVariant.QUASISTATIC, "poly"),
+         (ModelVariant.ZERO_LENGTH_SCALE, "poly")],
+    )
+    def test_discrete_energy_balance(self, sys_3, variant, load_name):
+        from micromorph.analysis import well_posedness_report
+
+        zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+        params = isotropic_material(variant=variant, elastic=(1.0, -1.0),
+                                    length_scale=0.0 if zero_length else 1.0)
+        w1, w2 = assemble_w1(params, sys_3), assemble_w2(params, sys_3)
+        gram = assemble_gram(sys_3)
+        c = well_posedness_report(params, w1, w2, gram).contraction
+        rng = np.random.default_rng(0)
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0,
+            rng.standard_normal(sys_3.n_dofs), rng.standard_normal(sys_3.n_dofs),
+        )
+        load = functools.partial(assemble_load, BALANCE_LOADS[load_name], sys_3)
+        newmark = newmark_integrate(s0, w1, w2, load, 0.01, 100)
+        assert energy_balance_defect(newmark, load) <= 1e-13
+        fixed_tol = 1e-10
+        picard = picard_integrate(s0, w1, w2, load, 1.0, c, fixed_tol=fixed_tol,
+                                  gram=gram)
+        assert energy_balance_defect(picard, load) <= 10 * fixed_tol
+        # one Newmark velocity moved by 1e-8 breaks the balance
+        moved = newmark.velocities[50].copy()
+        moved[7] += 1e-8
+        kinetic = newmark.kinetic.copy()
+        kinetic[50] = 0.5 * w1.quadratic(moved)
+        assert energy_balance_defect(
+            dataclasses.replace(newmark, kinetic=kinetic), load
+        ) > 1e-13
+
     def test_constant_force_drives_its_component(self, sys_2, demo_material):
         # response of the single interior vertex is dominated by the force
         # direction (the diagonal split breaks exact reflection symmetry)

@@ -341,6 +341,31 @@ class TestDefiniteSolver:
         with pytest.raises(DefinitenessError):
             DefiniteSolver(sp.csr_matrix(a))
 
+    def test_refused_factor_dies_with_its_constructor(self, monkeypatch):
+        # the caught error's traceback holds the constructor's frame
+        real_lu = linalg._symmetric_lu
+        live = weakref.WeakSet()
+        factored = []
+
+        class Factor:  # a SuperLU stand-in that a WeakSet can hold
+            def __init__(self, lu):
+                self._lu = lu
+
+        def tracked(mat):
+            lu, negatives = real_lu(mat)
+            factor = Factor(lu)
+            live.add(factor)
+            factored.append(negatives)
+            return factor, negatives
+
+        monkeypatch.setattr(linalg, "_symmetric_lu", tracked)
+        d = np.linspace(-2.0, 5.0, N_SPARSE)
+        with pytest.raises(DefinitenessError) as refused:
+            DefiniteSolver(sp.diags(d, format="csr"), "A")
+        assert refused.value.__traceback__ is not None
+        assert factored == [int(np.count_nonzero(d < 0))]
+        assert len(live) == 0
+
     def test_refinement_repairs_a_slightly_wrong_solve(self, rng, monkeypatch):
         perturb_factors(monkeypatch, 1e-11, bad_calls=1)
         a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
