@@ -344,8 +344,10 @@ def dispersion_curves(
     Negative squared frequencies within 1e-10 (relative) of zero are
     round-off and clamped to zero; anything more negative is reported as an
     unstable branch.  A rate-energy pencil that is not positive definite
-    violates the inertia hypotheses and raises :class:`HypothesisError`; a
-    pencil that is not finite (k^2 overflows) raises ``ValueError``.
+    violates the inertia hypotheses and raises :class:`HypothesisError`,
+    except at k = 0, where a singular one only means that a uniform wave
+    carries no rate energy: that error asks for k > 0 instead.  A pencil
+    that is not finite (k^2 overflows) raises ``ValueError``.
     """
     d = _unit_direction(direction)
     ks = _wavenumbers(k_samples)
@@ -361,10 +363,14 @@ def dispersion_curves(
     bad = np.flatnonzero(a_min <= 0)
     if bad.size:
         s = bad[0]
-        raise HypothesisError(
-            f"rate-energy pencil not positive definite at k={float(ks[s])!r} "
-            f"(min eigenvalue {float(a_min[s])!r}); inertia hypotheses violated"
-        )
+        k, low = float(ks[s]), float(a_min[s])
+        where = f"rate-energy pencil not positive definite at k={k!r} (min eigenvalue {low!r})"
+        if k == 0.0 and low >= -_CLAMP_TOL * np.abs(a[s]).max():
+            raise HypothesisError(
+                f"{where}: a uniform wave carries no rate energy in this material, "
+                "so wavenumber samples need k > 0"
+            )
+        raise HypothesisError(f"{where}; inertia hypotheses violated")
     omega2 = hermitian_dense_eig(b, a)
 
     scale = np.maximum(np.abs(omega2).max(axis=1, keepdims=True), 1.0)

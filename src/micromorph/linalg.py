@@ -31,6 +31,15 @@ so they are constants here: solves meet a relative residual of
 ``_SOLVE_TOL``, eigenpairs one of ``_EIG_TOL``, and ARPACK starts from the
 vector seeded by ``_ARPACK_SEED``, so results repeat.
 
+SuperLU factors without relaxed supernodes (``_SUPERNODE_RELAX``).  Its
+default amalgamates small subtrees of the elimination tree into
+supernodes and stores their explicit zeros as entries.  On these meshes
+that padding is 27% of the stored entries of the Newmark step operator
+at res 5 (1.00M with it, 0.73M without) and 37% at res 6, and it costs
+time in every factor and solve.  The row and column orderings do not depend
+on it, so the pivots stay on the diagonal and the inertia count is the
+same.
+
 scipy is imported inside the functions that call it (here and in
 ``assembly``): importing it costs more than a ``dispersion`` run, which
 needs numpy only.
@@ -60,6 +69,7 @@ _ARPACK_SEED = 7  # seed of ARPACK's start vector
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
+_SUPERNODE_RELAX = 1  # SuperLU's relax: 1 amalgamates no supernodes, see above
 
 
 def _symmetric_lu(mat):
@@ -74,7 +84,8 @@ def _symmetric_lu(mat):
     try:
         lu = spla.splu(
             scipy.sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True, Equil=False),
+            diag_pivot_thresh=0.0, relax=_SUPERNODE_RELAX,
+            options=dict(SymmetricMode=True, Equil=False),
         )
     except RuntimeError:
         return None, None

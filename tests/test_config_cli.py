@@ -158,6 +158,22 @@ class TestCommands:
         assert "none detected at this sampling" in capsys.readouterr().out
         assert "none detected at this sampling" in (out / "gaps.txt").read_text()
 
+    @pytest.mark.parametrize("variant", ["quasistatic", "simplified"])
+    def test_dispersion_at_k0_asks_for_positive_k(self, variant, tmp_path, capsys):
+        # check calls both materials well posed; their default k_samples
+        # start at k = 0, where a uniform wave carries no rate energy
+        p = tmp_path / "run.ini"
+        p.write_text(f"[material]\nvariant = {variant}\n")
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "c")]) == 0
+        capsys.readouterr()
+        assert main(["dispersion", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("MICROMORPH-ERROR hypothesis: ")
+        assert "at k=0.0 " in err
+        assert "a uniform wave carries no rate energy" in err
+        assert "need k > 0" in err
+        assert "inertia hypotheses violated" not in err
+
     def test_simulate_zero_data_zero_trajectory(self, tmp_path):
         p = tmp_path / "zero.ini"
         p.write_text("[simulation]\nt_final = 0.1\n")

@@ -8,7 +8,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micromorph import linalg
+from micromorph import build_box_mesh, build_fe_system, linalg
+from micromorph.assembly import assemble_w1, assemble_w2
 from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
     DENSE_CUTOFF,
@@ -122,6 +123,18 @@ class TestSparsePath:
         lo, hi = ends(sp.csr_matrix(a_d), sp.csr_matrix(b_d))
         assert lo == pytest.approx(w[0], rel=1e-10)
         assert hi == pytest.approx(w[-1], rel=1e-10)
+
+    def test_factor_stores_no_supernode_padding(self, demo_material):
+        # relaxed supernodes would store 1,001,050 entries for this
+        # Newmark step operator against 727,126 in L and U
+        system = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (5, 5, 5)))
+        k = (
+            assemble_w1(demo_material, system).matrix
+            + 1e-4 * assemble_w2(demo_material, system).matrix
+        )
+        lu, negatives = linalg._symmetric_lu(k)
+        assert negatives == 0
+        assert lu.nnz <= 1.001 * (lu.L.nnz + lu.U.nnz)
 
     def test_saddle_point_takes_fallback(self, rng):
         m = N_SPARSE // 2
