@@ -43,7 +43,6 @@ from .assembly import (
     assemble_load,
     assemble_w1,
     assemble_w2,
-    combine_operators,
 )
 from .linalg import (
     DefiniteSolver,

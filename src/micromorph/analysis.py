@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _CLAMP_TOL = 1e-10  # relative size of a negative omega^2 or a gap read as round-off
+_SQUARE_SAFE = 1e150  # largest entry in (1/this, this): a normal, finite squared norm
 
 
 @dataclass(frozen=True)
@@ -319,10 +320,12 @@ def _unit_direction(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
         raise ValueError("direction must have three entries")
-    nrm = np.linalg.norm(d)
-    if not 0 < nrm < math.inf:
+    scale = np.abs(d).max()
+    if not 0 < scale < math.inf:
         raise ValueError("direction must be a nonzero finite vector")
-    return d / nrm
+    if not 1 / _SQUARE_SAFE < scale < _SQUARE_SAFE:
+        d = d / scale  # its squared norm would under- or overflow
+    return d / np.linalg.norm(d)
 
 
 def _wavenumbers(k_samples) -> np.ndarray:

@@ -54,7 +54,6 @@ __all__ = [
     "TimeField",
     "LoadFunctional",
     "assemble_load",
-    "combine_operators",
 ]
 
 _CHUNK = 128  # cells per assembly batch; one batch alive at a time bounds peak memory
@@ -86,13 +85,6 @@ class SparseSymOperator:
         if self.layout.total != n:
             raise ValueError("block layout sizes must sum to the dimension")
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ w
-
     def quadratic(self, w: np.ndarray) -> float:
         return float(w @ (self.matrix @ w))
 
@@ -104,15 +96,6 @@ class SparseSymOperator:
         return SparseSymOperator(
             self.matrix[n:, n:].tocsr(), BlockLayout(0, self.layout.p_size)
         )
-
-
-def combine_operators(
-    a: float, op_a: SparseSymOperator, b: float, op_b: SparseSymOperator
-) -> SparseSymOperator:
-    """a * A + b * B with the shared layout preserved."""
-    if op_a.layout != op_b.layout:
-        raise ValueError("operators have different block layouts")
-    return SparseSymOperator((a * op_a.matrix + b * op_b.matrix).tocsr(), op_a.layout)
 
 
 @dataclass(frozen=True)

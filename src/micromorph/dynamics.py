@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _contraction_interval
-from .assembly import BlockLayout, SparseSymOperator, combine_operators
+from .assembly import BlockLayout, SparseSymOperator
 from .errors import NonConvergenceError, SolverError
 from .linalg import DefiniteSolver
 
@@ -121,7 +121,7 @@ def stationary_solve(
     calls.  ``w_prev`` and ``load_vec`` are single vectors or (n, k) blocks
     whose k columns are solved together.
     """
-    rhs = -w2.matvec(w_prev)
+    rhs = -(w2.matrix @ w_prev)
     if load_vec is not None:
         rhs = rhs + load_vec
     return solve(rhs)
@@ -360,14 +360,13 @@ def newmark_integrate(
     shift = _newmark_shift(dt)
     if n_steps < 1:
         raise ValueError("need at least one step")
-    eff = combine_operators(1.0, w1, shift, w2)
     times = state0.t + dt * np.arange(n_steps + 1)
     positions, velocities = _node_arrays(state0, n_steps + 1)
 
     initial = DefiniteSolver(w1.matrix)
     a = stationary_solve(initial, w2, positions[0], _load_vec(load, times[0]))
     initial.close()  # one factor alive at a time
-    step = DefiniteSolver(eff.matrix)
+    step = DefiniteSolver(w1.matrix + shift * w2.matrix)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a

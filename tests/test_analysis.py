@@ -25,6 +25,8 @@ from micromorph.assembly import (
     assemble_w1,
     assemble_w2,
     form_spec_gram,
+    form_spec_w1,
+    form_spec_w2,
 )
 from micromorph.config import material_from_config, parse_config
 from micromorph.errors import DefinitenessError, HypothesisError, NonConvergenceError
@@ -382,6 +384,25 @@ class TestDispersion:
         with pytest.raises(ValueError):
             dispersion_curves(demo_material, (1, 0, 0), [-1.0])
 
+    @pytest.mark.parametrize(
+        "extreme, ordinary",
+        [((1e308, 1e308, 0), (1, 1, 0)),        # the squared norm overflows
+         ((3e-200, 4e-200, 0), (3, 4, 0)),      # it underflows to zero
+         ((1e-320, 0, 0), (1, 0, 0)),           # a subnormal entry
+         ((3e-160, 4e-160, 0), (3, 4, 0))],     # subnormal squares lose digits
+    )
+    def test_direction_is_scale_free(self, demo_material, extreme, ordinary):
+        def solved(d):
+            return dispersion_curves(demo_material, d, [1.0]).direction
+
+        def parsed(d):
+            line = " ".join(repr(float(x)) for x in d)
+            cfg = parse_config(f"[analysis]\ndirection = {line}\n")
+            return solved(cfg.analysis.direction)
+
+        for unit in (solved, parsed):
+            np.testing.assert_array_equal(unit(extreme), unit(ordinary))
+
     def test_overflowing_wavenumber_names_k_samples(self, demo_material):
         # k^2 overflows: no numpy warning and no LinAlgError, but the sample
         with pytest.raises(ValueError, match=r"k_samples: .* at k=1e\+200 "):
@@ -575,6 +596,51 @@ class TestNestedLadder:
         assert m1[0] >= m1[1] >= m1[2] > 0
         assert m2[0] <= m2[1] <= m2[2]
         assert 1.0 <= korn[0] <= korn[1] <= korn[2]
+
+
+class TestSymbolBracket:
+    """The plane-wave symbols bound the continuum constants: every form is
+    an integral of z^H S(xi) z over the wave vectors xi, so for every mesh
+    m1_sym <= m1 <= m1_h and M2_h <= M2 <= M2_sym, where m1_sym is the
+    infimum of lambda_min(A_W1, A_G) and M2_sym the supremum of
+    max |lambda(A_W2, A_G)| over xi.  For the demo material the infimum is
+    2 - sqrt 2, approached as k -> inf, and the supremum 4, taken at k = 0.
+    Samples stop at k = 1e3: the k-form symbol loses digits far beyond."""
+
+    DIRECTIONS = (np.array([1.0, 0.0, 0.0]), np.array([1.0, 2.0, 2.0]) / 3,
+                  np.array([0.0, 0.6, 0.8]))
+    KS = np.concatenate([[0.0], np.logspace(-3, 3, 240)])
+
+    @classmethod
+    def symbol_extremes(cls, params):
+        """(inf lambda_min(A_W1, A_G), sup max |lambda(A_W2, A_G)|) over the
+        sampled directions and wavenumbers, in the full variant."""
+        specs = (form_spec_w1(params), form_spec_w2(params), form_spec_gram())
+        powers = cls.KS[:, None] ** np.arange(3)
+        low, high = math.inf, 0.0
+        for d in cls.DIRECTIONS:
+            symbols = (np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
+            for a, b, g in zip(*symbols):
+                low = min(low, scipy.linalg.eigh(a, g, eigvals_only=True)[0])
+                high = max(high, np.abs(scipy.linalg.eigh(b, g, eigvals_only=True)).max())
+        return low, high
+
+    def test_discrete_constants_lie_inside_the_symbol_bracket(self, demo_material):
+        m1_sym, m2_sym = self.symbol_extremes(demo_material)
+        floor = 2.0 - math.sqrt(2.0)
+        assert floor < m1_sym <= floor + 1e-6
+        assert m2_sym == pytest.approx(4.0, rel=1e-12)
+        _, m2_default = self.symbol_extremes(isotropic_material())
+        assert m2_default == pytest.approx(7.0, rel=1e-12)
+        for res in (2, 3, 4):
+            sys = build_fe_system(build_box_mesh((1, 1, 1), (res,) * 3))
+            gram = assemble_gram(sys)
+            m1 = discrete_coercivity(assemble_w1(demo_material, sys), gram)
+            m2 = discrete_boundedness(assemble_w2(demo_material, sys), gram)
+            assert m1_sym < m1 and m2 < m2_sym
+            # so the discrete c bounds the continuum c from below
+            c_h, _ = contraction_constant(m1, m2)
+            assert c_h < contraction_constant(m1_sym, m2_sym)[0]
 
 
 class TestBatchedDispersion:

@@ -477,6 +477,18 @@ class TestRejectedValues:
         [line] = proc.stderr.splitlines()
         assert line.startswith("MICROMORPH-ERROR config: ") and "k_samples" in line
 
+    def test_zero_direction_is_one_stderr_line(self, tmp_path):
+        proc = _cli_subprocess("dispersion", "[analysis]\ndirection = 0 0 0\n", tmp_path)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("MICROMORPH-ERROR config: ") and "direction" in line
+
+    def test_huge_direction_is_accepted_without_warnings(self, tmp_path):
+        proc = _cli_subprocess(
+            "dispersion", "[analysis]\ndirection = 1e308 1e308 0\n", tmp_path
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     @pytest.mark.parametrize(
         "key", ["load_f", "load_m", "initial_u", "initial_ut", "initial_p", "initial_pt"]
     )

@@ -3,7 +3,10 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micromorph.assembly import (
     BlockLayout,
@@ -40,7 +43,7 @@ def scalar_op(value):
 
 def euclid(op):
     """Identity operator on the layout of ``op``: the Euclidean norm."""
-    return dense_op(np.eye(op.dimension), op.layout)
+    return dense_op(np.eye(op.matrix.shape[0]), op.layout)
 
 
 @pytest.fixture()
@@ -66,7 +69,7 @@ class TestStationarySolve:
         g = rng.standard_normal(n)
         a = stationary_solve(
             DefiniteSolver(w1.matrix), dense_op(np.zeros((n, n))), np.zeros(n),
-            w1.matvec(g),
+            w1.matrix @ g,
         )
         np.testing.assert_allclose(a, g, rtol=1e-10, atol=1e-11)
 
@@ -373,6 +376,63 @@ class TestNewmark:
             assert norms(a - b).max() <= 1e-12 * norms(a[-1:])[0]
 
 
+class TestModalReference:
+    """Both integrators against the exact solution of the undamped modal
+    problem: eigh(W2, W1) gives W1-orthonormal modes Phi with frequencies
+    sqrt(lambda), and with zero load w(T) = Phi (cos(sqrt(lambda) T) q0 +
+    sin(sqrt(lambda) T) / sqrt(lambda) p0), q0 and p0 the modal data."""
+
+    T = 0.5
+
+    @pytest.fixture(scope="class")
+    def problem(self, sys_2, demo_material):
+        from micromorph.analysis import well_posedness_report
+
+        w1, w2 = assemble_w1(demo_material, sys_2), assemble_w2(demo_material, sys_2)
+        gram = assemble_gram(sys_2)
+        c = well_posedness_report(demo_material, w1, w2, gram).contraction
+        lam, phi = scipy.linalg.eigh(w2.to_dense(), w1.to_dense())
+        rng = np.random.default_rng(0)
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0,
+            rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
+        )
+        omega = np.sqrt(lam)
+        q0, p0 = (phi.T @ (w1.matrix @ x) for x in (s0.position, s0.velocity))
+        t = self.T
+        exact = phi @ (np.cos(omega * t) * q0 + np.sin(omega * t) / omega * p0)
+        return w1, w2, gram, c, lam, s0, exact
+
+    @staticmethod
+    def halving_ratios(trajectories, gram, exact):
+        errors = []
+        for traj in trajectories:
+            e = traj.positions[-1] - exact
+            errors.append(np.sqrt(e @ (gram.matrix @ e)))
+        return np.array(errors[:-1]) / errors[1:]
+
+    def test_spectrum_lies_inside_the_contraction_chain(self, problem):
+        # |W2(w, w)| <= M2 |w|_G^2 <= (M2 / m1) W1(w, w), and M2 / m1 = c / sqrt(2)
+        _, _, _, c, lam, _, _ = problem
+        assert 0.5 < lam.min() and lam.max() < 1.4
+        assert np.abs(lam).max() <= c / np.sqrt(2)
+
+    def test_newmark_is_second_order(self, problem):
+        w1, w2, gram, _, _, s0, exact = problem
+        runs = [newmark_integrate(s0, w1, w2, None, self.T / n, n)
+                for n in (8, 16, 32, 64)]
+        ratios = self.halving_ratios(runs, gram, exact)
+        assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+
+    def test_picard_is_second_order(self, problem):
+        w1, w2, gram, c, _, s0, exact = problem
+        runs = [picard_integrate(s0, w1, w2, None, self.T, c, n_t=n_t, fixed_tol=1e-13,
+                                 gram=gram)
+                for n_t in (5, 9, 17, 33)]
+        ratios = self.halving_ratios(runs, gram, exact)
+        assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+
+
 class TestFactoredPath:
     @pytest.mark.parametrize("bad", [-1.0, 0.0])   # indefinite, singular
     def test_non_definite_w1_raises(self, bad):
@@ -512,15 +572,19 @@ BALANCE_LOADS = {
 
 def energy_balance_defect(traj, load):
     """max_n |E_{n+1} - E_n - (l_n + l_{n+1}) . (w_{n+1} - w_n) / 2| over
-    max |E| + sum |work|; zero in exact arithmetic for average-acceleration
-    Newmark and for Picard's fixed point on its grid."""
+    max (kinetic + |potential|) + sum |work|; zero in exact arithmetic for
+    average-acceleration Newmark and for Picard's fixed point on its grid.
+    The scale is the size of the energies E sums, not of E: the growing
+    modes of an indefinite W2 carry kinetic and potential energies that
+    cancel in E, and their round-off scales with each."""
     energy = traj.total_energy
     loads = np.array([load(t) for t in traj.times])
     work = 0.5 * np.einsum(
         "ni,ni->n", loads[1:] + loads[:-1], np.diff(traj.positions, axis=0)
     )
     defect = np.abs(np.diff(energy) - work).max()
-    return defect / (np.abs(energy).max() + np.abs(work).sum())
+    size = traj.kinetic + np.abs(traj.potential)
+    return defect / (size.max() + np.abs(work).sum())
 
 
 class TestLoadedFESystem:
@@ -559,6 +623,45 @@ class TestLoadedFESystem:
         assert energy_balance_defect(
             dataclasses.replace(newmark, kinetic=kinetic), load
         ) > 1e-13
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        load_name=st.sampled_from(sorted(BALANCE_LOADS)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_energy_balance_on_random_materials(self, sys_2, seed, variant, load_name):
+        # potential moduli of either sign, so W2 may be indefinite; rate
+        # moduli that pass the checklist in every variant
+        from micromorph.analysis import well_posedness_report
+
+        rng = np.random.default_rng(seed)
+        zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+
+        def rate_pair():
+            return rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+
+        params = isotropic_material(
+            variant=variant, length_scale=0.0 if zero_length else 1.0,
+            elastic=tuple(rng.uniform(-1, 1, 2)), coupling=rng.uniform(-1, 1),
+            micro=tuple(rng.uniform(-1, 1, 2)), curvature=rng.uniform(-1, 1),
+            inertia_elastic=rate_pair(), inertia_coupling=rng.uniform(0.0, 1.0),
+            inertia_micro=rate_pair(), inertia_curvature=rng.uniform(0.5, 2.0),
+        )
+        w1, w2 = assemble_w1(params, sys_2), assemble_w2(params, sys_2)
+        gram = assemble_gram(sys_2)
+        c = well_posedness_report(params, w1, w2, gram).contraction
+        s0 = DynamicState.from_vectors(
+            w1.layout, 0.0,
+            rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
+        )
+        load = functools.partial(assemble_load, BALANCE_LOADS[load_name], sys_2)
+        newmark = newmark_integrate(s0, w1, w2, load, 0.01, 100)
+        assert energy_balance_defect(newmark, load) <= 1e-13
+        fixed_tol = 1e-10
+        picard = picard_integrate(s0, w1, w2, load, 1.0, c, fixed_tol=fixed_tol,
+                                  gram=gram)
+        assert energy_balance_defect(picard, load) <= 10 * fixed_tol
 
     def test_constant_force_drives_its_component(self, sys_2, demo_material):
         # response of the single interior vertex is dominated by the force
