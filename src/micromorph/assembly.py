@@ -285,7 +285,9 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
 
     Cells are processed in fixed-size batches, each added into the
     upper-triangular pattern ``sys.pair_keys`` before the next is built.
-    Exact zeros are not stored.
+    Exact zeros are not stored.  Raises ``ValueError`` when an entry is not
+    finite, as when a finite modulus times the mesh's derivative scale
+    overflows, before any factor or eigensolver sees it.
     """
     import scipy.sparse as sp
 
@@ -300,7 +302,12 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     upper = sp.csr_matrix((data, keys % n, indptr), shape=(n, n))
     # exactly symmetric; the sparse sum also drops exact zeros
-    return SparseSymOperator(upper + upper.T, BlockLayout(sys.n_u_dofs, sys.n_p_dofs))
+    matrix = upper + upper.T
+    if not np.isfinite(matrix.data).all():
+        raise ValueError(
+            "assembled operator is not finite: a modulus overflows on this mesh"
+        )
+    return SparseSymOperator(matrix, BlockLayout(sys.n_u_dofs, sys.n_p_dofs))
 
 
 def assemble_w1(params: MaterialParams, sys: FESystem) -> SparseSymOperator:

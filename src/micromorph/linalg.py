@@ -31,14 +31,24 @@ so they are constants here: solves meet a relative residual of
 ``_SOLVE_TOL``, eigenpairs one of ``_EIG_TOL``, and ARPACK starts from the
 vector seeded by ``_ARPACK_SEED``, so results repeat.
 
-SuperLU factors without relaxed supernodes (``_SUPERNODE_RELAX``).  Its
-default amalgamates small subtrees of the elimination tree into
-supernodes and stores their explicit zeros as entries.  On these meshes
-that padding is 27% of the stored entries of the Newmark step operator
-at res 5 (1.00M with it, 0.73M without) and 37% at res 6, and it costs
-time in every factor and solve.  The row and column orderings do not depend
-on it, so the pivots stay on the diagonal and the inertia count is the
-same.
+SuperLU factors without relaxed supernodes (``relax=1`` in
+``_SPLU_OPTIONS``).  Its default amalgamates small subtrees of the
+elimination tree into supernodes and stores their explicit zeros as
+entries.  On these meshes that padding is 27% of the stored entries of
+the Newmark step operator at res 5 (1.00M with it, 0.73M without) and 37%
+at res 6, and it costs time in every factor and solve.  The row and
+column orderings do not depend on it, so the pivots stay on the diagonal
+and the inertia count is the same.
+
+The count reads D through ``lu.U``, and scipy builds that attribute as CSC
+copies of both L and U, cached on the factor for the rest of its life: as
+much memory again as SuperLU's own supernodal storage.  Once the count is
+read, :func:`_symmetric_lu` empties both copies in place, so a live factor
+holds its supernodes and permutations only: the res-8 W1 factor adds 96 MB
+of RSS instead of 210 MB (2-core Xeon, scipy 1.17.1).  Solves stay on
+SuperLU's own triangular solves, which run on the supernodes: solving from
+the CSC copies instead would keep the copies alive and take longer per
+solve.
 
 scipy is imported inside the functions that call it (here and in
 ``assembly``): importing it costs more than a ``dispersion`` run, which
@@ -69,7 +79,10 @@ _ARPACK_SEED = 7  # seed of ARPACK's start vector
 _ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
-_SUPERNODE_RELAX = 1  # SuperLU's relax: 1 amalgamates no supernodes, see above
+_SPLU_OPTIONS = dict(  # every factor: diagonal pivots, no relaxed supernodes
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+    options=dict(SymmetricMode=True, Equil=False),
+)
 
 
 def _symmetric_lu(mat):
@@ -77,21 +90,23 @@ def _symmetric_lu(mat):
     eigenvalues.  SuperLU factors with diagonal pivots in a symmetric
     ordering, P M P^T = L D L^T, and D has as many negative entries as M
     has negative eigenvalues.  Both are None when M is exactly singular or
-    a zero pivot forced an off-diagonal one (``perm_r != perm_c``)."""
+    a zero pivot forced an off-diagonal one (``perm_r != perm_c``).  The
+    factor's cached ``L`` and ``U`` copies are empty: its ``nnz``,
+    permutations and solves are those of a fresh factor."""
     import scipy.sparse
     import scipy.sparse.linalg as spla
 
     try:
-        lu = spla.splu(
-            scipy.sparse.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, relax=_SUPERNODE_RELAX,
-            options=dict(SymmetricMode=True, Equil=False),
-        )
+        lu = spla.splu(scipy.sparse.csc_matrix(mat), **_SPLU_OPTIONS)
     except RuntimeError:
         return None, None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, None
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+    negatives = int(np.count_nonzero(lu.U.diagonal() < 0))
+    for cached in (lu.L, lu.U):  # CSC copies, see the module docstring
+        cached.data, cached.indices = cached.data[:0].copy(), cached.indices[:0].copy()
+        cached.indptr = np.zeros_like(cached.indptr)
+    return lu, negatives
 
 
 class DefiniteSolver:

@@ -115,10 +115,9 @@ class ConstitutiveTensor4:
                 f"{self.symmetry_class.value} tensor needs a {d}x{d} matrix, "
                 f"got {m.shape}"
             )
-        with np.errstate(over="ignore"):  # an overflow is rejected next
-            m = 0.5 * (m + m.T)
         if not np.isfinite(m).all():
             raise ValueError(f"{self.symmetry_class.value} tensor must be finite")
+        m = 0.5 * m + 0.5 * m.T  # 0.5 * (m + m.T) overflows above ~0.9e308
         # finite entries may still have an overflowing largest modulus; LAPACK
         # sees the matrix scaled to entries of at most 1, and the product is
         # formed in Python floats, so an overflow warns nowhere

@@ -8,15 +8,20 @@ element kernel that the moment kernel of ``micromorph.assembly`` replaced,
 a strong-form plane-wave pencil builder via explicit index expansion, and
 the point evaluation of basis functions and discrete fields on one cell,
 which only the tests need.  :func:`plane_wave_pencil` is no oracle: it
-evaluates the package's own pencil at one wavenumber for comparison.
+evaluates the package's own pencil at one wavenumber for comparison, and
+:func:`random_material` draws the anisotropic inputs that several test
+modules hand to both sides.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from micromorph.fespace import QUADRATURE_POINTS, QUADRATURE_WEIGHTS
 from micromorph.mesh import LOCAL_EDGES
+from micromorph.tensors import ConstitutiveTensor4, ModelVariant, isotropic_material
 
 
 def dense_c4(tensor) -> np.ndarray:
@@ -409,3 +414,24 @@ def evaluate_curl_p(sys, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
     _, curls = eval_p_basis(sys, cell, np.full(4, 0.25))
     local = _local_p(sys, p_coeffs, cell)
     return np.einsum("er,ej->rj", local, curls)
+
+
+def random_material(rng, variant=ModelVariant.FULL_INERTIA):
+    """Anisotropic material: random positive definite rate tensors and
+    random, generally indefinite potential tensors of every class."""
+    zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+    base = isotropic_material(variant=variant, length_scale=0.0 if zero_length else 1.0)
+    tensors = {}
+    for name, t in base.tensors().items():
+        dim = t.symmetry_class.dim
+        q = rng.standard_normal((dim, dim))
+        m = q @ q.T + 0.5 * np.eye(dim) if name.startswith("inertia_") else q + q.T
+        tensors[name] = ConstitutiveTensor4(t.symmetry_class, m)
+    return dataclasses.replace(
+        base,
+        rho=rng.uniform(0.1, 3.0),
+        micro_inertia=rng.uniform(0.1, 3.0),
+        mu=rng.uniform(0.1, 3.0),
+        length_scale=0.0 if zero_length else rng.uniform(0.1, 2.0),
+        **tensors,
+    )

@@ -33,13 +33,12 @@ from micromorph.errors import DefinitenessError, HypothesisError, NonConvergence
 from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh
 from micromorph.tensors import (
-    ConstitutiveTensor4,
     ModelVariant,
     isotropic_curvature,
     isotropic_elastic,
     isotropic_material,
 )
-from oracles import plane_wave_pencil, strong_form_pencil
+from oracles import plane_wave_pencil, random_material, strong_form_pencil
 
 
 def translated(mesh, offset):
@@ -506,27 +505,6 @@ class TestBandGaps:
         for g in result.gaps:
             assert g.upper - g.lower > _CLAMP_TOL * max(g.upper, 1.0)
             assert not np.any((f > g.lower) & (f < g.upper))
-
-
-def random_material(rng, variant=ModelVariant.FULL_INERTIA):
-    """Anisotropic material: random positive definite rate tensors and
-    random, generally indefinite potential tensors of every class."""
-    zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
-    base = isotropic_material(variant=variant, length_scale=0.0 if zero_length else 1.0)
-    tensors = {}
-    for name, t in base.tensors().items():
-        dim = t.symmetry_class.dim
-        q = rng.standard_normal((dim, dim))
-        m = q @ q.T + 0.5 * np.eye(dim) if name.startswith("inertia_") else q + q.T
-        tensors[name] = ConstitutiveTensor4(t.symmetry_class, m)
-    return dataclasses.replace(
-        base,
-        rho=rng.uniform(0.1, 3.0),
-        micro_inertia=rng.uniform(0.1, 3.0),
-        mu=rng.uniform(0.1, 3.0),
-        length_scale=0.0 if zero_length else rng.uniform(0.1, 2.0),
-        **tensors,
-    )
 
 
 class TestPencilCoefficients:

@@ -640,6 +640,26 @@ class TestRejectedValues:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("MICROMORPH-ERROR config:")
 
+    @pytest.mark.parametrize(
+        "command, integrator",
+        [("check", "picard"), ("simulate", "picard"), ("simulate", "newmark")],
+    )
+    def test_operator_overflowing_on_the_mesh_exits_two(self, command, integrator,
+                                                        tmp_path):
+        # the tensor is finite (moduli 1.2e308), its res-2 W2 is not
+        text = (
+            "[material]\nc_e = isotropic 0.6e308 0\n[mesh]\nresolution = 2 2 2\n"
+            f"[simulation]\nintegrator = {integrator}\n"
+        )
+        proc = _cli_subprocess(command, text, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "MICROMORPH-ERROR config: assembled operator is not finite: "
+            "a modulus overflows on this mesh"
+        ]
+        assert proc.stdout == ""
+        assert not (tmp_path / "o").exists()
+
 
 class TestFailureTable:
     """Every failed run ends in one ``MICROMORPH-ERROR <class>:`` stderr line

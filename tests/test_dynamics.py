@@ -28,6 +28,7 @@ from micromorph.dynamics import (
 from micromorph.errors import DefinitenessError, NonConvergenceError, SolverError
 from micromorph.linalg import _SOLVE_TOL, DefiniteSolver
 from micromorph.tensors import ModelVariant, isotropic_material
+from oracles import random_material
 
 
 def dense_op(m, layout=None):
@@ -633,8 +634,6 @@ class TestLoadedFESystem:
     def test_energy_balance_on_random_materials(self, sys_2, seed, variant, load_name):
         # potential moduli of either sign, so W2 may be indefinite; rate
         # moduli that pass the checklist in every variant
-        from micromorph.analysis import well_posedness_report
-
         rng = np.random.default_rng(seed)
         zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
 
@@ -648,14 +647,36 @@ class TestLoadedFESystem:
             inertia_elastic=rate_pair(), inertia_coupling=rng.uniform(0.0, 1.0),
             inertia_micro=rate_pair(), inertia_curvature=rng.uniform(0.5, 2.0),
         )
-        w1, w2 = assemble_w1(params, sys_2), assemble_w2(params, sys_2)
-        gram = assemble_gram(sys_2)
+        self.assert_balanced_on_random_state(sys_2, params, rng, load_name)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        load_name=st.sampled_from(sorted(BALANCE_LOADS)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_energy_balance_on_random_anisotropic_materials(self, sys_2, seed, variant,
+                                                            load_name):
+        # every tensor a random matrix of its class: rate tensors >= 0.5,
+        # potential tensors indefinite in general
+        rng = np.random.default_rng(seed)
+        params = random_material(rng, variant)
+        self.assert_balanced_on_random_state(sys_2, params, rng, load_name)
+
+    @staticmethod
+    def assert_balanced_on_random_state(system, params, rng, load_name):
+        """Newmark (dt = 0.01, 100 steps) and Picard (T = 1) from a random
+        state meet the discrete energy balance under ``BALANCE_LOADS[load_name]``."""
+        from micromorph.analysis import well_posedness_report
+
+        w1, w2 = assemble_w1(params, system), assemble_w2(params, system)
+        gram = assemble_gram(system)
         c = well_posedness_report(params, w1, w2, gram).contraction
         s0 = DynamicState.from_vectors(
             w1.layout, 0.0,
-            rng.standard_normal(sys_2.n_dofs), rng.standard_normal(sys_2.n_dofs),
+            rng.standard_normal(system.n_dofs), rng.standard_normal(system.n_dofs),
         )
-        load = functools.partial(assemble_load, BALANCE_LOADS[load_name], sys_2)
+        load = functools.partial(assemble_load, BALANCE_LOADS[load_name], system)
         newmark = newmark_integrate(s0, w1, w2, load, 0.01, 100)
         assert energy_balance_defect(newmark, load) <= 1e-13
         fixed_tol = 1e-10

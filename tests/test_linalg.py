@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -108,6 +109,16 @@ def dense_spectrum(a_d, b_d):
     return scipy.linalg.eigh(a_d, b_d, eigvals_only=True)
 
 
+@pytest.fixture(scope="module")
+def step_operator(demo_material):
+    """Newmark step operator W1 + 1e-4 W2 of the demo material at res 5."""
+    system = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (5, 5, 5)))
+    return (
+        assemble_w1(demo_material, system).matrix
+        + 1e-4 * assemble_w2(demo_material, system).matrix
+    )
+
+
 class TestSparsePath:
     def test_inertia_count_matches_dense(self, rng):
         m = sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-3, 3, N_SPARSE))
@@ -124,17 +135,36 @@ class TestSparsePath:
         assert lo == pytest.approx(w[0], rel=1e-10)
         assert hi == pytest.approx(w[-1], rel=1e-10)
 
-    def test_factor_stores_no_supernode_padding(self, demo_material):
+    def test_factor_stores_no_supernode_padding(self, step_operator):
         # relaxed supernodes would store 1,001,050 entries for this
-        # Newmark step operator against 727,126 in L and U
-        system = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (5, 5, 5)))
-        k = (
-            assemble_w1(demo_material, system).matrix
-            + 1e-4 * assemble_w2(demo_material, system).matrix
-        )
-        lu, negatives = linalg._symmetric_lu(k)
+        # Newmark step operator against 727,126 in L and U; the factor's
+        # own L and U copies are emptied, so a fresh one gives the fill
+        lu, negatives = linalg._symmetric_lu(step_operator)
+        fresh = scipy.sparse.linalg.splu(sp.csc_matrix(step_operator), **linalg._SPLU_OPTIONS)
         assert negatives == 0
-        assert lu.nnz <= 1.001 * (lu.L.nnz + lu.U.nnz)
+        assert lu.nnz <= 1.001 * (fresh.L.nnz + fresh.U.nnz)
+
+    def test_factor_keeps_no_csc_copy(self, step_operator, rng):
+        # reading the pivots through lu.U makes scipy cache CSC copies of
+        # L and U on the factor (8.7 MB here); the solver empties them
+        held_by_csr = sum(
+            a.nbytes for a in (step_operator.data, step_operator.indices, step_operator.indptr)
+        )
+        tracemalloc.start()
+        try:
+            solve = DefiniteSolver(step_operator)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        held = sum(t.size for t in snapshot.filter_traces([numpy_domain]).traces)
+        assert held <= 1.5 * held_by_csr
+        assert (solve._lu.L.nnz, solve._lu.U.nnz) == (0, 0)
+        fresh = scipy.sparse.linalg.splu(sp.csc_matrix(step_operator), **linalg._SPLU_OPTIONS)
+        assert solve.factor_nnz == fresh.nnz
+        b = rng.standard_normal((step_operator.shape[0], 3))
+        np.testing.assert_array_equal(solve(b), fresh.solve(b))
+        np.testing.assert_array_equal(solve(b[:, 0]), fresh.solve(b[:, 0]))
 
     def test_saddle_point_takes_fallback(self, rng):
         m = N_SPARSE // 2

@@ -188,6 +188,19 @@ class TestIsotropic:
         t = ConstitutiveTensor4(SymmetryClass.ELASTIC, 1e307 * np.eye(6))
         assert classify_definiteness(t).max_modulus == pytest.approx(1e307, rel=1e-14)
 
+    def test_moduli_above_half_the_float_range_build(self):
+        # 0.5 * (m + m.T) would overflow: isotropic 0.6e308 has 2 mu = 1.2e308
+        t = make_isotropic(SymmetryClass.ELASTIC, 0.6e308, 0.0)
+        assert classify_definiteness(t).max_modulus == 1.2e308
+        m = 1.5e308 * np.eye(6)
+        np.testing.assert_array_equal(ConstitutiveTensor4(SymmetryClass.ELASTIC, m).matrix, m)
+
+    def test_symmetrising_keeps_the_bits_of_normal_values(self, rng):
+        for cls in SymmetryClass:
+            m = rng.standard_normal((cls.dim, cls.dim)) * 10.0 ** rng.uniform(-300, 300)
+            t = ConstitutiveTensor4(cls, m)
+            np.testing.assert_array_equal(t.matrix, 0.5 * (m + m.T))
+
 
 class TestMaterialParams:
     def test_scalar_validation(self):
