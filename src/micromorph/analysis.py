@@ -294,16 +294,18 @@ class DispersionResult:
     ``frequencies[s, j]`` is branch j at ``k_samples[s]`` (branches sorted
     ascending per sample); genuinely negative squared frequencies (possible
     with indefinite potential tensors) are kept in ``omega_squared`` and
-    marked in ``unstable``, with NaN in ``frequencies``.  ``gaps`` hold the
-    band gaps detected over the full sampled range (empty when fewer than
-    two samples).
+    marked in ``unstable``, with NaN in ``frequencies``.
     """
 
     k_samples: np.ndarray
     direction: np.ndarray
     frequencies: np.ndarray      # (n_k, 12)
     omega_squared: np.ndarray    # (n_k, 12)
-    gaps: tuple = ()
+
+    @property
+    def gaps(self) -> tuple:
+        """The band gaps :func:`detect_band_gaps` reads off the samples."""
+        return tuple(detect_band_gaps(self))
 
     @property
     def unstable(self) -> np.ndarray:
@@ -329,11 +331,15 @@ def _unit_direction(direction) -> np.ndarray:
 
 
 def _wavenumbers(k_samples) -> np.ndarray:
+    """The wavenumber samples: nonnegative, finite and distinct, in any order;
+    a repeated sample would read the spacing of branches at one k as gaps."""
     ks = np.asarray(k_samples, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
         raise ValueError("k_samples must be a nonempty 1-d sequence")
     if not np.all((ks >= 0) & (ks < math.inf)):
         raise ValueError("wavenumber samples must be nonnegative and finite")
+    if np.unique(ks).size != ks.size:
+        raise ValueError("wavenumber samples must not repeat")
     return ks
 
 
@@ -380,15 +386,12 @@ def dispersion_curves(
     noise = (omega2 < 0) & (omega2 >= -_CLAMP_TOL * scale)
     clamped = np.where(noise, 0.0, omega2)
     freqs = np.where(clamped < 0, np.nan, np.sqrt(np.maximum(clamped, 0.0)))
-    result = DispersionResult(
+    return DispersionResult(
         k_samples=ks,
         direction=d,
         frequencies=freqs,
         omega_squared=omega2,
     )
-    if ks.size >= 2:
-        result = dataclasses.replace(result, gaps=tuple(detect_band_gaps(result)))
-    return result
 
 
 def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
@@ -397,17 +400,15 @@ def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
     A gap spans (max over k of branch j, min over k of branch j+1) when that
     interval is wider than round-off, ``_CLAMP_TOL`` max(upper edge, 1), the
     rule that clamps omega^2; this is exact only up to the attached sampling
-    resolution.  Samples with unstable branches are excluded.
+    resolution.  Samples with unstable branches are excluded; fewer than two
+    stable samples give no gaps.  Each sample's branches are ascending, so no
+    sample lies inside a gap.
     """
-    ks = result.k_samples
-    if ks.size < 2:
-        raise ValueError("need at least two wavenumber samples")
     mask = ~result.unstable.any(axis=1)
     if mask.sum() < 2:
         return []
     freqs = result.frequencies[mask]
-    sel_ks = ks[mask]
-    resolution = float(np.max(np.diff(np.sort(sel_ks))))
+    resolution = float(np.max(np.diff(np.sort(result.k_samples[mask]))))
 
     gaps: list[BandGap] = []
     branch_max = freqs.max(axis=0)
@@ -417,10 +418,4 @@ def detect_band_gaps(result: DispersionResult) -> list[BandGap]:
         hi = float(branch_min[j + 1])
         if hi - lo > _CLAMP_TOL * max(hi, 1.0):
             gaps.append(BandGap(lower=lo, upper=hi, k_resolution=resolution))
-    # defensive: no sampled value may fall inside a reported gap
-    flat = freqs.ravel()
-    for g in gaps:
-        inside = (flat > g.lower) & (flat < g.upper)
-        if np.any(inside):
-            raise AssertionError("sampled frequency inside a reported band gap")
     return gaps

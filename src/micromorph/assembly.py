@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _CHUNK = 128  # cells per assembly batch; one batch alive at a time bounds peak memory
+_QUADRATIC_BLOCK = 32  # states per sparse-times-block product
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,21 @@ class SparseSymOperator:
         if self.layout.total != n:
             raise ValueError("block layout sizes must sum to the dimension")
 
-    def quadratic(self, w: np.ndarray) -> float:
-        return float(w @ (self.matrix @ w))
+    def quadratic(self, w: np.ndarray) -> float | np.ndarray:
+        """w^T A w: a float for one state w, one value per row of a (k, n)
+        stack.
+
+        A is applied to blocks of ``_QUADRATIC_BLOCK`` rows at once, never to
+        all rows, so the product stays small; one state is a block of one row.
+        """
+        rows = np.atleast_2d(w)
+        out = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], _QUADRATIC_BLOCK):
+            block = rows[start:start + _QUADRATIC_BLOCK]
+            out[start:start + block.shape[0]] = np.einsum(
+                "ij,ji->i", block, self.matrix @ block.T
+            )
+        return float(out[0]) if np.ndim(w) == 1 else out
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

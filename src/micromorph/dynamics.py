@@ -53,7 +53,6 @@ log = logging.getLogger(__name__)
 
 MAX_INTERVALS = 10_000  # subinterval budget of one Picard run
 _MAX_SWEEPS = 60         # fixed-point sweep budget of one subinterval
-_QUADRATIC_BLOCK = 32    # columns per sparse-times-block product
 _BETA, _GAMMA = 0.25, 0.5  # Newmark average-acceleration parameters
 
 
@@ -135,25 +134,6 @@ def _solver_counters(*solvers: DefiniteSolver) -> dict:
     }
 
 
-def _quadratic_rows(op: SparseSymOperator, rows: np.ndarray) -> np.ndarray:
-    """w^T A w for every row w of ``rows``.
-
-    A is applied to blocks of ``_QUADRATIC_BLOCK`` rows at once, never to all
-    rows, so the product stays small.
-    """
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _QUADRATIC_BLOCK):
-        block = rows[start:start + _QUADRATIC_BLOCK]
-        out[start:start + block.shape[0]] = np.einsum(
-            "ij,ji->i", block, op.matrix @ block.T
-        )
-    return out
-
-
-def _gram_norms(gram: SparseSymOperator, rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(_quadratic_rows(gram, rows), 0.0))
-
-
 def _node_arrays(state0: DynamicState, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Position and velocity arrays over ``n_nodes`` nodes, node 0 set from
     ``state0``."""
@@ -165,8 +145,8 @@ def _node_arrays(state0: DynamicState, n_nodes: int) -> tuple[np.ndarray, np.nda
 
 def _trajectory(times, positions, velocities, w1, w2, diagnostics: dict) -> Trajectory:
     """The trajectory with its kinetic and potential energy at every node."""
-    kinetic = 0.5 * _quadratic_rows(w1, velocities)
-    potential = 0.5 * _quadratic_rows(w2, positions)
+    kinetic = 0.5 * w1.quadratic(velocities)
+    potential = 0.5 * w2.quadratic(positions)
     return Trajectory(times, positions, velocities, kinetic, potential, diagnostics)
 
 
@@ -213,7 +193,7 @@ def _fixed_point(
     loads = None if load is None else np.column_stack(
         [_load_vec(load, t) for t in times]
     )
-    seed_scale = 1.0 + _gram_norms(gram, w0[None, :])[0]
+    seed_scale = 1.0 + math.sqrt(max(gram.quadratic(w0), 0.0))
     positions = np.tile(w0, (times.size, 1))  # the constant seed trajectory
     ratios: list[float] = []
     prev_diff = None
@@ -221,7 +201,8 @@ def _fixed_point(
     for sweep in range(_MAX_SWEEPS):
         acc = stationary_solve(solve, w2, positions.T, loads).T
         new_pos, velocities = _double_trapezoid(h, acc, w0, wt0)
-        diff = float(_gram_norms(gram, new_pos - positions).max())
+        # the largest Gram norm over the nodes; sqrt is monotone
+        diff = math.sqrt(max(gram.quadratic(new_pos - positions).max(), 0.0))
         if prev_diff is not None and prev_diff > 0:
             ratios.append(diff / prev_diff)
         positions = new_pos

@@ -89,11 +89,28 @@ def _box_resolution(resolution) -> tuple[int, int, int]:
 
 
 def _cell_volume(dims, resolution) -> float:
-    """The volume of each Kuhn tetrahedron, which must be a normal double: a
-    cell's determinant then neither overflows nor underflows."""
-    volume = math.prod(d / n for d, n in zip(dims, resolution)) / 6.0
+    """The volume of each Kuhn tetrahedron, which must be a normal double, and
+    the ratio of the longest cell side to the shortest, which must be finite:
+    a cell's determinant and its inverse then neither overflow nor underflow.
+
+    The volume is formed from the sides' mantissas and exponents, so no
+    partial product under- or overflows, and the verdict does not depend on
+    the axis order.
+    """
+    sides = sorted(d / n for d, n in zip(dims, resolution))
+    parts = [math.frexp(h) for h in sides]
+    mantissa = math.prod(m for m, _ in parts) / 6.0
+    try:
+        volume = math.ldexp(mantissa, sum(e for _, e in parts))
+    except OverflowError:
+        volume = math.inf
     if not sys.float_info.min <= volume < math.inf:
         raise ValueError(f"dims give cells of volume {volume!r}, not a normal double")
+    if sides[-1] / sides[0] == math.inf:
+        raise ValueError(
+            f"dims give cell sides {sides[0]!r} and {sides[-1]!r}, whose ratio "
+            "overflows"
+        )
     return volume
 
 

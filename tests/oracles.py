@@ -7,10 +7,11 @@ first-principles basis formulas under a *different* quadrature rule
 element kernel that the moment kernel of ``micromorph.assembly`` replaced,
 a strong-form plane-wave pencil builder via explicit index expansion, and
 the point evaluation of basis functions and discrete fields on one cell,
-which only the tests need.  :func:`plane_wave_pencil` is no oracle: it
-evaluates the package's own pencil at one wavenumber for comparison, and
-:func:`random_material` draws the anisotropic inputs that several test
-modules hand to both sides.
+which only the tests need, and the prolongation of coarse fields onto a
+nested fine mesh built on that point evaluation.  :func:`plane_wave_pencil`
+is no oracle: it evaluates the package's own pencil at one wavenumber for
+comparison, and :func:`random_material` draws the anisotropic inputs that
+several test modules hand to both sides.
 """
 
 from __future__ import annotations
@@ -368,12 +369,10 @@ def eval_p_basis(sys, cell: int, bary) -> tuple[np.ndarray, np.ndarray]:
     """
     bary = np.asarray(bary, dtype=float)
     g = sys.grad_hats[cell]
-    signs = sys.mesh.cell_edge_signs[cell]
-    values = np.empty((6, 3))
-    curls = np.empty((6, 3))
-    for e, (a, b) in enumerate(LOCAL_EDGES):
-        values[e] = signs[e] * (bary[a] * g[b] - bary[b] * g[a])
-        curls[e] = signs[e] * 2.0 * np.cross(g[a], g[b])
+    signs = sys.mesh.cell_edge_signs[cell][:, None]
+    a, b = np.array(LOCAL_EDGES).T
+    values = signs * (bary[a, None] * g[b] - bary[b, None] * g[a])
+    curls = signs * 2.0 * np.cross(g[a], g[b])
     return values, curls
 
 
@@ -414,6 +413,59 @@ def evaluate_curl_p(sys, p_coeffs: np.ndarray, cell: int) -> np.ndarray:
     _, curls = eval_p_basis(sys, cell, np.full(4, 0.25))
     local = _local_p(sys, p_coeffs, cell)
     return np.einsum("er,ej->rj", local, curls)
+
+
+# 3-point Gauss on [0, 1]: (position, weight), exact up to degree five
+_EDGE_GAUSS = ((0.5 - 0.5 * np.sqrt(0.6), 5 / 18), (0.5, 4 / 9),
+               (0.5 + 0.5 * np.sqrt(0.6), 5 / 18))
+
+
+def _host_cell(sys, points: np.ndarray) -> tuple[int, np.ndarray]:
+    """A cell of ``sys`` holding every row of ``points`` and their (n, 4)
+    barycentric coordinates there."""
+    p0 = sys.mesh.vertices[sys.mesh.cells[:, 0]]                  # (nc, 3)
+    bary = np.einsum("cai,cpi->cpa", sys.grad_hats, points[None] - p0[:, None])
+    bary[:, :, 0] += 1.0
+    inside = (bary >= -1e-10).all(axis=(1, 2))
+    if not inside.any():
+        raise ValueError("the fine mesh does not refine the coarse one")
+    c = int(np.argmax(inside))
+    return c, bary[c]
+
+
+def prolongation(coarse, fine) -> np.ndarray:
+    """(fine.n_dofs, coarse.n_dofs) matrix taking the coefficients of a coarse
+    field to those of the same field on ``fine``, a mesh of the same box
+    that refines ``coarse``.
+
+    u: the coarse field at the fine vertices.  P: the 3-point Gauss
+    circulation of the coarse edge field along each fine edge, exact because
+    the field is linear on the coarse cell that holds the edge.
+    """
+    out = np.zeros((fine.n_dofs, coarse.n_dofs))
+    verts = fine.mesh.vertices
+    u_rank = fine.u_map.entity_rank
+    for v in np.flatnonzero(u_rank >= 0):
+        c, bary = _host_cell(coarse, verts[v][None])
+        hats, _ = eval_u_basis(coarse, c, bary[0])
+        for a, rank in enumerate(coarse.u_map.entity_rank[coarse.mesh.cells[c]]):
+            if rank >= 0:
+                for i in range(3):
+                    out[3 * u_rank[v] + i, 3 * rank + i] = hats[a]
+    p_rank = fine.p_map.entity_rank
+    n_fine, n_coarse = fine.n_p_dofs // 3, coarse.n_p_dofs // 3
+    for e in np.flatnonzero(p_rank >= 0):
+        pa, pb = verts[fine.mesh.edges[e]]
+        points = np.array([pa + s * (pb - pa) for s, _ in _EDGE_GAUSS])
+        c, bary = _host_cell(coarse, points)
+        circ = sum(w * eval_p_basis(coarse, c, b)[0] @ (pb - pa)
+                   for (_, w), b in zip(_EDGE_GAUSS, bary))         # (6,)
+        for f, rank in enumerate(coarse.p_map.entity_rank[coarse.mesh.cell_edges[c]]):
+            if rank >= 0:
+                for row in range(3):
+                    out[fine.n_u_dofs + row * n_fine + p_rank[e],
+                        coarse.n_u_dofs + row * n_coarse + rank] = circ[f]
+    return out
 
 
 def random_material(rng, variant=ModelVariant.FULL_INERTIA):

@@ -29,7 +29,9 @@ from micromorph.assembly import (
     form_spec_w2,
 )
 from micromorph.config import material_from_config, parse_config
-from micromorph.errors import DefinitenessError, HypothesisError, NonConvergenceError
+from micromorph.errors import (
+    ConfigError, DefinitenessError, HypothesisError, NonConvergenceError,
+)
 from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh
 from micromorph.tensors import (
@@ -471,10 +473,38 @@ class TestBandGaps:
         assert gaps_on[1].upper == pytest.approx(0.894427191, rel=1e-6)
         assert gaps_off == []
 
+    @pytest.mark.parametrize(
+        "elastic, ks, stable",
+        [((1, -2), np.linspace(0.0, 3.0, 13), 0),   # 2 mu + 3 lam < 0
+         ((1, -1), [1.0], 1),
+         ((1, -1), np.linspace(0.0, 3.0, 13), 13)],
+    )
+    def test_gaps_are_read_by_detect_band_gaps(self, elastic, ks, stable):
+        result = dispersion_curves(isotropic_material(elastic=elastic), (1, 0, 0), ks)
+        assert (~result.unstable.any(axis=1)).sum() == stable
+        assert result.gaps == tuple(detect_band_gaps(result))
+        assert (len(result.gaps) > 0) == (stable > 1)
+
+    @pytest.mark.parametrize("ks", [[0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 1.0, 2.0, -0.0]])
+    def test_repeated_samples_are_rejected(self, demo_material, ks):
+        with pytest.raises(ValueError, match="must not repeat"):
+            dispersion_curves(demo_material, (1, 0, 0), ks)
+        text = " ".join(repr(float(k)) for k in ks)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[analysis]\nk_samples = {text}\n")
+        assert [(ln, k) for ln, k, _ in err.value.issues] == [(2, "k_samples")]
+
+    def test_unsorted_distinct_samples_are_accepted(self, demo_material):
+        ks = np.linspace(0.0, 3.0, 13)
+        order = np.random.default_rng(3).permutation(ks.size)
+        shuffled = dispersion_curves(demo_material, (1, 0, 0), ks[order])
+        ordered = dispersion_curves(demo_material, (1, 0, 0), ks)
+        np.testing.assert_array_equal(shuffled.frequencies, ordered.frequencies[order])
+        assert shuffled.gaps == ordered.gaps
+
     def test_requires_two_samples(self, demo_material):
         result = dispersion_curves(demo_material, (1, 0, 0), [0.0])
-        with pytest.raises(ValueError):
-            detect_band_gaps(result)
+        assert detect_band_gaps(result) == []
 
     def test_round_off_between_degenerate_branches_is_no_gap(self):
         # two branches equal in exact arithmetic end one ulp apart near
@@ -490,16 +520,19 @@ class TestBandGaps:
     @given(
         seed=st.integers(0, 2**32 - 1),
         variant=st.sampled_from(list(ModelVariant)),
-        ks=st.lists(st.floats(0.01, 4.0), min_size=2, max_size=4),
-        repeat=st.booleans(),
+        ks=st.lists(st.floats(0.01, 4.0), min_size=2, max_size=4, unique=True),
+        clustered=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_gaps_are_wider_than_round_off(self, seed, variant, ks, repeat):
-        # a repeated k makes every branch flat over the samples, so branches
+    def test_gaps_are_wider_than_round_off(self, seed, variant, ks, clustered):
+        # samples one ulp apart make every branch flat over them, so branches
         # that are degenerate at that k meet the rule head on
         rng = np.random.default_rng(seed)
         params = random_isotropic_material(rng, variant)
-        ks = [ks[0]] * len(ks) if repeat else ks
+        if clustered:
+            ks = ks[:1]
+            while len(ks) < 4:
+                ks.append(np.nextafter(ks[-1], np.inf))
         result = dispersion_curves(params, rng.standard_normal(3), ks)
         f = result.frequencies.ravel()
         for g in result.gaps:

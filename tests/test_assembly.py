@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,8 +34,13 @@ from micromorph.tensors import (
     isotropic_elastic,
     isotropic_material,
 )
-from oracles import dense_form_matrix, eval_p_basis, quadrature_point_form_matrix
-from test_analysis import random_material
+from oracles import (
+    dense_form_matrix,
+    eval_p_basis,
+    prolongation,
+    quadrature_point_form_matrix,
+    random_material,
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +318,18 @@ class TestOperators:
             w1.p_block().to_dense(), w1.to_dense()[nu:, nu:]
         )
 
+    @pytest.mark.parametrize("k", [1, 32, 33, 71])
+    def test_quadratic_of_a_stack_is_per_state(self, material, sys_2, rng, k):
+        # 32 rows are one block; 33 and 71 end in a partial block
+        w1 = assemble_w1(material, sys_2)
+        rows = rng.standard_normal((k, sys_2.n_dofs))
+        values = w1.quadratic(rows)
+        ref = np.array([v @ (w1.matrix @ v) for v in rows])
+        assert values.shape == (k,)
+        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
+        one = w1.quadratic(rows[0])
+        assert type(one) is float and one == pytest.approx(ref[0], rel=1e-13)
+
 
 @pytest.fixture(scope="module")
 def sys_4():
@@ -369,6 +387,41 @@ class TestMomentKernel:
         sys = build_fe_system(build_box_mesh((1, 1, 1), (res, res, res)))
         reference = quadrature_point_form_matrix(sys, form_spec_gram())
         assert assemble_gram(sys).matrix.nnz == np.count_nonzero(reference)
+
+
+class TestNestedMeshes:
+    """The spaces at res 2n contain those at res n, and every integrand is
+    integrated exactly, so the forms and loads on two nested meshes satisfy
+    the Galerkin identity through the prolongation P of coarse fields."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(list(ModelVariant)),
+        res=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_galerkin_identity(self, seed, variant, res):
+        rng = np.random.default_rng(seed)
+        params = random_material(rng, variant)
+        dims = tuple(rng.uniform(0.3, 3.0, 3))
+        coarse, fine = (build_fe_system(build_box_mesh(dims, (n, n, n)))
+                        for n in (res, 2 * res))
+        p = prolongation(coarse, fine)
+
+        def error(got, ref):
+            return np.abs(got - ref).max() / np.abs(ref).max()
+
+        for assemble in (partial(assemble_w1, params), partial(assemble_w2, params),
+                         assemble_gram):
+            w_fine = assemble(fine).matrix
+            assert error(p.T @ (w_fine @ p), assemble(coarse).to_dense()) <= 1e-13
+        load = LoadFunctional(
+            TimeField.polynomial(rng.standard_normal((2, 3))),
+            TimeField.polynomial(rng.standard_normal((3, 3, 3))),
+        )
+        t = rng.uniform(0.0, 2.0)
+        assert error(p.T @ assemble_load(load, fine, t),
+                     assemble_load(load, coarse, t)) <= 1e-13
 
 
 class TestBatches:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -659,6 +660,41 @@ class TestRejectedValues:
         ]
         assert proc.stdout == ""
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ks", ["0.5 0.5", "0.5 1.0 0.5"])
+    def test_repeated_wavenumber_exits_two(self, ks, tmp_path, capsys):
+        # a k sampled twice would read the branch spacings there as band gaps
+        p = tmp_path / "run.ini"
+        p.write_text(f"[analysis]\nk_samples = {ks}\n")
+        out = tmp_path / "o"
+        assert main(["dispersion", "--config", str(p), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("MICROMORPH-ERROR config: line 2: k_samples: ")
+        assert not out.exists()
+
+    def test_unsorted_wavenumbers_are_accepted(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[analysis]\nk_samples = 1.0 0.0 0.5\n")
+        assert main(["dispersion", "--config", str(p), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "dims",
+        [d for box in ((1e300, 1e-200, 1e-200), (1e250, 1e-120, 1e-120),
+                       (1e300, 1e-150, 1e-150), (1e300, 1e-160, 1e-140))
+         for d in itertools.permutations(box)],
+    )
+    def test_overflowing_side_ratio_exits_two_in_every_order(self, dims, tmp_path,
+                                                             capsys):
+        # the cells have normal volumes, but their largest side ratio
+        # overflows, and so would the inverse of their vertex matrix
+        p = tmp_path / "run.ini"
+        p.write_text("[mesh]\ndims = " + " ".join(map(repr, dims)) + "\n")
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("MICROMORPH-ERROR config: line 2: dims: ")
+        assert "ratio overflows" in line
+        assert not out.exists()
 
 
 class TestFailureTable:

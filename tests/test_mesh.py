@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from micromorph.fespace import build_fe_system
 from micromorph.mesh import build_box_mesh, validate_mesh
 
 
@@ -105,6 +108,25 @@ class TestParameters:
             build_box_mesh((1, 1, 1), (0, 1, 1))
         with pytest.raises(ValueError):
             build_box_mesh((1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "box, ok",
+        [((1e-200, 1e-200, 1e300), False),   # volume ~2.1e-102, sides 1e500 apart
+         ((1e250, 1e-120, 1e-120), False),
+         ((1e300, 1e-150, 1e-150), False),
+         ((1e300, 1e-160, 1e-140), False),
+         ((1e154, 1e-154, 1.0), True),       # side ratio 1e308
+         ((1.79e308, 2.0, 2.0), True)],
+    )
+    def test_verdict_does_not_depend_on_the_axis_order(self, box, ok):
+        # a left-to-right product of the sides underflows in some orders, and
+        # an overflowing side ratio leaves a cell matrix with no finite inverse
+        for dims in itertools.permutations(box):
+            if ok:
+                assert build_fe_system(build_box_mesh(dims, (2, 2, 2))).n_dofs > 0
+            else:
+                with pytest.raises(ValueError, match="dims give cell sides"):
+                    build_box_mesh(dims, (2, 2, 2))
 
     @pytest.mark.parametrize("side", [1e-110, 1e120])
     def test_rejects_cell_volume_outside_normal_doubles(self, side):
