@@ -35,7 +35,6 @@ from .assembly import (
     FormSpec,
     SparseSymOperator,
     assemble_form,
-    form_spec_gram,
     form_spec_w1,
     form_spec_w2,
     form_terms,
@@ -232,8 +231,8 @@ def korn_curl_constant(sys: FESystem) -> float:
     """
     if sys.n_p_dofs < 1:
         raise ValueError("micro-distortion space has no degrees of freedom")
-    left = assemble_form(sys, form_spec_gram()).p_block()
     curl_curl = {"curl": isotropic_curvature(1.0), "curl_coeff": 1.0}
+    left = assemble_form(sys, FormSpec(mass_p=1.0, **curl_curl)).p_block()
     sym_mass = isotropic_elastic(0.5, 0.0)   # 2 mu sym = sym for mu = 1/2
     right = assemble_form(sys, FormSpec(sym_micro=sym_mass, **curl_curl)).p_block()
     try:

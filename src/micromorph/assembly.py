@@ -301,17 +301,20 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
     upper-triangular pattern ``sys.pair_keys`` before the next is built.
     Exact zeros are not stored.  Raises ``ValueError`` when an entry is not
     finite, as when a finite modulus times the mesh's derivative scale
-    overflows, before any factor or eigensolver sees it.
+    overflows, before any factor or eigensolver sees it; the batches run
+    with numpy's overflow and invalid-value warnings off, so that error is
+    the one report of it.
     """
     import scipy.sparse as sp
 
     n = sys.n_dofs
     keys = sys.pair_keys
     data = np.zeros(keys.size)
-    for start in range(0, sys.mesh.n_cells, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, sys.mesh.n_cells))
-        slots, values = _batch_entries(sys, spec, cells)
-        np.add.at(data, slots, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, sys.mesh.n_cells, _CHUNK):
+            cells = np.arange(start, min(start + _CHUNK, sys.mesh.n_cells))
+            slots, values = _batch_entries(sys, spec, cells)
+            np.add.at(data, slots, values)
 
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     upper = sp.csr_matrix((data, keys % n, indptr), shape=(n, n))

@@ -18,13 +18,15 @@ and every artifact is written as UTF-8.  A config that cannot be read or
 decoded, an output directory that cannot be created or written, and a run
 whose mesh or factor cannot be allocated all exit 2, since the path, the
 size and the values come from the configuration.
-The output directory is created by the first artifact written, so a run
-refused before that leaves no directory behind.
+The output directory (``--out``, ``out`` when omitted) is created by the
+first artifact written, so a run refused before that leaves no directory
+behind.
 
 Every CSV starts with comment lines carrying the resolved configuration
-(hash plus full key = value listing) and the column schema; floats are
-printed with 17 significant digits, so identical configurations produce
-byte-identical artifacts.
+(hash plus full key = value listing of the material, mesh, simulation and
+analysis settings) and the column schema; floats are printed with 17
+significant digits, so identical configurations produce byte-identical
+artifacts wherever they are written.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ _EXIT_HYPOTHESIS = 3
 _EXIT_SOLVER = 4
 
 
-def _fmt(x: float, precision: int = 17) -> str:
-    return f"{float(x):.{precision}g}"
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
 
 
 def _write(path: Path, text: str) -> None:
@@ -79,7 +81,7 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
 
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
-            return _fmt(v, cfg.output.precision)
+            return _fmt(v)
         return str(v)
 
     lines += [",".join(map(cell, row)) for row in rows]
@@ -153,8 +155,8 @@ def _cmd_check(cfg: RunConfig, out: Path) -> int:
 
 def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
     """Certify the run, then integrate from ``state0`` over
-    [0, interval(report)] with its load, ``nodes_per_interval``,
-    ``fixed_tol``, c and Gram matrix; returns the trajectory and the report.
+    [0, interval(report)] with its load, ``nodes_per_interval``, c and Gram
+    matrix; returns the trajectory and the report.
     HypothesisError unless the material is well posed, so the report's c and
     delta are finite or flag a constant map (c = 0)."""
     gram = assemble_gram(sys_)
@@ -164,7 +166,7 @@ def _picard(cfg: RunConfig, params, sys_, w1, w2, state0, interval):
     traj = picard_integrate(
         state0, w1, w2, functools.partial(assemble_load, load_from_config(cfg), sys_),
         interval(report), report.contraction,
-        n_t=sim.nodes_per_interval, fixed_tol=sim.fixed_tol, gram=gram,
+        n_t=sim.nodes_per_interval, gram=gram,
     )
     return traj, report
 
@@ -288,12 +290,12 @@ _HANDLERS = {
 }
 
 
-def run(command: str, cfg: RunConfig, out_dir=None) -> int:
-    """Execute one command; returns the process exit status."""
+def run(command: str, cfg: RunConfig, out_dir="out") -> int:
+    """Execute one command, writing into ``out_dir``; returns the process
+    exit status."""
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r}")
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output.directory)
-    return _HANDLERS[command](cfg, out)
+    return _HANDLERS[command](cfg, Path(out_dir))
 
 
 # How a failed run ends: the first row whose class the exception is an
@@ -320,12 +322,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    parser.add_argument("--out", dest="out_dir", default=argparse.SUPPRESS,
+                        help="output directory (default: out)")
+    args = vars(parser.parse_args(argv))  # out_dir only when --out is given
 
     try:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        return run(args.command, cfg, args.out)
+        cfg = parse_config(Path(args.pop("config")).read_text(encoding="utf-8"))
+        return run(args.pop("command"), cfg, **args)
     except Exception as exc:
         for cls, label, code in _FAILURES:
             if isinstance(exc, cls):

@@ -16,23 +16,25 @@ vanishes on the boundary.  Each field key fixes the shape of its value
 
 The parser reads only this syntax.  Every rule on a single value is one
 entry of the rule table ``_VALUE_CHECKS``, applied right after the value is
-read: mesh dims and resolution, Picard nodes and tolerance, and the
-dispersion direction and wavenumbers by the function the library applies
-where it uses them; each tensor by the constructor the run builds it with;
-the variant, ``t_final``, the integrator, ``sample_dofs``, ``korn_levels``
-and the output precision by rules kept here.  Rules across values run once
-every value is read: the Newmark step with its step count; each field,
-built as the run builds it, a load also evaluated at 0 and at
-``SimulationConfig.load_end`` (so a ``table`` that does not cover the run,
-or a value that overflows there, is rejected); the cell volume of valid
-dims and resolution (on ``dims``); and the material scalars ``rho``, ``j``,
-``mu`` and ``lc`` by the rule :class:`MaterialParams` applies for the
+read: mesh dims and resolution, Picard nodes, and the dispersion direction
+and wavenumbers by the function the library applies where it uses them; each
+tensor by the constructor the run builds it with; the variant, ``t_final``,
+the integrator, ``sample_dofs`` and ``korn_levels`` by rules kept here.
+Rules across values run once every value is read: the Newmark step with its
+step count; each field, built as the run builds it, a load also evaluated at
+0 and at ``SimulationConfig.load_end`` (so a ``table`` that does not cover
+the run, or a value that overflows there, is rejected); the cell volume of
+valid dims and resolution (on ``dims``); and the material scalars ``rho``,
+``j``, ``mu`` and ``lc`` by the rule :class:`MaterialParams` applies for the
 variant (under an unknown variant only the parts of that rule that hold in
 every variant).  Each broken rule is a :class:`ConfigError` entry carrying
 the value's line and key, and the entries are listed in line order.
 
 Every run embeds its fully resolved configuration in the output header, so
-outputs are reproducible from the artifact alone.
+outputs are reproducible from the artifact alone.  The configuration holds
+only what a run computes from: where the artifacts go is the caller's choice
+(``--out``), and CSV floats and the Picard sweep tolerance are constants of
+the program.
 """
 
 from __future__ import annotations
@@ -212,7 +214,6 @@ _VALUE_CHECKS = {
     "integrator": _rule((lambda name: name in ("picard", "newmark"),
                          "expected 'picard' or 'newmark'")),
     "nodes_per_interval": _check_time_nodes,
-    "fixed_tol": partial(_check_positive_finite, "fixed_tol"),
     "sample_dofs": _rule(
         (lambda dofs: all(d >= 0 for d in dofs), "dof indices must be non-negative"),
         (lambda dofs: len(set(dofs)) == len(dofs), "dof indices must not repeat"),
@@ -220,7 +221,6 @@ _VALUE_CHECKS = {
     "direction": _unit_direction,
     "k_samples": _wavenumbers,
     "korn_levels": _rule((lambda n: n >= 1, "needs at least one level")),
-    "precision": _rule((lambda p: p >= 1, "needs at least one significant digit")),
 }
 
 
@@ -275,7 +275,6 @@ class SimulationConfig:
     integrator: str = "picard"             # picard | newmark
     dt: float = 0.05                       # newmark step
     nodes_per_interval: int = 17           # picard nodes per subinterval
-    fixed_tol: float = 1e-10
     load_f: ValueSpec = ValueSpec("zero")
     load_m: ValueSpec = ValueSpec("zero")
     initial_u: ValueSpec = ValueSpec("zero")
@@ -303,18 +302,11 @@ class AnalysisConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    directory: str = "out"
-    precision: int = 17
-
-
-@dataclass(frozen=True)
 class RunConfig:
     material: MaterialConfig = MaterialConfig()
     mesh: MeshConfig = MeshConfig()
     simulation: SimulationConfig = SimulationConfig()
     analysis: AnalysisConfig = AnalysisConfig()
-    output: OutputConfig = OutputConfig()
 
 
 _SECTIONS = {
@@ -322,7 +314,6 @@ _SECTIONS = {
     "mesh": MeshConfig,
     "simulation": SimulationConfig,
     "analysis": AnalysisConfig,
-    "output": OutputConfig,
 }
 
 _KEYS = {  # config key -> (its section, its default)

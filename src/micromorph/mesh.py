@@ -205,11 +205,15 @@ def validate_mesh(mesh: BoxMesh) -> MeshDiagnostics:
         bad = int(np.argmax(vols <= 0))
         violations.append(f"cell {bad} has non-positive volume {float(vols[bad])!r}")
 
-    vol_sum = float(vols.sum())
-    box_vol = float(np.prod(mesh.dims))
-    if abs(vol_sum - box_vol) > _VOLUME_TOL * box_vol:
+    # summed in units of the Kuhn cell volume, a normal double, so that the
+    # check also holds on boxes whose volume overflows
+    unit = _cell_volume(mesh.dims, mesh.resolution)
+    unit_sum = float((vols / unit).sum())
+    vol_sum = unit_sum * unit
+    if abs(unit_sum - mesh.n_cells) > _VOLUME_TOL * mesh.n_cells:
         violations.append(
-            f"cell volumes sum to {vol_sum!r}, box volume is {box_vol!r}"
+            f"cell volumes sum to {unit_sum!r} Kuhn cell volumes of {unit!r}, "
+            f"the box holds {mesh.n_cells}"
         )
 
     faces = np.sort(

@@ -131,6 +131,38 @@ class TestCommands:
         assert code == 2
         assert "MICROMORPH-ERROR config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, issue",
+        [("[output]\ndirectory = elsewhere\n", "line 1: output: unknown section"),
+         ("[output]\nprecision = 17\n", "line 1: output: unknown section"),
+         ("[output]\n", "line 1: output: unknown section"),
+         ("[simulation]\nfixed_tol = 1e-10\n",
+          "line 2: fixed_tol: unknown key in [simulation]"),
+         ("[simulation]\nprecision = 17\n",
+          "line 2: precision: unknown key in [simulation]")],
+    )
+    def test_output_settings_and_sweep_tolerance_exit_two(self, text, issue, tmp_path,
+                                                          capsys):
+        # --out alone names the output directory; the CSV precision and the
+        # Picard sweep tolerance are constants of the program
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", str(p), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"MICROMORPH-ERROR config: {issue}")
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+    def test_out_defaults_to_out_in_the_working_directory(self, tmp_path,
+                                                          monkeypatch):
+        p = tmp_path / "empty.ini"
+        p.write_text("")
+        run_dir = tmp_path / "cwd"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main(["check", "--config", str(p)]) == 0
+        assert (run_dir / "out" / "moduli.csv").is_file()
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -305,6 +337,22 @@ class TestCommands:
         assert lines[1].startswith("# config-sha256: ")
         assert any(l.startswith("# cfg [material]") for l in lines)
         assert any(l.startswith("# columns: t,kinetic,potential") for l in lines)
+
+    def test_csv_header_names_no_output_setting(self, tmp_path):
+        # the header holds what the run computes from, not where it writes
+        p = tmp_path / "empty.ini"
+        p.write_text("")
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["check", "--config", str(p), "--out", str(out)]) == 0
+            texts.append((out / "moduli.csv").read_text())
+        assert texts[0] == texts[1]
+        cfg = [l for l in texts[0].splitlines() if l.startswith("# cfg ")]
+        assert [l for l in cfg if l.startswith("# cfg [")] == [
+            "# cfg [material]", "# cfg [mesh]", "# cfg [simulation]", "# cfg [analysis]"
+        ]
+        for word in ("output", "directory", "precision", "fixed_tol"):
+            assert not any(word in l for l in cfg), word
 
     def test_run_api_unknown_command(self):
         with pytest.raises(ValueError):
@@ -516,9 +564,6 @@ class TestRejectedValues:
          ("[mesh]\nresolution = 0 2 2\n", "resolution", 2),
          ("[mesh]\ndims = 1 1\n", "dims", 2),
          ("[simulation]\nnodes_per_interval = 2\n", "nodes_per_interval", 2),
-         ("[simulation]\nfixed_tol = -1\n", "fixed_tol", 2),
-         ("[output]\nprecision = -1\n", "precision", 2),
-         ("[output]\nprecision = 0\n", "precision", 2),
          ("[material]\nrho = -1\n", "rho", 2),
          ("[material]\nrho = nan\n", "rho", 2),
          ("[material]\nmu = 0\n", "mu", 2),
@@ -570,9 +615,6 @@ class TestRejectedValues:
          ("dispersion", "[mesh]\nresolution = 0 2 2\n"),
          ("dispersion", "[mesh]\ndims = 1 1\n"),
          ("check", "[simulation]\nnodes_per_interval = 2\n"),
-         ("simulate", "[simulation]\nfixed_tol = -1\n"),
-         ("check", "[output]\nprecision = -1\n"),
-         ("check", "[output]\nprecision = 0\n"),
          ("check", "[material]\nrho = -1\n"),
          ("simulate", "[material]\nrho = nan\n"),
          ("korn", "[material]\nmu = 0\n"),
@@ -661,6 +703,26 @@ class TestRejectedValues:
         assert proc.stdout == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dims", ["1e154 1e-154 1.0", "1.7e308 1.0 1.0"])
+    @pytest.mark.parametrize(
+        "command, integrator",
+        [("check", "picard"), ("simulate", "picard"), ("simulate", "newmark")],
+    )
+    def test_box_overflowing_in_assembly_is_one_stderr_line(self, dims, command,
+                                                            integrator, tmp_path,
+                                                            capsys):
+        # the box passes the mesh rule, its res-2 operators overflow; a numpy
+        # warning would be an error here
+        p = tmp_path / "run.ini"
+        p.write_text(f"[mesh]\ndims = {dims}\n[simulation]\nintegrator = {integrator}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "MICROMORPH-ERROR config: assembled operator is not finite: "
+            "a modulus overflows on this mesh"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["0.5 0.5", "0.5 1.0 0.5"])
     def test_repeated_wavenumber_exits_two(self, ks, tmp_path, capsys):
         # a k sampled twice would read the branch spacings there as band gaps
@@ -715,8 +777,7 @@ class TestFailureTable:
         if case == "out_is_a_file":
             argv[-1] = str(afile)
         elif case == "directory_under_a_file":
-            p.write_text(f"[output]\ndirectory = {afile / 'sub'}\n")
-            argv = argv[:3]
+            argv[-1] = str(afile / "sub")
         elif case == "undecodable":
             p.write_bytes(b"[mesh]\nresolution = 1 1 1\n# \xff\n")
         else:

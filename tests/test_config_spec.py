@@ -96,7 +96,7 @@ def test_initial_state_interpolates_each_field(key, kind):
 
 
 def test_config_defaults_are_the_library_defaults():
-    # the default material and the Picard parameters are written both as
+    # the default material and the Picard node count are written both as
     # config defaults and as library keyword defaults
     built, library = material_from_config(RunConfig()), isotropic_material()
     for f in fields(library):
@@ -109,4 +109,3 @@ def test_config_defaults_are_the_library_defaults():
     picard = inspect.signature(picard_integrate).parameters
     sim = RunConfig().simulation
     assert sim.nodes_per_interval == picard["n_t"].default
-    assert sim.fixed_tol == picard["fixed_tol"].default

@@ -56,6 +56,25 @@ class TestValidation:
         d = validate_mesh(broken)
         assert any("non-positive volume" in v for v in d.violations)
 
+    def test_huge_box_valid(self):
+        # its volume overflows; a warning would be an error here
+        d = validate_mesh(build_box_mesh((1.79e308, 2.0, 2.0), (2, 2, 2)))
+        assert d.violations == ()
+
+    @pytest.mark.parametrize(
+        "dims, resolution", [((1.0, 1.0, 1.0), (1, 1, 1)), ((1.79e308, 2.0, 2.0), (2, 2, 2))]
+    )
+    def test_permuted_cell_breaks_the_volume_sum(self, dims, resolution):
+        import dataclasses
+
+        mesh = build_box_mesh(dims, resolution)
+        cells = mesh.cells.copy()
+        cells[0, [0, 1]] = cells[0, [1, 0]]
+        d = validate_mesh(dataclasses.replace(mesh, cells=cells))
+        [orientation, volume_sum] = d.violations
+        assert "non-positive volume" in orientation
+        assert volume_sum.startswith("cell volumes sum to")
+
 
 class TestOrientation:
     def test_edges_low_to_high(self, unit_mesh_2):
