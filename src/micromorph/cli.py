@@ -63,6 +63,8 @@ _EXIT_CONFIG = 2
 _EXIT_HYPOTHESIS = 3
 _EXIT_SOLVER = 4
 
+_OUT = "out"  # output directory when --out is not given
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -290,7 +292,7 @@ _HANDLERS = {
 }
 
 
-def run(command: str, cfg: RunConfig, out_dir="out") -> int:
+def run(command: str, cfg: RunConfig, out_dir=_OUT) -> int:
     """Execute one command, writing into ``out_dir``; returns the process
     exit status."""
     if command not in _HANDLERS:
@@ -322,13 +324,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", dest="out_dir", default=argparse.SUPPRESS,
-                        help="output directory (default: out)")
-    args = vars(parser.parse_args(argv))  # out_dir only when --out is given
+    parser.add_argument("--out", default=_OUT,
+                        help=f"output directory (default: {_OUT})")
+    args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.pop("config")).read_text(encoding="utf-8"))
-        return run(args.pop("command"), cfg, **args)
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        return run(args.command, cfg, args.out)
     except Exception as exc:
         for cls, label, code in _FAILURES:
             if isinstance(exc, cls):

@@ -210,10 +210,11 @@ def validate_mesh(mesh: BoxMesh) -> MeshDiagnostics:
     unit = _cell_volume(mesh.dims, mesh.resolution)
     unit_sum = float((vols / unit).sum())
     vol_sum = unit_sum * unit
-    if abs(unit_sum - mesh.n_cells) > _VOLUME_TOL * mesh.n_cells:
+    n_box = 6 * math.prod(mesh.resolution)
+    if abs(unit_sum - n_box) > _VOLUME_TOL * n_box:
         violations.append(
             f"cell volumes sum to {unit_sum!r} Kuhn cell volumes of {unit!r}, "
-            f"the box holds {mesh.n_cells}"
+            f"the box holds {n_box}"
         )
 
     faces = np.sort(

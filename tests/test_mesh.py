@@ -75,6 +75,34 @@ class TestValidation:
         assert "non-positive volume" in orientation
         assert volume_sum.startswith("cell volumes sum to")
 
+    @pytest.mark.parametrize("dims", [(1.0, 1.0, 1.0), (1.79e308, 2.0, 2.0)])
+    def test_dropped_cell_breaks_the_volume_sum(self, dims):
+        # a cell with one boundary face leaves a hole that keeps the Euler
+        # characteristic and every remaining volume positive
+        import dataclasses
+
+        mesh = build_box_mesh(dims, (2, 2, 2))
+        faces = np.sort(
+            mesh.cells[:, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]], axis=-1
+        ).reshape(-1, 3)
+        _, inverse, counts = np.unique(
+            faces, axis=0, return_inverse=True, return_counts=True
+        )
+        boundary_faces = (counts[inverse.ravel()] == 1).reshape(-1, 4).sum(axis=1)
+        drop = int(np.flatnonzero(boundary_faces == 1)[0])
+        holed = dataclasses.replace(
+            mesh,
+            cells=np.delete(mesh.cells, drop, axis=0),
+            cell_volumes=np.delete(mesh.cell_volumes, drop),
+            cell_edges=np.delete(mesh.cell_edges, drop, axis=0),
+            cell_edge_signs=np.delete(mesh.cell_edge_signs, drop, axis=0),
+        )
+        d = validate_mesh(holed)
+        assert d.euler_characteristic == 1
+        [volume_sum] = d.violations
+        assert volume_sum.startswith("cell volumes sum to")
+        assert volume_sum.endswith("the box holds 48")
+
 
 class TestOrientation:
     def test_edges_low_to_high(self, unit_mesh_2):
