@@ -41,7 +41,7 @@ from .assembly import (
 )
 from .errors import DefinitenessError, HypothesisError
 from .fespace import FESystem
-from .linalg import extreme_generalized_eigenvalues, hermitian_dense_eig
+from .linalg import _SQUARE_SAFE, extreme_generalized_eigenvalues, hermitian_dense_eig
 from .tensors import (
     Definiteness,
     DefinitenessReport,
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 _CLAMP_TOL = 1e-10  # relative size of a negative omega^2 or a gap read as round-off
-_SQUARE_SAFE = 1e150  # largest entry in (1/this, this): a normal, finite squared norm
 
 
 @dataclass(frozen=True)

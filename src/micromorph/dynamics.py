@@ -25,7 +25,9 @@ Loads are callables t -> dual vector (or None).  The operators solved with
 must be positive definite: :class:`linalg.DefiniteSolver` certifies that by
 the inertia of their LU factor, else :class:`DefinitenessError`, and checks
 the residual of every solve.  Each trajectory's diagnostics carry the solver
-counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.
+counters ``factor_nnz``, ``solves`` and ``max_solve_residual``.  A trajectory
+whose kinetic or potential energy is not finite at some node raises
+``ValueError`` naming the first such time, and none is returned.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .analysis import _contraction_interval
 from .assembly import BlockLayout, SparseSymOperator
 from .errors import NonConvergenceError, SolverError
-from .linalg import DefiniteSolver
+from .linalg import DefiniteSolver, _square_safe_norm
 
 __all__ = [
     "DynamicState",
@@ -144,9 +146,16 @@ def _node_arrays(state0: DynamicState, n_nodes: int) -> tuple[np.ndarray, np.nda
 
 
 def _trajectory(times, positions, velocities, w1, w2, diagnostics: dict) -> Trajectory:
-    """The trajectory with its kinetic and potential energy at every node."""
+    """The trajectory with its kinetic and potential energy at every node;
+    raises ``ValueError`` naming the first node whose energy is not finite."""
     kinetic = 0.5 * w1.quadratic(velocities)
     potential = 0.5 * w2.quadratic(positions)
+    overflow = ~(np.isfinite(kinetic) & np.isfinite(potential))
+    if overflow.any():
+        raise ValueError(
+            f"the energy at t={float(times[np.argmax(overflow)])!r} is not finite: "
+            "the state overflows"
+        )
     return Trajectory(times, positions, velocities, kinetic, potential, diagnostics)
 
 
@@ -193,7 +202,11 @@ def _fixed_point(
     loads = None if load is None else np.column_stack(
         [_load_vec(load, t) for t in times]
     )
-    seed_scale = 1.0 + math.sqrt(max(gram.quadratic(w0), 0.0))
+
+    def gram_norm(w, axis):  # of one state, or of each row (axis 1) of a stack
+        return np.sqrt(np.maximum(gram.quadratic(w), 0.0))
+
+    seed_scale = 1.0 + _square_safe_norm(w0, norm=gram_norm)
     positions = np.tile(w0, (times.size, 1))  # the constant seed trajectory
     ratios: list[float] = []
     prev_diff = None
@@ -201,8 +214,8 @@ def _fixed_point(
     for sweep in range(_MAX_SWEEPS):
         acc = stationary_solve(solve, w2, positions.T, loads).T
         new_pos, velocities = _double_trapezoid(h, acc, w0, wt0)
-        # the largest Gram norm over the nodes; sqrt is monotone
-        diff = math.sqrt(max(gram.quadratic(new_pos - positions).max(), 0.0))
+        # the largest Gram norm over the nodes
+        diff = float(_square_safe_norm(new_pos - positions, axis=1, norm=gram_norm).max())
         if prev_diff is not None and prev_diff > 0:
             ratios.append(diff / prev_diff)
         positions = new_pos
@@ -263,7 +276,9 @@ def picard_integrate(
     :class:`SolverError`; delta is never stretched past 1/(2 sqrt(c_est)).  A
     subinterval not converged within ``_MAX_SWEEPS`` sweeps raises
     :class:`NonConvergenceError` carrying its ratio history.  Sweeps are
-    measured in the product norm of ``gram``.
+    measured in the product norm of ``gram``, taken square-safe
+    (``linalg._square_safe_norm``), so the stop test still tests something
+    when the squares of the states overflow.
 
     W1 is factored once for all subintervals.  ``diagnostics`` carries per
     subinterval the sweep count (``picard_iterations``), the measured

@@ -20,16 +20,24 @@ or releases the factor and raises; one factor is alive at a time.
   count certifies B > 0 before ARPACK runs: regular mode with the factor
   of B for the top end, and for the bottom end shift-invert at 0 when the
   count also certifies A > 0, regular mode otherwise.  It then holds every
-  ARPACK pair to a residual check and the bottom end to a count of
+  ARPACK pair to the eigenpair rule below and the bottom end to a count of
   A - sigma B just below it, which proves that no eigenvalue lies under it.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
-  metric, then ``numpy.linalg.eigh``; every pair is residual-checked.
+  metric, then ``numpy.linalg.eigh``; every pair meets the eigenpair rule.
 
 Every caller runs the paper's certification chain with the same settings,
-so they are constants here: solves meet a relative residual of
-``_SOLVE_TOL``, eigenpairs one of ``_EIG_TOL``, and ARPACK starts from the
-vector seeded by ``_ARPACK_SEED``, so results repeat.
+so they are constants here.  One rule accepts an eigenpair of either
+path, :func:`_accept_pairs`: its normwise backward error
+eta = ||A x - lambda B x|| / ((||A||_1 + |lambda| ||B||_1) ||x||) must be
+at most ``_ARPACK_RESIDUAL`` for an ARPACK pair and ``_DENSE_RESIDUAL``
+for a dense one.  Solves meet a relative residual of ``_SOLVE_TOL``, and
+ARPACK starts from the vector seeded by ``_ARPACK_SEED``, so results
+repeat.  Every 2-norm these checks take is :func:`_square_safe_norm`'s:
+data whose largest entry lies outside (1/``_SQUARE_SAFE``,
+``_SQUARE_SAFE``) is divided by that entry first, so no check squares an
+entry into overflow (where it would pass without testing anything, or
+refuse a correct answer) or into underflow.
 
 SuperLU factors without relaxed supernodes (``relax=1`` in
 ``_SPLU_OPTIONS``).  Its default amalgamates small subtrees of the
@@ -57,8 +65,6 @@ needs numpy only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DefinitenessError, NonConvergenceError
@@ -71,18 +77,38 @@ __all__ = [
 
 
 DENSE_CUTOFF = 64  # pencils with at most this many rows use hermitian_dense_eig
-_DENSE_RESIDUAL = 1e-10  # backward error accepted from hermitian_dense_eig
+_DENSE_RESIDUAL = 1e-10  # backward error every hermitian_dense_eig pair must meet
+_ARPACK_RESIDUAL = 1e-12  # backward error every ARPACK pair must meet
 _HERMITIAN_TOL = 1e-10  # relative asymmetry accepted in its H and G
 _SOLVE_TOL = 1e-13  # relative residual every factored solve must meet
-_EIG_TOL = 1e-8  # relative residual every extreme eigenpair must meet
+_SQUARE_SAFE = 1e150  # largest entry in (1/this, this): a normal, finite squared norm
 _ARPACK_SEED = 7  # seed of ARPACK's start vector
-_ROUNDOFF = 1e-12  # backward error accepted where lambda ~ 0 leaves no scale
 _ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
 _SPLU_OPTIONS = dict(  # every factor: diagonal pivots, no relaxed supernodes
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
     options=dict(SymmetricMode=True, Equil=False),
 )
+
+
+def _square_safe_norm(x: np.ndarray, axis=None, norm=np.linalg.norm):
+    """``norm(x, axis=axis)``, Euclidean by default, for a homogeneous norm
+    that reduces ``axis``, taken where no square over- or underflows.
+
+    A slice whose largest magnitude s lies outside (1/``_SQUARE_SAFE``,
+    ``_SQUARE_SAFE``) is divided by s and its norm multiplied by s; when no
+    slice does, ``x`` is used as it is, the same bits with no scaled copy.  A
+    slice holding inf or NaN has norm NaN, which every acceptance test
+    counts as a miss.
+    """
+    mag = np.abs(x) if np.iscomplexobj(x) else x
+    s = np.maximum(mag.max(axis, keepdims=True), -mag.min(axis, keepdims=True))
+    s = np.where((1 / _SQUARE_SAFE < s) & (s < _SQUARE_SAFE) | (s == 0), 1.0, s)
+    if np.all(s == 1.0):
+        return norm(x, axis=axis)
+    with np.errstate(invalid="ignore"):  # an infinite entry: inf / inf is NaN
+        n = norm(x / s, axis=axis)
+    return n * s.reshape(np.shape(n))
 
 
 def _symmetric_lu(mat):
@@ -150,8 +176,8 @@ class DefiniteSolver:
 
     def _relative_residuals(self, x: np.ndarray, b: np.ndarray):
         r = b - self._mat @ x
-        norm_b = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-        return r, np.linalg.norm(r, axis=0) / norm_b
+        norm_b = np.maximum(_square_safe_norm(b, axis=0), np.finfo(float).tiny)
+        return r, _square_safe_norm(r, axis=0) / norm_b
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -216,19 +242,25 @@ def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
     return arpack(sigma=0.0, which="LM", OPinv=a_inv)
 
 
-def _check_pair(a_mat, b_mat, lam: float, x: np.ndarray) -> None:
-    import scipy.sparse.linalg as spla
-
-    ax, bx = a_mat @ x, b_mat @ x
-    res = float(np.linalg.norm(ax - lam * bx))
-    scale = max(float(np.linalg.norm(ax)), abs(lam) * float(np.linalg.norm(bx)))
-    roundoff = _ROUNDOFF * (spla.norm(a_mat, 1) + abs(lam) * spla.norm(b_mat, 1))
-    if res > max(_EIG_TOL * scale, roundoff * float(np.linalg.norm(x))):
-        rel = res / scale if scale else math.inf
+def _accept_pairs(a, b, lam: np.ndarray, x: np.ndarray, tol: float) -> None:
+    """Accept the eigenpairs (``lam[..., j]``, ``x[..., :, j]``) of the
+    pencil (A, B), sparse matrices or dense (..., n, n) stacks, when each
+    has normwise backward error
+    eta = ||A x - lambda B x|| / ((||A||_1 + |lambda| ||B||_1) ||x||) <= tol
+    (Higham & Higham, SIAM J. Matrix Anal. Appl., 1998), its 2-norms
+    square-safe; else raise :class:`NonConvergenceError` carrying the worst
+    eta, NaN for a pair that is not finite."""
+    a_norm, b_norm = (  # ||M||_1, the largest column sum of |M|, against lam
+        np.asarray(abs(m).sum(axis=-2)).max(axis=-1)[..., None] for m in (a, b)
+    )
+    scale = (a_norm + np.abs(lam) * b_norm) * _square_safe_norm(x, axis=-2)
+    residual = _square_safe_norm(a @ x - lam[..., None, :] * (b @ x), axis=-2)
+    eta = residual / np.maximum(scale, np.finfo(float).tiny)  # an exact pair: 0
+    if not np.all(eta <= tol):  # NaN misses too
+        worst = float(np.max(eta))
         raise NonConvergenceError(
-            f"eigenpair lambda={lam!r} fails its residual check "
-            f"({rel:.3g} > {_EIG_TOL!r})",
-            residual=rel,
+            f"eigenpair fails its residual check (backward error {worst:.3g} > {tol!r})",
+            residual=worst,
         )
 
 
@@ -239,10 +271,10 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
     signed).
 
     Raises :class:`DefinitenessError` when B is not positive definite and
-    :class:`NonConvergenceError` when the pair has ||Ax - lambda Bx|| >
-    ``_EIG_TOL`` max(||Ax||, |lambda| ||Bx||) above round-off; pencils of at
-    most ``DENSE_CUTOFF`` rows meet the check of :func:`hermitian_dense_eig`
-    instead.
+    :class:`NonConvergenceError` when ARPACK's pair has a backward error
+    above ``_ARPACK_RESIDUAL`` (:func:`_accept_pairs`); pencils of at most
+    ``DENSE_CUTOFF`` rows meet :func:`hermitian_dense_eig`'s tolerance
+    ``_DENSE_RESIDUAL`` instead.
     """
     import scipy.sparse
 
@@ -263,7 +295,7 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
     lam, x = _sparse_pair(a_mat, b_mat, which)
     if which == "smallest":
         _certify_minimum(a_mat, b_mat, lam)
-    _check_pair(a_mat, b_mat, lam, x)
+    _accept_pairs(a_mat, b_mat, np.array([lam]), x[:, None], _ARPACK_RESIDUAL)
     return lam
 
 
@@ -279,7 +311,8 @@ def hermitian_dense_eig(h, g) -> np.ndarray:
     The Cholesky factor G = L L^H reduces each pencil to the standard
     problem of L^-1 H L^-H.  Raises :class:`DefinitenessError` when G has no
     Cholesky factor and :class:`NonConvergenceError` when a pair misses
-    ||H z - lambda G z|| <= 1e-10 (||H||_1 + |lambda| ||G||_1) ||z||.
+    ||H z - lambda G z|| <= ``_DENSE_RESIDUAL`` (||H||_1 + |lambda| ||G||_1) ||z||,
+    the backward-error rule of :func:`_accept_pairs` with square-safe norms.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[-1]
@@ -296,13 +329,5 @@ def hermitian_dense_eig(h, g) -> np.ndarray:
         raise DefinitenessError(f"pencil metric is not positive definite: {exc}")
     lam, y = np.linalg.eigh(np.linalg.solve(chol, _adjoint(np.linalg.solve(chol, h))))
     z = np.linalg.solve(_adjoint(chol), y)
-    residual = np.linalg.norm(h @ z - lam[..., None, :] * (g @ z), axis=-2)
-    h_norm, g_norm = (np.linalg.norm(x, 1, axis=(-2, -1))[..., None] for x in (h, g))
-    scale = (h_norm + np.abs(lam) * g_norm) * np.linalg.norm(z, axis=-2)
-    if not np.all(residual <= _DENSE_RESIDUAL * scale):  # NaN misses too
-        worst = float(np.max(residual / np.maximum(scale, np.finfo(float).tiny)))
-        raise NonConvergenceError(
-            f"dense eigenpair fails its residual check (backward error {worst:.3g})",
-            residual=worst,
-        )
+    _accept_pairs(h, g, lam, z, _DENSE_RESIDUAL)
     return lam

@@ -1030,3 +1030,62 @@ def test_simulate_rejects_sample_dofs_before_assembling(tmp_path, capsys, monkey
     assert ("MICROMORPH-ERROR config: sample_dofs [99999] out of range: "
             "the system has n_dofs = 81") in err
     assert calls == []
+
+
+def _data_rows(csv_path):
+    return [
+        [float(x) for x in line.split(",")]
+        for line in csv_path.read_text().splitlines()
+        if line and not line.startswith("#") and not line[0].isalpha()
+    ]
+
+
+class TestHugeData:
+    """Data whose squares overflow: every check still tests something, a run
+    that succeeds prints nothing on stderr, and a failed one prints one line."""
+
+    @pytest.mark.parametrize("modulus", ["1e200", "1e300"])
+    def test_dispersion_of_huge_moduli_is_clean(self, modulus, tmp_path):
+        proc = _cli_subprocess(
+            "dispersion", f"[material]\nc_e = isotropic {modulus} 0\n", tmp_path
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = _data_rows(tmp_path / "o" / "dispersion.csv")
+        assert rows and np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("modulus", ["1e160", "1e200"])
+    def test_newmark_on_huge_moduli_is_one_stderr_line(self, modulus, tmp_path):
+        proc = _cli_subprocess("simulate", (
+            f"[material]\nc_e = isotropic {modulus} 0\n[mesh]\nresolution = 2 2 2\n"
+            "[simulation]\nintegrator = newmark\ndt = 0.1\nt_final = 0.1\n"
+            "initial_u = sine 1\n"
+        ), tmp_path)
+        assert proc.returncode == 4
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("MICROMORPH-ERROR solver: ")
+
+    @staticmethod
+    def _sine_run(integrator, amplitude):
+        return (
+            "[material]\nc_e = isotropic 1.0 -1.0\n"
+            f"[simulation]\nintegrator = {integrator}\nt_final = 0.3\n"
+            f"initial_u = sine {amplitude}\n"
+        )
+
+    @pytest.mark.parametrize("integrator", ["picard", "newmark"])
+    def test_overflowing_energy_exits_two(self, integrator, tmp_path):
+        proc = _cli_subprocess("simulate", self._sine_run(integrator, "1e154"), tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "MICROMORPH-ERROR config: the energy at t=0.0 is not finite: "
+            "the state overflows"
+        ]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("integrator", ["picard", "newmark"])
+    def test_huge_finite_energy_is_written(self, integrator, tmp_path):
+        proc = _cli_subprocess("simulate", self._sine_run(integrator, "1e150"), tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = np.array(_data_rows(tmp_path / "o" / "trajectory.csv"))
+        assert np.isfinite(rows).all()
+        assert rows[0, 2] == pytest.approx(6.5e300, rel=1e-12)  # potential at t = 0

@@ -271,6 +271,36 @@ class TestPicardIntegrate:
         assert np.array_equal(t1.positions, t2.positions)
         assert np.array_equal(t1.velocities, t2.velocities)
 
+    def test_sweeps_do_not_depend_on_the_scale_of_the_data(self, sys_2, demo_material,
+                                                           rng):
+        # the Gram norms of a 1e200 state square past overflow unless they are
+        # scaled first; W1 and W2 shrink by 1e-100, so the energies stay finite
+        from micromorph.analysis import (
+            contraction_constant,
+            discrete_boundedness,
+            discrete_coercivity,
+        )
+
+        w1 = assemble_w1(demo_material, sys_2)
+        w2 = assemble_w2(demo_material, sys_2)
+        gram = assemble_gram(sys_2)
+        c, _ = contraction_constant(
+            discrete_coercivity(w1, gram), discrete_boundedness(w2, gram)
+        )
+        n = sys_2.n_dofs
+        w, wt = rng.standard_normal(n), rng.standard_normal(n)
+
+        def run(data, operators):
+            s0 = DynamicState.from_vectors(w1.layout, 0.0, data * w, data * wt)
+            a, b = (SparseSymOperator(operators * op.matrix, op.layout) for op in (w1, w2))
+            return picard_integrate(s0, a, b, None, 0.3, c, gram=gram)
+
+        ref, big = run(1.0, 1.0), run(1e200, 1e-100)
+        assert big.diagnostics["picard_iterations"] == [5, 5]
+        assert ref.diagnostics["picard_iterations"] == [5, 5]
+        error = np.abs(big.positions / 1e200 - ref.positions).max()
+        assert error <= 1e-13 * np.abs(ref.positions).max()
+
 
 class TestNewmark:
     def test_scalar_amplitude_and_energy(self, oscillator):
@@ -501,6 +531,30 @@ class TestFactoredPath:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("integrator", ["picard", "newmark"])
+    def test_overflowing_start_names_time_zero(self, oscillator, integrator):
+        w1, w2, _, omega = oscillator
+        s0 = DynamicState.from_vectors(w1.layout, 0.0, [1e160], [0.0])
+        with pytest.raises(ValueError, match=r"energy at t=0\.0 is not finite"):
+            if integrator == "picard":
+                picard_integrate(s0, w1, w2, None, 1.0, omega**2 * np.sqrt(2),
+                                 gram=euclid(w1))
+            else:
+                newmark_integrate(s0, w1, w2, None, 0.1, 10)
+
+    def test_energy_overflowing_mid_run_names_its_first_node(self, oscillator):
+        # from rest under force f, x = (f / omega^2)(1 - cos omega t), so the
+        # quadratic forms v^T W1 v and x^T W2 x, twice the energies, are
+        # Q sin^2(omega t) and Q (1 - cos omega t)^2 with Q = f^2 / omega^2;
+        # this Q keeps the first finite, and the second overflows between the
+        # nodes t = 1.0 and t = 1.1
+        w1, w2, _, omega = oscillator
+        crossing = (1 - np.cos(2.1)) ** 2  # omega t = 2.1, t = 1.05
+        f = omega * np.sqrt(np.finfo(float).max / crossing)
+        s0 = DynamicState.zero(w1.layout)
+        with pytest.raises(ValueError, match=r"energy at t=1\.1"):
+            newmark_integrate(s0, w1, w2, lambda t: np.array([f]), 0.1, 15)
+
     def test_zero_state(self, oscillator):
         w1, w2, _, _ = oscillator
         s0 = DynamicState.zero(w1.layout)

@@ -430,6 +430,32 @@ class TestDefiniteSolver:
         with pytest.raises(NonConvergenceError):
             solve(b)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200])
+    def test_wrong_solve_is_refined_at_every_scale_of_b(self, monkeypatch, scale):
+        # the squares of ||b|| overflow above ~1e154; the check must still see
+        # the first solve's 1e-8 error, refine it and warn of nothing
+        perturb_factors(monkeypatch, 1e-8, bad_calls=1)
+        solve = DefiniteSolver(2.0 * sp.eye(50, format="csr"))
+        b = np.full(50, scale)
+        np.testing.assert_array_equal(solve(b), b / 2)
+        assert solve.max_residual == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_square_safe_norm_scales_only_out_of_range_slices(self, rng, scale):
+        x = rng.standard_normal((30, 4))
+        np.testing.assert_array_equal(
+            linalg._square_safe_norm(x, axis=0), np.linalg.norm(x, axis=0)
+        )
+        ref = np.linalg.norm(x, axis=0) * [1.0, scale, scale, 1.0]
+        x[:, 1:3] *= scale
+        np.testing.assert_allclose(linalg._square_safe_norm(x, axis=0), ref, rtol=1e-15)
+
+    def test_square_safe_norm_of_a_non_finite_slice_is_nan(self):
+        x = np.array([[1.0, np.inf, np.nan, 0.0], [1e200, 1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(
+            linalg._square_safe_norm(x, axis=0), [1e200, np.nan, np.nan, 0.0]
+        )
+
 
 class TestHermitianDense:
     def test_real_diagonal(self):
@@ -462,6 +488,14 @@ class TestHermitianDense:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+    def test_scaled_pencil_scales_its_eigenvalues(self, rng, s):
+        # no residual norm squares an entry into over- or underflow, and a
+        # warning would be an error here
+        h, g = hermitian(rng, (8, 8)), hpd(rng, (8, 8))
+        w = hermitian_dense_eig(h, g)
+        np.testing.assert_allclose(hermitian_dense_eig(s * h, g), s * w, rtol=1e-12)
 
 
 def hermitian(rng, shape):
