@@ -224,9 +224,11 @@ def korn_curl_constant(sys: FESystem) -> float:
 
     Largest eigenvalue C of (mass + curl-curl, sym-mass + curl-curl); a
     finite C with positive definite right form certifies
-    ||P||^2 + ||Curl P||^2 <= C (||sym P||^2 + ||Curl P||^2) discretely.
-    Always >= 1 because the forms differ by the skew mass, which is
-    nonnegative.
+    ||P||^2 + ||Curl P||^2 <= C (||sym P||^2 + ||Curl P||^2) on this
+    space.  C is a lower bound on the continuum constant: the spaces of
+    nested meshes are nested, so refining can only raise it (1.018, 1.810
+    and 1.951 at res 1, 2 and 4 on the unit box).  Always >= 1 because the
+    forms differ by the skew mass, which is nonnegative.
     """
     if sys.n_p_dofs < 1:
         raise ValueError("micro-distortion space has no degrees of freedom")

@@ -15,13 +15,17 @@ or releases the factor and raises; one factor is alive at a time.
   certify nothing more.
 * :func:`extreme_generalized_eigenvalues` - one end of the spectrum of a
   symmetric pencil (A, B) of sparse or dense matrices, B positive
-  definite.  Pencils of at most ``DENSE_CUTOFF`` rows go to
-  :func:`hermitian_dense_eig`, the one dense solver.  For larger ones the
-  count certifies B > 0 before ARPACK runs: regular mode with the factor
-  of B for the top end, and for the bottom end shift-invert at 0 when the
-  count also certifies A > 0, regular mode otherwise.  It then holds every
-  ARPACK pair to the eigenpair rule below and the bottom end to a count of
-  A - sigma B just below it, which proves that no eigenvalue lies under it.
+  definite, and the one door into ARPACK: it decides each end in the
+  order its certificate needs.  Pencils of at most ``DENSE_CUTOFF`` rows
+  go to :func:`hermitian_dense_eig`, the one dense solver.  For larger
+  ones the count of B's factor certifies B > 0 first (A = 0 then returns
+  0).  ARPACK runs once, in regular mode with that factor (``which`` as
+  ``_ARPACK_WHICH`` spells it for each end), except at the bottom end,
+  where B's factor dies and A's is built: shift-invert at 0 when its
+  count certifies A > 0, regular mode on a new factor of B otherwise.
+  The bottom end is then held to a count of A - sigma B just below it,
+  which proves that no eigenvalue lies under it, and every ARPACK pair to
+  the eigenpair rule below.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
   or of a stack of them in one batched call: Cholesky reduction of the
   metric, then ``numpy.linalg.eigh``; every pair meets the eigenpair rule.
@@ -37,7 +41,10 @@ repeat.  Every 2-norm these checks take is :func:`_square_safe_norm`'s:
 data whose largest entry lies outside (1/``_SQUARE_SAFE``,
 ``_SQUARE_SAFE``) is divided by that entry first, so no check squares an
 entry into overflow (where it would pass without testing anything, or
-refuse a correct answer) or into underflow.
+refuse a correct answer) or into underflow.  By the same range test
+(:func:`_out_of_range_max`), :func:`_accept_pairs` first brings A and B
+into range by powers of two, lambda with them, so that no 1-norm sum
+||A||_1 + |lambda| ||B||_1 overflows into an inf scale either.
 
 SuperLU factors without relaxed supernodes (``relax=1`` in
 ``_SPLU_OPTIONS``).  Its default amalgamates small subtrees of the
@@ -83,7 +90,7 @@ _HERMITIAN_TOL = 1e-10  # relative asymmetry accepted in its H and G
 _SOLVE_TOL = 1e-13  # relative residual every factored solve must meet
 _SQUARE_SAFE = 1e150  # largest entry in (1/this, this): a normal, finite squared norm
 _ARPACK_SEED = 7  # seed of ARPACK's start vector
-_ARPACK_WHICH = {"largest": "LA", "magnitude": "LM"}
+_ARPACK_WHICH = {"smallest": "SA", "largest": "LA", "magnitude": "LM"}  # regular mode
 _MINIMUM_GAP = 1e-6  # relative shift under m1 at which its inertia count runs
 _SPLU_OPTIONS = dict(  # every factor: diagonal pivots, no relaxed supernodes
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
@@ -91,24 +98,50 @@ _SPLU_OPTIONS = dict(  # every factor: diagonal pivots, no relaxed supernodes
 )
 
 
+def _out_of_range_max(x: np.ndarray, axis=None) -> np.ndarray:
+    """The largest magnitude s of each slice of ``x`` over ``axis`` (kept as
+    length-1 axes) where s lies outside (1/``_SQUARE_SAFE``,
+    ``_SQUARE_SAFE``), 1 where it lies inside or is 0: the one range test of
+    :func:`_square_safe_norm` and :func:`_into_range`."""
+    mag = np.abs(x) if np.iscomplexobj(x) else x
+    s = np.maximum(mag.max(axis, keepdims=True), -mag.min(axis, keepdims=True))
+    return np.where((1 / _SQUARE_SAFE < s) & (s < _SQUARE_SAFE) | (s == 0), 1.0, s)
+
+
 def _square_safe_norm(x: np.ndarray, axis=None, norm=np.linalg.norm):
     """``norm(x, axis=axis)``, Euclidean by default, for a homogeneous norm
     that reduces ``axis``, taken where no square over- or underflows.
 
     A slice whose largest magnitude s lies outside (1/``_SQUARE_SAFE``,
-    ``_SQUARE_SAFE``) is divided by s and its norm multiplied by s; when no
-    slice does, ``x`` is used as it is, the same bits with no scaled copy.  A
-    slice holding inf or NaN has norm NaN, which every acceptance test
-    counts as a miss.
+    ``_SQUARE_SAFE``) is divided by s, or by the smallest normal number when
+    s is subnormal (a complex division takes 1 / s, which would overflow),
+    and its norm multiplied back; when no slice is out of range, ``x`` is
+    used as it is, the same bits with no scaled copy.  A slice holding inf
+    or NaN has norm NaN, which every acceptance test counts as a miss.
     """
-    mag = np.abs(x) if np.iscomplexobj(x) else x
-    s = np.maximum(mag.max(axis, keepdims=True), -mag.min(axis, keepdims=True))
-    s = np.where((1 / _SQUARE_SAFE < s) & (s < _SQUARE_SAFE) | (s == 0), 1.0, s)
+    s = _out_of_range_max(x, axis)
     if np.all(s == 1.0):
         return norm(x, axis=axis)
+    s = np.maximum(s, np.finfo(float).tiny)
     with np.errstate(invalid="ignore"):  # an infinite entry: inf / inf is NaN
         n = norm(x / s, axis=axis)
     return n * s.reshape(np.shape(n))
+
+
+def _into_range(m):
+    """``(m / 2**e, e)`` for sparse ``m``, e of shape (1,), or for each
+    (n, n) slice of a dense stack, e of shape (..., 1, 1): e brings the
+    largest magnitude of a slice out of range (:func:`_out_of_range_max`)
+    into [1, 2), or as near as a normal power of two goes, and is 0 for a
+    slice in range.  Where every e is 0, ``m`` comes back as it is, the
+    same bits with no scaled copy."""
+    sparse = not isinstance(m, np.ndarray)
+    s = _out_of_range_max(m.data if sparse else m, None if sparse else (-2, -1))
+    e = np.where(s == 1.0, 0, np.maximum(np.frexp(s)[1] - 1, -1022))
+    if not e.any():
+        return m, e
+    p = np.ldexp(1.0, -e)
+    return m * (p.item() if sparse else p), e
 
 
 def _symmetric_lu(mat):
@@ -216,32 +249,6 @@ def _certify_minimum(a_mat, b_mat, lam: float) -> None:
         )
 
 
-def _sparse_pair(a_mat, b_mat, which: str) -> tuple[float, np.ndarray]:
-    """ARPACK's pair at one end of (A, B), A nonzero, after B's factor
-    certifies B > 0; each run sees one live factor, and none outlives it."""
-    import scipy.sparse.linalg as spla
-
-    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(a_mat.shape[0])
-
-    def arpack(**kwargs):
-        try:
-            w, v = spla.eigsh(a_mat, k=1, M=b_mat, v0=v0, **kwargs)
-        except spla.ArpackError as exc:
-            raise NonConvergenceError(f"ARPACK ({kwargs['which']}) failed: {exc}")
-        return float(w[0]), v[:, 0]
-
-    if which != "smallest":
-        minv = DefiniteSolver(b_mat, "B").inverse()
-        return arpack(which=_ARPACK_WHICH[which], Minv=minv)
-    DefiniteSolver(b_mat, "B")  # the certificate alone: its factor dies here
-    try:
-        a_inv = DefiniteSolver(a_mat, "A").inverse()
-    except DefinitenessError:  # A is not > 0: regular mode
-        return arpack(which="SA", Minv=DefiniteSolver(b_mat, "B").inverse())
-    # A > 0: the eigenvalue nearest 0 is the smallest
-    return arpack(sigma=0.0, which="LM", OPinv=a_inv)
-
-
 def _accept_pairs(a, b, lam: np.ndarray, x: np.ndarray, tol: float) -> None:
     """Accept the eigenpairs (``lam[..., j]``, ``x[..., :, j]``) of the
     pencil (A, B), sparse matrices or dense (..., n, n) stacks, when each
@@ -249,7 +256,12 @@ def _accept_pairs(a, b, lam: np.ndarray, x: np.ndarray, tol: float) -> None:
     eta = ||A x - lambda B x|| / ((||A||_1 + |lambda| ||B||_1) ||x||) <= tol
     (Higham & Higham, SIAM J. Matrix Anal. Appl., 1998), its 2-norms
     square-safe; else raise :class:`NonConvergenceError` carrying the worst
-    eta, NaN for a pair that is not finite."""
+    eta, NaN for a pair that is not finite.  A and B are scaled into range
+    first (:func:`_into_range`), lambda with them, which leaves eta as it
+    is: no sum or product here overflows into an inf scale that would pass
+    the pair untested."""
+    (a, e_a), (b, e_b) = _into_range(a), _into_range(b)
+    lam = np.ldexp(lam, (e_b - e_a)[..., 0])
     a_norm, b_norm = (  # ||M||_1, the largest column sum of |M|, against lam
         np.asarray(abs(m).sum(axis=-2)).max(axis=-1)[..., None] for m in (a, b)
     )
@@ -271,14 +283,17 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
     signed).
 
     Raises :class:`DefinitenessError` when B is not positive definite and
-    :class:`NonConvergenceError` when ARPACK's pair has a backward error
-    above ``_ARPACK_RESIDUAL`` (:func:`_accept_pairs`); pencils of at most
-    ``DENSE_CUTOFF`` rows meet :func:`hermitian_dense_eig`'s tolerance
-    ``_DENSE_RESIDUAL`` instead.
+    :class:`NonConvergenceError` when ARPACK fails, when its pair has a
+    backward error above ``_ARPACK_RESIDUAL`` (:func:`_accept_pairs`) or
+    when a smallest one has an eigenvalue below it (:func:`_certify_minimum`);
+    pencils of at most ``DENSE_CUTOFF`` rows meet
+    :func:`hermitian_dense_eig`'s tolerance ``_DENSE_RESIDUAL`` instead.
+    Every ARPACK run sees one live factor, and none outlives it.
     """
     import scipy.sparse
+    import scipy.sparse.linalg as spla
 
-    if which not in ("smallest", *_ARPACK_WHICH):
+    if which not in _ARPACK_WHICH:
         raise ValueError(f"unknown which={which!r}")
     a_mat = scipy.sparse.csr_matrix(a)
     b_mat = scipy.sparse.csr_matrix(b)
@@ -289,14 +304,25 @@ def extreme_generalized_eigenvalues(a, b, which: str) -> float:
         w = hermitian_dense_eig(a_mat.toarray(), b_mat.toarray())
         at = {"smallest": 0, "largest": -1, "magnitude": int(np.argmax(np.abs(w)))}
         return float(w[at[which]])
+    mode = dict(which=_ARPACK_WHICH[which], Minv=DefiniteSolver(b_mat, "B").inverse())
     if a_mat.count_nonzero() == 0:  # every vector is an eigenvector of 0
-        DefiniteSolver(b_mat, "B")  # B > 0 all the same
         return 0.0
-    lam, x = _sparse_pair(a_mat, b_mat, which)
     if which == "smallest":
-        _certify_minimum(a_mat, b_mat, lam)
-    _accept_pairs(a_mat, b_mat, np.array([lam]), x[:, None], _ARPACK_RESIDUAL)
-    return lam
+        mode = None  # B's factor dies before A's is built
+        try:  # A > 0: the eigenvalue nearest 0 is the smallest
+            mode = dict(sigma=0.0, which="LM", OPinv=DefiniteSolver(a_mat, "A").inverse())
+        except DefinitenessError:  # regular mode on a new factor of B
+            mode = dict(which=_ARPACK_WHICH[which], Minv=DefiniteSolver(b_mat, "B").inverse())
+    try:  # the start vector dies with the run, like the factor below
+        w, v = spla.eigsh(a_mat, k=1, M=b_mat, **mode,
+                          v0=np.random.default_rng(_ARPACK_SEED).standard_normal(n))
+    except spla.ArpackError as exc:
+        raise NonConvergenceError(f"ARPACK ({mode['which']}) failed: {exc}")
+    del mode  # its factor dies before the count's is built
+    if which == "smallest":
+        _certify_minimum(a_mat, b_mat, float(w[0]))
+    _accept_pairs(a_mat, b_mat, w, v, _ARPACK_RESIDUAL)
+    return float(w[0])
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:

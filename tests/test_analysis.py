@@ -681,6 +681,21 @@ class TestBatchedDispersion:
         with pytest.raises(HypothesisError, match=r"at k=\S*\b0\.0\b"):
             dispersion_curves(quasistatic, (1, 0, 0), [1.0, 0.0, 2.0])
 
+    def test_doubled_eigenvalue_of_a_huge_pencil_fails_residual_check(self, monkeypatch):
+        # ||B||_1 + |omega^2| ||A||_1 overflows on this pencil unless it is
+        # scaled into range first; an inf scale would pass the pair untested
+        real = np.linalg.eigh
+
+        def doubled(m):
+            lam, y = real(m)
+            lam[-1, 11] *= 2.0  # the top branch at k = 3
+            return lam, y
+
+        monkeypatch.setattr(np.linalg, "eigh", doubled)
+        params = isotropic_material(elastic=(4e306, 0.0))
+        with pytest.raises(NonConvergenceError, match="backward error"):
+            dispersion_curves(params, (1, 0, 0), np.linspace(0.0, 3.0, 13))
+
     def test_singular_rate_symbol_is_refused(self):
         # a singular rate symbol whose smallest eigenvalue rounds to -1.8e-16;
         # a Cholesky factor can still exist for such a symbol, so only the

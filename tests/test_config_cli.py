@@ -586,7 +586,12 @@ class TestRejectedValues:
          (OVERFLOWING_LOAD_F_NEWMARK, "load_f", 5),
          (OVERFLOWING_LOAD_M, "load_m", 3),
          (OVERFLOWING_POWER, "load_f", 3),
-         (OVERFLOWING_MODULI, "c_e", 2)],
+         (OVERFLOWING_MODULI, "c_e", 2),
+         ("[mesh]\nresolution = 2 2\n", "resolution", 2),
+         ("[material]\nl_aniso = isotropic 1 2\n", "l_aniso", 2),
+         ("[simulation]\nload_f = table 0 1 2 3 | 0 4 5 6\n", "load_f", 2),
+         ("[analysis]\ndirection = 1 0\n", "direction", 2),
+         ("[analysis]\nk_samples =\n", "k_samples", 2)],
     )
     def test_out_of_range_integer_names_its_line(self, text, key, line):
         # the overflowing modulus warns while its tensor is built
@@ -1044,7 +1049,7 @@ class TestHugeData:
     """Data whose squares overflow: every check still tests something, a run
     that succeeds prints nothing on stderr, and a failed one prints one line."""
 
-    @pytest.mark.parametrize("modulus", ["1e200", "1e300"])
+    @pytest.mark.parametrize("modulus", ["1e200", "1e300", "4e306", "8e306"])
     def test_dispersion_of_huge_moduli_is_clean(self, modulus, tmp_path):
         proc = _cli_subprocess(
             "dispersion", f"[material]\nc_e = isotropic {modulus} 0\n", tmp_path

@@ -297,6 +297,40 @@ class TestSparsePath:
         extreme_generalized_eigenvalues(sp.diags(d, format="csr"), b, which=which)
         assert seen == [(run, 1)]
 
+    @pytest.mark.parametrize(
+        "which, a_kind, factors",
+        [
+            ("largest", "indefinite", ["B"]),
+            ("magnitude", "indefinite", ["B"]),
+            ("smallest", "definite", ["B", "A", "A - sigma B"]),
+            ("smallest", "indefinite", ["B", "A (refused)", "B", "A - sigma B"]),
+            *[(which, "zero", ["B"]) for which in ("smallest", "largest", "magnitude")],
+            *[(which, "dense", []) for which in ("smallest", "largest", "magnitude")],
+        ],
+    )
+    def test_factor_sequence_of_each_end(self, rng, monkeypatch, which, a_kind, factors):
+        # the SuperLU factors each end builds, in order; a refused one counted
+        # a negative pivot
+        real_lu = linalg._symmetric_lu
+        n = DENSE_CUTOFF if a_kind == "dense" else N_SPARSE
+        d = {"zero": np.zeros(n), "definite": np.linspace(0.1, 5.0, n)}.get(
+            a_kind, np.linspace(-2.0, 5.0, n)
+        )
+        a = sp.diags(d, format="csr")
+        b = sp.diags(rng.uniform(1.0, 2.0, n), format="csr")
+        seen = []
+
+        def recorded(mat):
+            lu, negatives = real_lu(mat)
+            name = next((name for name, m in (("A", a), ("B", b)) if (mat != m).nnz == 0),
+                        "A - sigma B")
+            seen.append(name if negatives == 0 else f"{name} (refused)")
+            return lu, negatives
+
+        monkeypatch.setattr(linalg, "_symmetric_lu", recorded)
+        extreme_generalized_eigenvalues(a, b, which=which)
+        assert seen == factors
+
     def test_unknown_end_rejected(self):
         with pytest.raises(ValueError, match="which"):
             extreme_generalized_eigenvalues(sp.eye(3), sp.eye(3), which="middle")
@@ -456,6 +490,13 @@ class TestDefiniteSolver:
             linalg._square_safe_norm(x, axis=0), [1e200, np.nan, np.nan, 0.0]
         )
 
+    def test_square_safe_norm_of_a_subnormal_complex_slice(self):
+        # a complex division by s takes 1 / s, which overflows for s < 5.6e-309
+        x = np.array([[0.0, 3e-309], [1.0, 4e-309j]])
+        np.testing.assert_allclose(
+            linalg._square_safe_norm(x, axis=0), [1.0, 5e-309], rtol=1e-12
+        )
+
 
 class TestHermitianDense:
     def test_real_diagonal(self):
@@ -489,7 +530,7 @@ class TestHermitianDense:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
-    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200, 1e307])
     def test_scaled_pencil_scales_its_eigenvalues(self, rng, s):
         # no residual norm squares an entry into over- or underflow, and a
         # warning would be an error here
