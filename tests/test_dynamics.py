@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from micromorph.assembly import (
@@ -685,6 +685,8 @@ class TestLoadedFESystem:
         load_name=st.sampled_from(sorted(BALANCE_LOADS)),
     )
     @settings(max_examples=20, deadline=None)
+    # a double top eigenvalue of (W2, G): one ARPACK pair misses its rule there
+    @example(seed=248, variant=ModelVariant.FULL_INERTIA, load_name="poly")
     def test_energy_balance_on_random_materials(self, sys_2, seed, variant, load_name):
         # potential moduli of either sign, so W2 may be indefinite; rate
         # moduli that pass the checklist in every variant

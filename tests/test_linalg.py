@@ -210,6 +210,25 @@ class TestSparsePath:
                 extreme_generalized_eigenvalues(a, b, which=which)
             assert err.value.residual > 1e-8
 
+    def test_missed_pair_reruns_asking_for_two(self, rng, monkeypatch):
+        # asked for one pair, ARPACK can return a double end mixed with its copy
+        real = scipy.sparse.linalg.eigsh
+        asked = []
+
+        def one_pair_off(*args, **kwargs):
+            asked.append(kwargs["k"])
+            w, v = real(*args, **kwargs)
+            return (w * (1.0 + 1e-6), v) if kwargs["k"] == 1 else (w, v)
+
+        a = sp.csr_matrix(sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-1, 3, N_SPARSE)))
+        b = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        lo, hi = scipy.linalg.eigh(a.toarray(), b.toarray(), eigvals_only=True)[[0, -1]]
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", one_pair_off)
+        for which, end in (("smallest", lo), ("largest", hi), ("magnitude", max(lo, hi, key=abs))):
+            asked.clear()
+            assert extreme_generalized_eigenvalues(a, b, which) == pytest.approx(end, rel=1e-12)
+            assert asked == [1, 2]
+
     def test_single_ends_match_both(self, rng):
         a_d = sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-1, 3, N_SPARSE))
         a = sp.csr_matrix(a_d)
