@@ -74,10 +74,15 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class SparseSymOperator:
-    """Assembled symmetric bilinear form over the constrained dofs."""
+    """Assembled symmetric bilinear form over the constrained dofs.
+
+    ``spec`` is the form :func:`assemble_form` assembled it from, whose
+    plane-wave symbol bounds its spectrum on every mesh; None for an
+    operator built otherwise, such as a block or a scaled matrix."""
 
     matrix: sp.csr_matrix = field(repr=False)
     layout: BlockLayout
+    spec: FormSpec | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.matrix.shape[0]
@@ -324,7 +329,7 @@ def assemble_form(sys: FESystem, spec: FormSpec) -> SparseSymOperator:
         raise ValueError(
             "assembled operator is not finite: a modulus overflows on this mesh"
         )
-    return SparseSymOperator(matrix, BlockLayout(sys.n_u_dofs, sys.n_p_dofs))
+    return SparseSymOperator(matrix, BlockLayout(sys.n_u_dofs, sys.n_p_dofs), spec)
 
 
 def assemble_w1(params: MaterialParams, sys: FESystem) -> SparseSymOperator:

@@ -357,12 +357,13 @@ def newmark_integrate(
     if n_steps < 1:
         raise ValueError("need at least one step")
     times = state0.t + dt * np.arange(n_steps + 1)
-    positions, velocities = _node_arrays(state0, n_steps + 1)
 
     initial = DefiniteSolver(w1.matrix)
-    a = stationary_solve(initial, w2, positions[0], _load_vec(load, times[0]))
+    a = stationary_solve(initial, w2, state0.position, _load_vec(load, times[0]))
     initial.close()  # one factor alive at a time
     step = DefiniteSolver(w1.matrix + shift * w2.matrix)
+    # after both counts: the node arrays reuse the memory the counts freed
+    positions, velocities = _node_arrays(state0, n_steps + 1)
     for k in range(n_steps):
         u_pred = positions[k] + dt * velocities[k] + dt * dt * (0.5 - _BETA) * a
         v_pred = velocities[k] + dt * (1.0 - _GAMMA) * a

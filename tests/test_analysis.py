@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from micromorph.analysis import (
     _CLAMP_TOL,
     _plane_wave_symbol,
+    _symbol_floor,
     check_hypotheses,
     contraction_constant,
     detect_band_gaps,
@@ -652,6 +653,56 @@ class TestSymbolBracket:
             # so the discrete c bounds the continuum c from below
             c_h, _ = contraction_constant(m1, m2)
             assert c_h < contraction_constant(m1_sym, m2_sym)[0]
+
+
+class TestSymbolFloor:
+    """The floor m1's eigensolve starts from: the sampled infimum of the
+    symbols (A_W1, A_G) less a margin, under m1_h on every mesh."""
+
+    def test_demo_floor_lies_just_under_its_infimum(self, demo_material):
+        floor = _symbol_floor(form_spec_w1(demo_material), form_spec_gram())
+        infimum = 2.0 - math.sqrt(2.0)   # approached as k -> inf
+        assert infimum * (1 - 1e-6) < floor < infimum
+
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(ModelVariant)))
+    @settings(max_examples=20, deadline=None)
+    def test_floor_lies_under_dense_m1_on_random_materials(self, sys_2, seed, variant):
+        # isotropic rate moduli that pass the checklist in every variant
+        rng = np.random.default_rng(seed)
+        zero_length = variant is ModelVariant.ZERO_LENGTH_SCALE
+        params = isotropic_material(
+            variant=variant, length_scale=0.0 if zero_length else rng.uniform(0.1, 2.0),
+            rho=rng.uniform(0.1, 3.0), micro_inertia=rng.uniform(0.1, 3.0),
+            inertia_elastic=(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)),
+            inertia_coupling=rng.uniform(0.0, 1.0),
+            inertia_micro=(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)),
+            inertia_curvature=rng.uniform(0.5, 2.0),
+        )
+        floor = _symbol_floor(form_spec_w1(params), form_spec_gram())
+        w1, gram = assemble_w1(params, sys_2), assemble_gram(sys_2)
+        m1_h = scipy.linalg.eigh(w1.to_dense(), gram.to_dense(), eigvals_only=True)[0]
+        assert 0.0 <= floor <= m1_h
+        if variant is ModelVariant.QUASISTATIC:
+            assert floor == 0.0   # a uniform wave carries no rate energy
+
+    def test_assembled_operators_pass_their_floor(self, sys_2, demo_material,
+                                                  monkeypatch):
+        # an operator without its form (here a copy) starts the search at 0
+        import micromorph.analysis
+
+        w1, gram = assemble_w1(demo_material, sys_2), assemble_gram(sys_2)
+        real = micromorph.analysis.extreme_generalized_eigenvalues
+        floors = []
+
+        def recorded(a, b, which, below=0.0):
+            floors.append(below)
+            return real(a, b, which, below)
+
+        monkeypatch.setattr(micromorph.analysis, "extreme_generalized_eigenvalues", recorded)
+        m1 = discrete_coercivity(w1, gram)
+        from_zero = discrete_coercivity(dataclasses.replace(w1, spec=None), gram)
+        assert from_zero == pytest.approx(m1, rel=1e-12)
+        assert floors == [_symbol_floor(form_spec_w1(demo_material), form_spec_gram()), 0.0]
 
 
 class TestBatchedDispersion:

@@ -19,6 +19,7 @@ from micromorph.config import (
     initial_state_from_config,
     load_from_config,
     material_from_config,
+    mesh_from_config,
     parse_config,
     serialize_config,
 )
@@ -415,6 +416,33 @@ def test_factorizations_per_command(command, simulation, calls, tmp_path,
     p.write_text(DEMO.replace("[simulation]\n", "[simulation]\n" + simulation))
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 0
     assert len(factored) == calls
+
+
+def test_check_on_a_large_box_matches_the_dense_m1(tmp_path):
+    """On a box of side 1e6, m1 = 1 - 1.3e-10, where shift-invert at 0 did
+    not converge; started from the symbol floor, m1 matches a Jacobi-scaled
+    dense reference."""
+    import scipy.linalg
+
+    from micromorph.assembly import assemble_gram, assemble_w1
+    from micromorph.fespace import build_fe_system
+
+    text = "[mesh]\ndims = 1e6 1e6 1e6\nresolution = 3 3 3\n"
+    p = tmp_path / "big.ini"
+    p.write_text(text)
+    assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    row = next(line for line in (tmp_path / "o" / "moduli.csv").read_text().splitlines()
+               if line.startswith("coercivity_m1,"))
+    m1 = float(row.split(",")[2])
+
+    cfg = parse_config(text)
+    sys_ = build_fe_system(mesh_from_config(cfg))
+    w1 = assemble_w1(material_from_config(cfg), sys_).to_dense()
+    gram = assemble_gram(sys_).to_dense()
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    dense = scipy.linalg.eigh(scale[:, None] * w1 * scale, scale[:, None] * gram * scale,
+                              eigvals_only=True)[0]
+    assert m1 == pytest.approx(dense, rel=1e-10)
 
 
 # materials that check calls not well posed: no positive definite micro-rate

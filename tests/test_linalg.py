@@ -350,6 +350,44 @@ class TestSparsePath:
         extreme_generalized_eigenvalues(a, b, which=which)
         assert seen == factors
 
+    @pytest.mark.parametrize(
+        "ratio, factors",
+        [(0.9, ["B", "A - below B", "A - sigma B"]),
+         (1.1, ["B", "A - below B (refused)", "A", "A - sigma B"])],
+    )
+    def test_floor_shifts_the_bottom_end_or_falls_back(self, rng, monkeypatch, ratio,
+                                                       factors):
+        # a floor under m1 passes its count and is the shift; one above m1
+        # is refused by its count, and the run is the one at 0, bit for bit
+        real_lu, real_eigsh = linalg._symmetric_lu, scipy.sparse.linalg.eigsh
+        a = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        b = sp.csr_matrix(diagonally_dominant(rng, N_SPARSE))
+        m1 = extreme_generalized_eigenvalues(a, b, "smallest")
+        below = ratio * m1
+        named = (("A", a), ("B", b), ("A - below B", a - below * b))
+        seen, shifts = [], []
+
+        def recorded(mat):
+            lu, negatives = real_lu(mat)
+            name = next((name for name, m in named if (mat != m).nnz == 0), "A - sigma B")
+            seen.append(name if negatives == 0 else f"{name} (refused)")
+            return lu, negatives
+
+        def shifted(*args, **kwargs):
+            shifts.append(kwargs["sigma"])
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_symmetric_lu", recorded)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted)
+        lam = extreme_generalized_eigenvalues(a, b, "smallest", below=below)
+        assert seen == factors
+        if ratio < 1:
+            assert shifts == [below]
+            assert lam == pytest.approx(m1, rel=1e-12)
+        else:
+            assert shifts == [0.0]
+            assert lam == m1
+
     def test_unknown_end_rejected(self):
         with pytest.raises(ValueError, match="which"):
             extreme_generalized_eigenvalues(sp.eye(3), sp.eye(3), which="middle")
