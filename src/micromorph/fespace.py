@@ -32,9 +32,6 @@ __all__ = [
     "interpolate_p",
 ]
 
-N_LOCAL = 30  # 4 vertices x 3 components + 6 edges x 3 rows
-
-
 @dataclass(frozen=True)
 class DofMap:
     n_dofs: int
@@ -95,7 +92,8 @@ class FESystem:
         """Sorted keys ``row * n_dofs + col``, row <= col, of every pair of
         free dofs that share a cell: the upper triangle of the sparsity
         pattern of every assembled form.  Built on first use from the
-        dof-cell incidence matrix, then kept.
+        boolean dof-cell incidence matrix, whose product with its transpose
+        is the pattern (only its structure is read), then kept.
         """
         import scipy.sparse as sp
 
@@ -103,7 +101,7 @@ class FESystem:
         free = self.cell_dofs >= 0
         cells = np.nonzero(free)[0]
         incidence = sp.csr_matrix(
-            (np.ones(cells.size), (self.cell_dofs[free], cells)),
+            (np.ones(cells.size, dtype=bool), (self.cell_dofs[free], cells)),
             shape=(n, self.mesh.n_cells),
         )
         pairs = (incidence @ incidence.T).tocsr()
@@ -156,22 +154,12 @@ def _cell_grad_hats(mesh: BoxMesh) -> np.ndarray:
 
 def _cell_dof_table(mesh: BoxMesh, u_map: DofMap, p_map: DofMap) -> np.ndarray:
     nc = mesh.n_cells
-    table = -np.ones((nc, N_LOCAL), dtype=int)
-    vrank = u_map.entity_rank[mesh.cells]            # (nc, 4)
-    for a in range(4):
-        for i in range(3):
-            col = 3 * a + i
-            r = vrank[:, a]
-            table[:, col] = np.where(r >= 0, 3 * r + i, -1)
-    erank = p_map.entity_rank[mesh.cell_edges]       # (nc, 6)
-    n_int = p_map.n_dofs // 3
-    offset = u_map.n_dofs
-    for e in range(6):
-        for i in range(3):
-            col = 12 + 3 * e + i
-            r = erank[:, e]
-            table[:, col] = np.where(r >= 0, offset + i * n_int + r, -1)
-    return table
+    row = np.arange(3)
+    vrank = u_map.entity_rank[mesh.cells][:, :, None]        # (nc, 4, 1)
+    erank = p_map.entity_rank[mesh.cell_edges][:, :, None]   # (nc, 6, 1)
+    u = np.where(vrank >= 0, 3 * vrank + row, -1)
+    p = np.where(erank >= 0, u_map.n_dofs + row * (p_map.n_dofs // 3) + erank, -1)
+    return np.concatenate([u.reshape(nc, 12), p.reshape(nc, 18)], axis=1)
 
 
 def build_fe_system(mesh: BoxMesh) -> FESystem:

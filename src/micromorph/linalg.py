@@ -59,6 +59,14 @@ refuse a correct answer) or into underflow.  By the same range test
 into range by powers of two, lambda with them, so that no 1-norm sum
 ||A||_1 + |lambda| ||B||_1 overflows into an inf scale either.
 
+SuperLU reads the certified CSR through its CSC view ``mat.T``, the same
+``data``/``indices``/``indptr`` arrays and no copy: every matrix factored
+here is exactly symmetric and canonical by construction (assembled as
+U + U^T, or a block or linear combination of such), so that view is the
+matrix itself.  A non-symmetric input would be factored as its transpose,
+and the residual check of every :class:`DefiniteSolver` solve, taken on
+the CSR itself, refuses that.
+
 SuperLU factors without relaxed supernodes (``relax=1`` in
 ``_SPLU_OPTIONS``).  Its default amalgamates small subtrees of the
 elimination tree into supernodes and stores their explicit zeros as
@@ -159,18 +167,19 @@ def _into_range(m):
 
 
 def _symmetric_lu(mat):
-    """SuperLU factor of symmetric ``mat`` and its count of negative
-    eigenvalues.  SuperLU factors with diagonal pivots in a symmetric
+    """SuperLU factor of the exactly symmetric, canonical CSR ``mat`` and
+    its count of negative eigenvalues.  SuperLU reads ``mat.T``, the CSC
+    view of the same arrays, which is M itself when M = M^T (see the module
+    docstring).  SuperLU factors with diagonal pivots in a symmetric
     ordering, P M P^T = L D L^T, and D has as many negative entries as M
     has negative eigenvalues.  Both are None when M is exactly singular or
     a zero pivot forced an off-diagonal one (``perm_r != perm_c``).  The
     factor's cached ``L`` and ``U`` copies are empty: its ``nnz``,
     permutations and solves are those of a fresh factor."""
-    import scipy.sparse
     import scipy.sparse.linalg as spla
 
     try:
-        lu = spla.splu(scipy.sparse.csc_matrix(mat), **_SPLU_OPTIONS)
+        lu = spla.splu(mat.T, **_SPLU_OPTIONS)
     except RuntimeError:
         return None, None
     if not np.array_equal(lu.perm_r, lu.perm_c):

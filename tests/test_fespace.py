@@ -221,3 +221,27 @@ class TestInterpolation:
             r = sys_2.p_map.entity_rank[e]
             got = np.array([coeffs[row * n_int + r] for row in range(3)])
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def loop_built_dof_table(sys):
+    """(nc, 30) cell-dof table built entry by entry from the module layouts."""
+    mesh, n_int = sys.mesh, sys.n_p_dofs // 3
+    table = -np.ones((mesh.n_cells, 30), dtype=int)
+    for c in range(mesh.n_cells):
+        for a, v in enumerate(mesh.cells[c]):
+            r = sys.u_map.entity_rank[v]
+            for i in range(3):
+                table[c, 3 * a + i] = 3 * r + i if r >= 0 else -1
+        for e, edge in enumerate(mesh.cell_edges[c]):
+            r = sys.p_map.entity_rank[edge]
+            for i in range(3):
+                table[c, 12 + 3 * e + i] = sys.n_u_dofs + i * n_int + r if r >= 0 else -1
+    return table
+
+
+class TestCellDofTable:
+    @pytest.mark.parametrize("res", [(1, 1, 1), (2, 2, 2), (3, 2, 4)])
+    def test_matches_loop_built_reference(self, res):
+        sys = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), res))
+        assert sys.cell_dofs.dtype == np.dtype(int)
+        np.testing.assert_array_equal(sys.cell_dofs, loop_built_dof_table(sys))

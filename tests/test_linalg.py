@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micromorph import build_box_mesh, build_fe_system, linalg
-from micromorph.assembly import assemble_w1, assemble_w2
+from micromorph.assembly import FormSpec, assemble_form, assemble_gram, assemble_w1, assemble_w2
 from micromorph.errors import DefinitenessError, NonConvergenceError
 from micromorph.linalg import (
     DENSE_CUTOFF,
@@ -18,6 +18,7 @@ from micromorph.linalg import (
     extreme_generalized_eigenvalues,
     hermitian_dense_eig,
 )
+from micromorph.tensors import isotropic_curvature, isotropic_elastic
 
 
 def spd(rng, n, shift=None):
@@ -165,6 +166,63 @@ class TestSparsePath:
         b = rng.standard_normal((step_operator.shape[0], 3))
         np.testing.assert_array_equal(solve(b), fresh.solve(b))
         np.testing.assert_array_equal(solve(b[:, 0]), fresh.solve(b[:, 0]))
+
+    def test_factor_reads_the_certified_csr_in_place(self, step_operator, monkeypatch):
+        # SuperLU gets the CSC view of the solver's own CSR arrays, no copy
+        real = scipy.sparse.linalg.splu
+        received = []
+
+        def recorded(mat, **options):
+            received.append(mat)
+            return real(mat, **options)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+        solve = DefiniteSolver(step_operator)
+        (mat,) = received
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(mat, name), getattr(solve._mat, name))
+
+    @pytest.mark.parametrize("res", [2, 3])
+    @pytest.mark.parametrize("operator", ["W1", "step", "W1 - sigma Gram", "Gram", "Korn right"])
+    def test_factor_equals_that_of_a_csc_copy(self, demo_material, rng, res, operator):
+        system = build_fe_system(build_box_mesh((1.0, 1.0, 1.0), (res, res, res)))
+        w1 = assemble_w1(demo_material, system).matrix
+        gram = assemble_gram(system).matrix
+        korn_right = assemble_form(system, FormSpec(  # as in korn_curl_constant
+            sym_micro=isotropic_elastic(0.5, 0.0), curl=isotropic_curvature(1.0),
+            curl_coeff=1.0,
+        )).p_block().matrix
+        mat = {
+            "W1": w1,
+            "step": w1 + 1e-4 * assemble_w2(demo_material, system).matrix,
+            "W1 - sigma Gram": w1 - 0.59 * gram,
+            "Gram": gram,
+            "Korn right": korn_right,
+        }[operator]
+        lu, negatives = linalg._symmetric_lu(mat)
+        fresh = scipy.sparse.linalg.splu(sp.csc_matrix(mat), **linalg._SPLU_OPTIONS)
+        np.testing.assert_array_equal(lu.perm_r, fresh.perm_r)
+        np.testing.assert_array_equal(lu.perm_c, fresh.perm_c)
+        assert negatives == int(np.count_nonzero(fresh.U.diagonal() < 0))
+        b = rng.standard_normal(mat.shape[0])
+        np.testing.assert_array_equal(lu.solve(b), fresh.solve(b))
+
+    def test_csr_csc_and_dense_inputs_agree(self, rng):
+        # every input becomes the same canonical CSR before it is factored
+        a_d = sparse_symmetric(rng, N_SPARSE) + np.diag(rng.uniform(-1, 3, N_SPARSE))
+        b_d = diagonally_dominant(rng, N_SPARSE)
+        rhs = rng.standard_normal(N_SPARSE)
+        results = [
+            (
+                DefiniteSolver(form(b_d))(rhs),
+                extreme_generalized_eigenvalues(form(a_d), form(b_d), "smallest"),
+                extreme_generalized_eigenvalues(form(a_d), form(b_d), "largest"),
+            )
+            for form in (sp.csr_matrix, sp.csc_matrix, np.asarray)
+        ]
+        for x, lo, hi in results[1:]:
+            np.testing.assert_array_equal(x, results[0][0])
+            assert (lo, hi) == results[0][1:]
 
     def test_saddle_point_takes_fallback(self, rng):
         m = N_SPARSE // 2
