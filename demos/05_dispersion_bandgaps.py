@@ -2,7 +2,9 @@
 
 Substituting plane waves into the strong-form balance equations (gradient
 -> i k (amplitude x direction), row-wise curl -> i k cross product) turns
-the model into a 12x12 Hermitian pencil w^2 A(k) z = B(k) z.  The branches
+the model into a 12x12 Hermitian pencil w^2 A(k) z = B(k) z, which
+multiplying the displacement amplitude by i makes real symmetric; the
+package solves that real form.  The branches
 split into 3 acoustic (zero at k = 0, because the potential operator cannot
 see a constant displacement amplitude) and 9 optic ones.  The hallmark of
 the gradient micro-inertia terms: A(k) grows with k^2 like B(k), so every

@@ -15,10 +15,12 @@ bottom cluster of the pencil.
 The dispersion calculator substitutes plane waves u = u0 exp(i(k d.x - w t)),
 P = P0 exp(i(k d.x - w t)) into the strong-form balance equations with zero
 loads: the gradient becomes i k (u0 x d^T) and the row-wise curl becomes the
-i k cross-product map, yielding a 12 x 12 Hermitian pencil
-w^2 A(k) z = B(k) z whose A and B are the symbols of the rate-energy
-(inertia) and potential forms.  Every field is f0 z + i k f1 z, so a symbol
-is exactly quadratic in k: A(k) = A0 + k A1 + k^2 A2.  The symbol of any
+i k cross-product map, yielding a 12 x 12 pencil w^2 A(k) z = B(k) z
+whose A and B are the symbols of the rate-energy (inertia) and potential
+forms.  Every field is f0 z + i k f1 z, so a symbol is exactly quadratic
+in k: A(k) = A0 + k A1 + k^2 A2.  It is Hermitian, and one diagonal
+unitary similarity makes it real symmetric (:func:`_plane_wave_symbol`),
+so the floor of m1 and the dispersion pencil are real.  The symbol of any
 :class:`~micromorph.assembly.FormSpec` is built once per direction from
 :func:`~micromorph.assembly.form_terms`, the reading the FE kernel uses too,
 and all wavenumber samples are solved in one batched eigensolve.
@@ -74,6 +76,7 @@ _CLAMP_TOL = 1e-10  # relative size of a negative omega^2 or a gap read as round
 _FLOOR_KS = np.concatenate([[0.0], np.logspace(-3, 3, 240)])  # wavenumbers of m1's floor
 _FLOOR_DIRECTION = np.array([1.0, 0.0, 0.0])  # the one direction they run along
 _FLOOR_MARGIN = 1e-6  # relative drop of the sampled floor under its infimum
+_EIGVALSH_ERROR = 12 * np.finfo(float).eps  # eigvalsh's absolute error over ||A||_1, n = 12
 
 
 @dataclass(frozen=True)
@@ -193,24 +196,17 @@ def _symbol_floor(spec: FormSpec, metric: FormSpec) -> float:
     mass (the quasistatic variant) vanishes on a uniform wave, so its
     floor is 0.
 
-    Multiplying the displacement amplitude by i, a diagonal unitary
-    similarity, makes each symbol real symmetric (the only complex part,
-    k S1, couples u to P), so the batch is reduced by a real Cholesky
-    factor of the metric's symbol.
+    The batch is reduced by a real Cholesky factor of the metric's symbol.
     """
-    powers = _FLOOR_KS[:, None] ** np.arange(3)
-    phase = np.diag(np.r_[np.full(3, 1j), np.ones(9)])
-    with np.errstate(all="ignore"):  # a symbol that overflows has floor 0
-        a, g = (np.tensordot(powers, (phase.conj() @ _plane_wave_symbol(s, _FLOOR_DIRECTION)
-                                      @ phase).real, 1) for s in (spec, metric))
-        if not (np.isfinite(a).all() and np.isfinite(g).all()):
-            return 0.0
-        try:
-            chol = np.linalg.cholesky(g)
-            half = np.linalg.solve(chol, a)
-            low = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.swapaxes(-1, -2))).min())
-        except np.linalg.LinAlgError:  # a metric symbol that is not definite
-            return 0.0
+    a, g = _symbols((spec, metric), _FLOOR_DIRECTION, _FLOOR_KS)
+    if not (np.isfinite(a).all() and np.isfinite(g).all()):
+        return 0.0   # a symbol that overflows has floor 0
+    try:
+        chol = np.linalg.cholesky(g)
+        half = np.linalg.solve(chol, a)
+        low = float(np.linalg.eigvalsh(np.linalg.solve(chol, half.swapaxes(-1, -2))).min())
+    except np.linalg.LinAlgError:  # a metric symbol that is not definite
+        return 0.0
     return low * (1.0 - _FLOOR_MARGIN) if 0.0 < low < math.inf else 0.0
 
 
@@ -303,11 +299,20 @@ def korn_curl_constant(sys: FESystem) -> float:
 
 
 def _plane_wave_symbol(spec: FormSpec, d: np.ndarray) -> np.ndarray:
-    """(S0, S1, S2) stacked (3, 12, 12): the Hermitian symbol S(k) = S0 +
-    k S1 + k^2 S2 of the form ``spec`` on plane waves along the unit ``d``,
-    so that the form of two waves of amplitudes z, z' is z'^H S(k) z.  z
-    stacks the displacement amplitude (3) and the row-major
-    micro-distortion amplitude (9)."""
+    """(S0, S1, S2) stacked (3, 12, 12): the real symmetric symbol S(k) =
+    S0 + k S1 + k^2 S2 of the form ``spec`` on plane waves along the unit
+    ``d``.  z stacks the displacement amplitude (3) and the row-major
+    micro-distortion amplitude (9).
+
+    On the waves of amplitudes z, z' the form is z'^H H(k) z with H(k)
+    Hermitian, because every field is (f0 + i k f1) z.  Only the field
+    grad u - P has both a k^0 part (P only) and a k^1 part (u only), so
+    the imaginary part i k (C - C^T), C = f0^T M f1, couples u to P and
+    nothing else.  The diagonal unitary similarity D = diag(i I_3, I_9),
+    which multiplies the displacement amplitude by i, therefore gives
+    S(k) = D^H H(k) D with S0 and S2 unchanged and S1 = -(C + C^T): a real
+    symmetric symbol, and every pencil of two such symbols has the
+    eigenvalues and definiteness of its Hermitian one."""
     # the fields of amplitude z are (f0 + i k f1) z:
     # grad u = i k (u (x) d) and row i of Curl P is i k (d x P_i)
     u, p = np.eye(12)[:3], np.eye(12)[3:]
@@ -326,7 +331,16 @@ def _plane_wave_symbol(spec: FormSpec, d: np.ndarray) -> np.ndarray:
     for name, block in form_terms(spec):
         m[at[name]:at[name] + len(block), at[name]:at[name] + len(block)] += block
     cross = f0.T @ m @ f1
-    return np.stack([f0.T @ m @ f0, 1j * (cross - cross.T), f1.T @ m @ f1])
+    return np.stack([f0.T @ m @ f0, -(cross + cross.T), f1.T @ m @ f1])
+
+
+def _symbols(specs, d: np.ndarray, ks: np.ndarray) -> tuple:
+    """The symbol S(k) of each form of ``specs`` along the unit ``d`` at
+    every wavenumber of ``ks``, each stacked (n_k, 12, 12); a k^2 that
+    overflows leaves entries inf or NaN, for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = ks[:, None] ** np.arange(3)
+        return tuple(np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
 
 
 @dataclass(frozen=True)
@@ -405,28 +419,29 @@ def dispersion_curves(
 
     Negative squared frequencies within 1e-10 (relative) of zero are
     round-off and clamped to zero; anything more negative is reported as an
-    unstable branch.  A rate-energy pencil that is not positive definite
-    violates the inertia hypotheses and raises :class:`HypothesisError`,
-    except at k = 0, where a singular one only means that a uniform wave
-    carries no rate energy: that error asks for k > 0 instead.  A pencil
-    that is not finite (k^2 overflows) raises ``ValueError``.
+    unstable branch.  A rate-energy pencil whose smallest eigenvalue is not
+    above the round-off bound of ``eigvalsh``, 12 eps ||A(k)||_1, is not
+    certified positive definite: that violates the inertia hypotheses and
+    raises :class:`HypothesisError`, except at k = 0, where a singular one
+    only means that a uniform wave carries no rate energy: that error asks
+    for k > 0 instead.  A pencil that is not finite (k^2 overflows) raises
+    ``ValueError``.
     """
     d = _unit_direction(direction)
     ks = _wavenumbers(k_samples)
-    specs = (form_spec_w1(params), form_spec_w2(params))
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = ks[:, None] ** np.arange(3)
-        a, b = (np.tensordot(powers, _plane_wave_symbol(s, d), 1) for s in specs)
+    a, b = _symbols((form_spec_w1(params), form_spec_w2(params)), d, ks)
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
     if not finite.all():
         k = float(ks[np.argmin(finite)])
         raise ValueError(f"k_samples: the plane-wave pencil at k={k!r} is not finite")
     a_min = np.linalg.eigvalsh(a)[:, 0]
-    bad = np.flatnonzero(a_min <= 0)
+    bound = _EIGVALSH_ERROR * np.abs(a).sum(axis=1).max(axis=1)  # n eps ||A(k)||_1
+    bad = np.flatnonzero(a_min <= bound)
     if bad.size:
         s = bad[0]
         k, low = float(ks[s]), float(a_min[s])
-        where = f"rate-energy pencil not positive definite at k={k!r} (min eigenvalue {low!r})"
+        where = (f"rate-energy pencil not certified positive definite at k={k!r} "
+                 f"(min eigenvalue {low!r} not above its round-off bound {float(bound[s])!r})")
         if k == 0.0 and low >= -_CLAMP_TOL * np.abs(a[s]).max():
             raise HypothesisError(
                 f"{where}: a uniform wave carries no rate energy in this material, "

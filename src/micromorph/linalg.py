@@ -39,9 +39,12 @@ or releases the factor and raises; one factor is alive at a time.
   (``_ARPACK_PAIRS``): asked for one, ARPACK can return a double end as
   a mix of its two copies, with a backward error above the rule, and
   asked for two it resolves both.
-* :func:`hermitian_dense_eig` - all eigenvalues of a dense Hermitian pencil
-  or of a stack of them in one batched call: Cholesky reduction of the
-  metric, then ``numpy.linalg.eigh``; every pair meets the eigenpair rule.
+* :func:`hermitian_dense_eig` - all eigenvalues of a dense real symmetric
+  pencil or of a stack of them in one batched call: Cholesky reduction of
+  the metric, then ``numpy.linalg.eigh``; every pair meets the eigenpair
+  rule.  Every array here is real: the plane-wave symbols of ``analysis``
+  are made real symmetric where they are built, and a complex pencil is
+  refused rather than cast.
 
 Every caller runs the paper's certification chain with the same settings,
 so they are constants here.  One rule accepts an eigenpair of either
@@ -125,8 +128,7 @@ def _out_of_range_max(x: np.ndarray, axis=None) -> np.ndarray:
     length-1 axes) where s lies outside (1/``_SQUARE_SAFE``,
     ``_SQUARE_SAFE``), 1 where it lies inside or is 0: the one range test of
     :func:`_square_safe_norm` and :func:`_into_range`."""
-    mag = np.abs(x) if np.iscomplexobj(x) else x
-    s = np.maximum(mag.max(axis, keepdims=True), -mag.min(axis, keepdims=True))
+    s = np.maximum(x.max(axis, keepdims=True), -x.min(axis, keepdims=True))
     return np.where((1 / _SQUARE_SAFE < s) & (s < _SQUARE_SAFE) | (s == 0), 1.0, s)
 
 
@@ -135,16 +137,14 @@ def _square_safe_norm(x: np.ndarray, axis=None, norm=np.linalg.norm):
     that reduces ``axis``, taken where no square over- or underflows.
 
     A slice whose largest magnitude s lies outside (1/``_SQUARE_SAFE``,
-    ``_SQUARE_SAFE``) is divided by s, or by the smallest normal number when
-    s is subnormal (a complex division takes 1 / s, which would overflow),
-    and its norm multiplied back; when no slice is out of range, ``x`` is
-    used as it is, the same bits with no scaled copy.  A slice holding inf
-    or NaN has norm NaN, which every acceptance test counts as a miss.
+    ``_SQUARE_SAFE``) is divided by s and its norm multiplied back; when no
+    slice is out of range, ``x`` is used as it is, the same bits with no
+    scaled copy.  A slice holding inf or NaN has norm NaN, which every
+    acceptance test counts as a miss.
     """
     s = _out_of_range_max(x, axis)
     if np.all(s == 1.0):
         return norm(x, axis=axis)
-    s = np.maximum(s, np.finfo(float).tiny)
     with np.errstate(invalid="ignore"):  # an infinite entry: inf / inf is NaN
         n = norm(x / s, axis=axis)
     return n * s.reshape(np.shape(n))
@@ -373,35 +373,35 @@ def _end(w: np.ndarray, which: str) -> int:
     return int(np.argmax({"smallest": -w, "largest": w, "magnitude": np.abs(w)}[which]))
 
 
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
-
-
 def hermitian_dense_eig(h, g) -> np.ndarray:
-    """All eigenvalues (ascending) of H z = lambda G z for dense Hermitian
-    H and Hermitian positive definite G, or of each pencil of (..., n, n)
-    stacks in one batched call.
+    """All eigenvalues (ascending) of H z = lambda G z for dense real
+    symmetric H and symmetric positive definite G, or of each pencil of
+    (..., n, n) stacks in one batched call.
 
-    The Cholesky factor G = L L^H reduces each pencil to the standard
-    problem of L^-1 H L^-H.  Raises :class:`DefinitenessError` when G has no
-    Cholesky factor and :class:`NonConvergenceError` when a pair misses
+    The Cholesky factor G = L L^T reduces each pencil to the standard
+    problem of L^-1 H L^-T.  Raises ``ValueError`` on complex H or G
+    (casting them would drop the imaginary part), :class:`DefinitenessError`
+    when G has no Cholesky factor and :class:`NonConvergenceError` when a
+    pair misses
     ||H z - lambda G z|| <= ``_DENSE_RESIDUAL`` (||H||_1 + |lambda| ||G||_1) ||z||,
     the backward-error rule of :func:`_accept_pairs` with square-safe norms.
     """
-    h = np.asarray(h, dtype=complex)
+    if np.iscomplexobj(h) or np.iscomplexobj(g):
+        raise ValueError("H and G must be real: a complex pencil is not supported")
+    h = np.asarray(h, dtype=float)
     n = h.shape[-1]
     if h.ndim < 2 or h.shape[-2] != n:
         raise ValueError("H must be square")
-    g = np.broadcast_to(np.asarray(g, dtype=complex), h.shape)
+    g = np.broadcast_to(np.asarray(g, dtype=float), h.shape)
     for name, x in (("H", h), ("G", g)):
         scale = np.maximum(np.abs(x).max(axis=(-2, -1)), 1e-300)
-        if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > _HERMITIAN_TOL * scale):
+        if np.any(np.abs(x - x.swapaxes(-1, -2)).max(axis=(-2, -1)) > _HERMITIAN_TOL * scale):
             raise ValueError(f"{name} is not Hermitian within tolerance")
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(f"pencil metric is not positive definite: {exc}")
-    lam, y = np.linalg.eigh(np.linalg.solve(chol, _adjoint(np.linalg.solve(chol, h))))
-    z = np.linalg.solve(_adjoint(chol), y)
+    lam, y = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, h).swapaxes(-1, -2)))
+    z = np.linalg.solve(chol.swapaxes(-1, -2), y)
     _accept_pairs(h, g, lam, z, _DENSE_RESIDUAL)
     return lam

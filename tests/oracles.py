@@ -339,15 +339,21 @@ def strong_form_pencil(params, direction, k: float):
 
 
 def plane_wave_pencil(params, direction, k: float):
-    """The 12 x 12 pencil (A, B) that ``dispersion_curves`` solves at one
-    wavenumber: the symbols of W1 and W2 evaluated at ``k``, so tests can
-    set it against :func:`strong_form_pencil`."""
+    """The Hermitian 12 x 12 pencil (A, B) of W1 and W2 at one wavenumber:
+    the package's real symbols S, which ``dispersion_curves`` solves,
+    evaluated at ``k`` and mapped back as D S D^H with D = diag(i I_3, I_9),
+    so tests can set it entry by entry against :func:`strong_form_pencil`,
+    which never applies that similarity."""
     from micromorph.analysis import _plane_wave_symbol
     from micromorph.assembly import form_spec_w1, form_spec_w2
 
     d = np.asarray(direction, dtype=float)
+    phase = np.r_[np.full(3, 1j), np.ones(9)]
     symbols = (_plane_wave_symbol(f(params), d) for f in (form_spec_w1, form_spec_w2))
-    return tuple(s[0] + k * s[1] + k * k * s[2] for s in symbols)
+    return tuple(
+        phase[:, None] * (s[0] + k * s[1] + k * k * s[2]) * phase.conj()[None, :]
+        for s in symbols
+    )
 
 
 # ---------------------------------------------------------------------------

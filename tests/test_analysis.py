@@ -515,7 +515,7 @@ class TestBandGaps:
             material_from_config(cfg), cfg.analysis.direction, cfg.analysis.k_samples
         )
         assert [(g.lower, g.upper) for g in result.gaps] == [
-            (0.85329342275435183, 0.89442719099991552)
+            (0.85329342275435172, 0.89442719099991541)
         ]
 
     @given(

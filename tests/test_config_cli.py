@@ -208,6 +208,23 @@ class TestCommands:
         assert "need k > 0" in err
         assert "inertia hypotheses violated" not in err
 
+    def test_dispersion_refuses_a_rate_symbol_below_its_round_off_bound(self, tmp_path,
+                                                                        capsys):
+        # at k = 1e8 the least eigenvalue of the rate symbol (about 1) lies
+        # under eigvalsh's error bound 12 eps ||A||_1 (about 53): its sign
+        # certifies nothing, and the message names both numbers
+        p = tmp_path / "huge_k.ini"
+        p.write_text("[analysis]\nk_samples = 0 1e8\n")
+        out = tmp_path / "o"
+        assert main(["dispersion", "--config", str(p), "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("MICROMORPH-ERROR hypothesis: rate-energy pencil not "
+                               "certified positive definite at k=100000000.0 (min eigenvalue ")
+        low, bound = (float(x) for x in re.search(
+            r"min eigenvalue (\S+) not above its round-off bound (\S+)\)", line).groups())
+        assert 0.0 < low < 10.0 < bound < 100.0
+        assert not out.exists()
+
     def test_simulate_zero_data_zero_trajectory(self, tmp_path):
         p = tmp_path / "zero.ini"
         p.write_text("[simulation]\nt_final = 0.1\n")

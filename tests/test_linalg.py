@@ -605,45 +605,33 @@ class TestDefiniteSolver:
             linalg._square_safe_norm(x, axis=0), [1e200, np.nan, np.nan, 0.0]
         )
 
-    def test_square_safe_norm_of_a_subnormal_complex_slice(self):
-        # a complex division by s takes 1 / s, which overflows for s < 5.6e-309
-        x = np.array([[0.0, 3e-309], [1.0, 4e-309j]])
-        np.testing.assert_allclose(
-            linalg._square_safe_norm(x, axis=0), [1.0, 5e-309], rtol=1e-12
-        )
-
 
 class TestHermitianDense:
     def test_real_diagonal(self):
-        w = hermitian_dense_eig(np.diag([1.0, 2.0, 3.0]).astype(complex), np.eye(3))
+        w = hermitian_dense_eig(np.diag([1.0, 2.0, 3.0]), np.eye(3))
         np.testing.assert_allclose(w, [1, 2, 3], rtol=1e-13)
-
-    def test_pauli_like_matrix(self):
-        h = np.array([[0.0, 1j], [-1j, 0.0]])
-        np.testing.assert_allclose(hermitian_dense_eig(h, np.eye(2)), [-1, 1], atol=1e-14)
 
     def test_metric_scaling_halves_eigenvalues(self, rng):
         n = 6
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = x + x.conj().T
-        g = np.eye(n, dtype=complex)
+        h = hermitian(rng, (n, n))
+        g = np.eye(n)
         w1 = hermitian_dense_eig(h, g)
         w2 = hermitian_dense_eig(h, 2 * g)
         np.testing.assert_allclose(w2, w1 / 2, rtol=1e-12)
 
-    def test_matches_complex_reference(self, rng):
-        n = 8
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = x + x.conj().T
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = y @ y.conj().T + n * np.eye(n)
-        w = hermitian_dense_eig(h, g)
-        ref = scipy.linalg.eigh(h, g, eigvals_only=True)
-        np.testing.assert_allclose(w, ref, rtol=1e-10, atol=1e-10)
-
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_dense_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("complex_side", ["H", "G"])
+    def test_complex_pencil_is_refused_not_cast(self, complex_side):
+        # casting to float would drop the imaginary part with only a warning
+        # and solve another pencil; here a warning would be an error too
+        h, g = np.array([[0.0, 1j], [-1j, 0.0]]), np.eye(2)
+        if complex_side == "G":
+            h, g = h.real, g + h
+        with pytest.raises(ValueError, match="must be real"):
+            hermitian_dense_eig(h, g)
 
     @pytest.mark.parametrize("s", [1e-200, 1.0, 1e200, 1e307])
     def test_scaled_pencil_scales_its_eigenvalues(self, rng, s):
@@ -655,13 +643,15 @@ class TestHermitianDense:
 
 
 def hermitian(rng, shape):
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return x + x.conj().swapaxes(-1, -2)
+    """A real symmetric matrix, or a stack of them."""
+    x = rng.standard_normal(shape)
+    return x + x.swapaxes(-1, -2)
 
 
 def hpd(rng, shape):
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return y @ y.conj().swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
+    """A real symmetric positive definite matrix, or a stack of them."""
+    y = rng.standard_normal(shape)
+    return y @ y.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
 
 
 class TestHermitianDenseStacked:
@@ -705,6 +695,6 @@ class TestHermitianDenseStacked:
             hermitian_dense_eig(h, g)
 
     def test_nan_fails_residual_check(self):
-        h = np.diag([1.0, np.nan]).astype(complex)
+        h = np.diag([1.0, np.nan])
         with pytest.raises(NonConvergenceError):
             hermitian_dense_eig(h, np.eye(2))
