@@ -42,8 +42,10 @@ or releases the factor and raises; one factor is alive at a time.
 * :func:`hermitian_dense_eig` - all eigenvalues of a dense real symmetric
   pencil or of a stack of them in one batched call: Cholesky reduction of
   the metric, then ``numpy.linalg.eigh``; every pair meets the eigenpair
-  rule.  Every array here is real: the plane-wave symbols of ``analysis``
-  are made real symmetric where they are built, and a complex pencil is
+  rule.  It solves every dense pencil of the engine: the small pencils
+  above, and in ``analysis`` the plane-wave symbols of the dispersion
+  curves and of m1's floor.  Every array here is real: those symbols are
+  made real symmetric where they are built, and a complex pencil is
   refused rather than cast.
 
 Every caller runs the paper's certification chain with the same settings,

@@ -182,6 +182,10 @@ class TestDiscreteConstants:
         c, delta = contraction_constant(2.0, 0.0)
         assert c == 0.0 and delta == math.inf
 
+    def test_negative_m2_raises(self):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            contraction_constant(1.0, -1.0)
+
     def test_nonpositive_m1_raises(self):
         with pytest.raises(DefinitenessError):
             contraction_constant(0.0, 1.0)
@@ -684,6 +688,16 @@ class TestSymbolFloor:
         assert 0.0 <= floor <= m1_h
         if variant is ModelVariant.QUASISTATIC:
             assert floor == 0.0   # a uniform wave carries no rate energy
+
+    def test_overflowing_symbol_has_floor_zero(self):
+        # k^2 = 1e6 times a rate modulus near the float range overflows
+        params = isotropic_material(inertia_elastic=(1e305, 0.0))
+        assert _symbol_floor(form_spec_w1(params), form_spec_gram()) == 0.0
+
+    def test_refused_pencil_has_floor_zero(self, demo_material):
+        # a metric symbol that is not definite: the dense solver refuses it
+        spec = form_spec_w1(demo_material)
+        assert _symbol_floor(spec, FormSpec(mass_p=1.0)) == 0.0
 
     def test_assembled_operators_pass_their_floor(self, sys_2, demo_material,
                                                   monkeypatch):

@@ -4,12 +4,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micromorph.assembly import (
+    BlockLayout,
     FormSpec,
     LoadFunctional,
+    SparseSymOperator,
     TimeField,
     assemble_form,
     assemble_gram,
@@ -111,6 +114,30 @@ class TestStructure:
         assert w1.layout.total == w1.matrix.shape[0]
         assert w1.layout.u_size == sys_2.n_u_dofs
         assert w1.layout.p_size == sys_2.n_p_dofs
+
+
+class TestGramKronecker:
+    """The product norm ||u||^2 + ||grad u||^2 + ||P||^2 + ||Curl P||^2 has
+    identity coefficients, so its Gram couples no two components: with the
+    vertex-major u dofs and the row-major P dofs it is G_v (x) I_3 on u and
+    I_3 (x) G_e on P, G_v and G_e scalar blocks read off the Gram itself,
+    and nothing between them.  Korn's left form, mass plus curl-curl of P,
+    is its P block."""
+
+    @pytest.mark.parametrize("dims, res", [
+        ((1, 1, 1), (2, 2, 2)), ((1, 1, 1), (4, 4, 4)), ((1, 2, 0.5), (4, 3, 5)),
+    ])
+    def test_blocks_are_exact_kronecker_products(self, dims, res):
+        sys_ = build_fe_system(build_box_mesh(dims, res))
+        gram = assemble_gram(sys_).matrix
+        nu, ne = sys_.n_u_dofs, sys_.n_p_dofs // 3
+        g_u, g_p = gram[:nu, :nu], gram[nu:, nu:]
+        assert gram[:nu, nu:].count_nonzero() == 0
+        assert (g_u != sp.kron(g_u[0::3, 0::3], sp.identity(3))).nnz == 0
+        assert (g_p != sp.kron(sp.identity(3), g_p[:ne, :ne])).nnz == 0
+        korn_left = assemble_form(sys_, FormSpec(
+            mass_p=1.0, curl=isotropic_curvature(1.0), curl_coeff=1.0)).p_block()
+        assert (korn_left.matrix != g_p).nnz == 0
 
 
 class TestVariants:
@@ -291,6 +318,14 @@ class TestLoads:
             f, m = load.body_force(t), load.double_force(t)
             assert np.array_equal(vec, sys_.unit_duals @ np.concatenate([f, m.ravel()]))
 
+    def test_polynomial_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            TimeField.polynomial([])
+
+    def test_polynomial_coefficients_share_one_shape(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            TimeField.polynomial([np.zeros(3), np.zeros((3, 3))])
+
     def test_poly_evaluation(self):
         tf = TimeField.polynomial([np.zeros(3), np.array([0.0, 0.0, 2.0])])
         np.testing.assert_allclose(tf(1.5), [0, 0, 3.0])
@@ -311,6 +346,14 @@ class TestLoads:
 
 
 class TestOperators:
+    def test_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            SparseSymOperator(sp.csr_matrix((2, 3)), BlockLayout(1, 1))
+
+    def test_layout_must_sum_to_the_dimension(self):
+        with pytest.raises(ValueError, match="sum to the dimension"):
+            SparseSymOperator(sp.identity(3, format="csr"), BlockLayout(1, 1))
+
     def test_p_block_extraction(self, material, sys_2):
         w1 = assemble_w1(material, sys_2)
         nu = sys_2.n_u_dofs

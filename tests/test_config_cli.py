@@ -842,6 +842,31 @@ class TestFailureTable:
         [line] = err.splitlines()
         assert line.startswith("MICROMORPH-ERROR config: ")
 
+    def test_exception_outside_the_table_propagates(self, tmp_path, capfd, monkeypatch):
+        from micromorph import cli
+
+        def broken(cfg, out):
+            raise RuntimeError("a defect, not a failure of the run")
+
+        monkeypatch.setitem(cli._HANDLERS, "check", broken)
+        p = tmp_path / "run.ini"
+        p.write_text("[mesh]\nresolution = 1 1 1\n")
+        with pytest.raises(RuntimeError, match="a defect"):
+            main(["check", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert capfd.readouterr() == ("", "")
+
+    def test_korn_on_a_vanishing_box_is_a_singular_form(self, tmp_path, capfd):
+        # at side h = 1e-100 the masses, of order h, vanish against the
+        # curl-curl terms, of order 1/h, whose kernel holds the gradients:
+        # the right form is singular
+        p = tmp_path / "run.ini"
+        p.write_text("[mesh]\ndims = 1e-100 1e-100 1e-100\n")
+        assert main(["korn", "--config", str(p), "--out", str(tmp_path / "o")]) == 4
+        out, err = capfd.readouterr()
+        [line] = err.splitlines()
+        assert line.startswith(
+            "MICROMORPH-ERROR solver: sym-mass + curl-curl form is singular")
+
     def test_bare_package_error_is_internal(self, tmp_path, capfd, monkeypatch):
         from micromorph import cli
 

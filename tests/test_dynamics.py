@@ -21,6 +21,7 @@ from micromorph.assembly import (
 from micromorph.dynamics import (
     MAX_INTERVALS,
     DynamicState,
+    Trajectory,
     newmark_integrate,
     picard_integrate,
     stationary_solve,
@@ -54,6 +55,18 @@ def oscillator():
     layout = BlockLayout(1, 0)
     state0 = DynamicState.from_vectors(layout, 0.0, [1.0], [0.0])
     return scalar_op(1.0), scalar_op(omega**2), state0, omega
+
+
+class TestContainers:
+    def test_state_vectors_must_match_the_layout(self):
+        with pytest.raises(ValueError, match="do not match the layout"):
+            DynamicState.from_vectors(BlockLayout(2, 1), 0.0, [1.0, 2.0], [0.0, 0.0, 0.0])
+
+    def test_trajectory_grid_must_be_uniform(self):
+        times = np.array([0.0, 0.1, 0.3])
+        states = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="uniform"):
+            Trajectory(times, states, states, np.zeros(3), np.zeros(3))
 
 
 class TestStationarySolve:

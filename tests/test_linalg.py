@@ -41,6 +41,11 @@ class TestExtremeGeneralized:
         assert lo == pytest.approx(1.0, rel=1e-8)
         assert hi == pytest.approx(1.0, rel=1e-8)
 
+    def test_empty_operator_is_refused(self):
+        empty = sp.csr_matrix((0, 0))
+        with pytest.raises(ValueError, match="empty operator"):
+            extreme_generalized_eigenvalues(empty, empty, "largest")
+
     def test_diagonal_pencil(self):
         a = sp.csr_matrix(np.diag([1.0, 4.0]))
         lo, hi = ends(a, sp.eye(2, format="csr"))
@@ -618,6 +623,11 @@ class TestHermitianDense:
         w1 = hermitian_dense_eig(h, g)
         w2 = hermitian_dense_eig(h, 2 * g)
         np.testing.assert_allclose(w2, w1 / 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="H must be square"):
+            hermitian_dense_eig(np.zeros(shape), np.eye(3))
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -47,6 +47,15 @@ class TestValidation:
     def test_single_cube_euler(self, unit_mesh_1):
         assert validate_mesh(unit_mesh_1).euler_characteristic == 1
 
+    def test_isolated_vertex_breaks_the_euler_characteristic(self, unit_mesh_1):
+        import dataclasses
+
+        # a vertex no cell uses is a second component: V - E + F - C = 2
+        vertices = np.vstack([unit_mesh_1.vertices, [[2.0, 2.0, 2.0]]])
+        d = validate_mesh(dataclasses.replace(unit_mesh_1, vertices=vertices))
+        assert d.euler_characteristic == 2
+        assert d.violations == ("Euler characteristic 2, expected 1 for a ball",)
+
     def test_permuted_cell_reported(self, unit_mesh_1):
         import dataclasses
 

@@ -176,6 +176,14 @@ class TestIsotropic:
         with pytest.raises(ValueError):
             make_isotropic(SymmetryClass.COUPLING, 1.0, 2.0)
 
+    def test_unknown_class(self):
+        with pytest.raises(ValueError, match="unknown symmetry class"):
+            make_isotropic("elastic", 1.0, 0.0)
+
+    def test_matrix_shape_enforced(self):
+        with pytest.raises(ValueError, match=r"coupling tensor needs a 3x3 matrix, got \(6, 6\)"):
+            ConstitutiveTensor4(SymmetryClass.COUPLING, np.eye(6))
+
     def test_component_count_enforced(self):
         with pytest.raises(ValueError, match="21"):
             ConstitutiveTensor4.from_components(SymmetryClass.ELASTIC, range(20))
